@@ -27,9 +27,11 @@ struct FatTreeConfig {
   double wan_delay_s = 50e-3;
   std::int64_t queue_limit_bytes = 256 * 1500;
 
-  /// Build the dense O(N^2) next-hop tables. Packet-mode traffic needs
-  /// them; fluid-only scale runs (k=32 -> ~9.5k nodes, ~360 MB of tables)
-  /// turn this off and use FatTree::server_path() instead.
+  /// Build the network's route tables. Packet-mode traffic needs them.
+  /// They are small (k=32: ~337k destination runs, ~2.7 MB), but the BFS
+  /// from each of the 1,280 switches that builds them takes ~0.5-0.8 s at
+  /// k=32, against ~15 ms for the rest of the fabric. Fluid-only scale
+  /// runs turn this off and use FatTree::server_path().
   bool build_routes = true;
 
   [[nodiscard]] std::int32_t pods() const noexcept { return k; }
@@ -89,7 +91,7 @@ class FatTree {
   }
 
   /// Analytic server-to-server path (ordered link ids), independent of the
-  /// dense routing tables: the regular fat-tree wiring makes every shortest
+  /// network's route tables: the regular fat-tree wiring makes every shortest
   /// path enumerable in O(1) from the stored link arrays. Among the
   /// equal-cost choices the aggregation/core hop is picked by splitmix64 of
   /// the flow id — the same ECMP hash ecmp_path() uses — so paths are

@@ -2,8 +2,13 @@
 //
 // Routing is static shortest-path (BFS over hop count), computed once after
 // the topology is built — appropriate for the tree topologies of the paper
-// (unique paths) and deterministic for general graphs (lowest node id wins
-// ties). Packets are forwarded hop-by-hop through drop-tail links.
+// (unique paths) and deterministic for general graphs (out-links are
+// explored in ascending link id, so the lowest-id link wins ties). Each
+// node stores its routes as runs of consecutive destination ids that leave
+// through the same out-link; a tree node has about one run per child
+// subtree, so the tables grow with the node count rather than its square.
+// A hop looks its link up by binary search over the node's runs. Packets
+// are forwarded hop-by-hop through drop-tail links.
 #pragma once
 
 #include <memory>
@@ -40,21 +45,19 @@ class Network {
                                        double prop_delay_s,
                                        std::int64_t queue_limit_bytes);
 
-  /// Compute next-hop tables. Must be called after the topology is final and
-  /// before any traffic is injected.
+  /// Compute the route tables. Must be called after the topology is final
+  /// and before any traffic is injected.
   void build_routes();
 
-  /// Whether the dense next-hop tables exist. Large fluid-only topologies
-  /// (k=32 fat-tree: ~9.5k nodes -> ~90M table entries) skip build_routes()
-  /// and compute paths analytically instead.
+  /// Whether the route tables exist. Large fluid-only topologies (k=32
+  /// fat-tree) skip build_routes(), whose BFS from every switch dominates
+  /// their setup, and compute paths analytically instead.
   [[nodiscard]] bool routes_built() const noexcept { return routes_built_; }
-  /// Total next-hop table entries (0 when routes were never built). The
-  /// scale guard tests assert this stays 0 for analytic-route topologies so
-  /// builder memory remains O(links).
+  /// Total destination runs over all nodes (0 when routes were never
+  /// built). The scale guard tests assert this stays 0 for analytic-route
+  /// topologies and linear in the node count for trees.
   [[nodiscard]] std::size_t route_table_entries() const noexcept {
-    std::size_t n = 0;
-    for (const auto& row : next_hop_) n += row.size();
-    return n;
+    return runs_.size();
   }
 
   // --- access ---------------------------------------------------------------
@@ -79,9 +82,7 @@ class Network {
   [[nodiscard]] LinkId link_between(NodeId a, NodeId b) const;
 
   /// Next hop from `at` towards `dst`; kInvalidNode when unreachable.
-  [[nodiscard]] NodeId next_hop(NodeId at, NodeId dst) const {
-    return next_hop_.at(checked(at)).at(checked(dst));
-  }
+  [[nodiscard]] NodeId next_hop(NodeId at, NodeId dst) const;
 
   /// Ordered link ids on the path src -> dst (empty when src == dst).
   /// Throws when dst is unreachable.
@@ -118,6 +119,17 @@ class Network {
     return id.index();
   }
 
+  /// Destinations from `first` up to the next run's `first` leave through
+  /// `link` (kInvalidLink: unreachable).
+  struct RouteRun {
+    NodeId first;
+    LinkId link;
+  };
+
+  /// The link leaving `at` towards `dst` (at != dst); kInvalidLink when
+  /// unreachable. Binary search over `at`'s runs.
+  [[nodiscard]] LinkId route(NodeId at, NodeId dst) const;
+
   void forward(Packet&& p, NodeId at);
 
   sim::Simulator& sim_;
@@ -125,8 +137,12 @@ class Network {
   std::vector<std::unique_ptr<Link>> links_;
   /// adjacency: out_links_[node] = link ids leaving the node
   std::vector<std::vector<LinkId>> out_links_;
-  /// next_hop_[src][dst] = neighbour node towards dst
-  std::vector<std::vector<NodeId>> next_hop_;
+  /// Node n's runs are runs_[route_begin_[n] .. route_begin_[n + 1]),
+  /// ascending by first destination, the first one starting at node 0.
+  /// A node's own destination is a don't-care absorbed by a neighbouring
+  /// run.
+  std::vector<std::size_t> route_begin_;
+  std::vector<RouteRun> runs_;
   /// pinned_[flow][at-node] = outgoing link (source-routed flows)
   std::unordered_map<FlowId, std::unordered_map<NodeId, LinkId>> pinned_;
   bool routes_built_ = false;

@@ -2,7 +2,8 @@
 //
 // A node forwards packets that are not addressed to it (switch behaviour)
 // and hands packets addressed to it to the attached sink (transport demux).
-// Forwarding uses the Network's precomputed next-hop tables.
+// Forwarding uses the Network's precomputed route tables, which map each
+// destination to the out-link of its shortest path.
 #pragma once
 
 #include <functional>

@@ -116,9 +116,8 @@ TEST_F(FatTreeTest, PinnedEcmpFlowDeliversData) {
 //
 // The fluid scale bench (bench_scale, BENCH_scale.json) builds k=16/k=32
 // fabrics with build_routes=false and analytic FatTree::server_path. These
-// tests pin the construction counts, prove builder memory stays O(links)
-// (no next-hop tables), and validate the analytic paths against the
-// BFS-enumerated shortest paths.
+// tests pin the construction counts, prove no route tables are built, and
+// validate the analytic paths against the BFS-enumerated shortest paths.
 
 TEST(FatTreeScale, K16CountsWithoutRouteTables) {
   sim::Simulator sim;
@@ -150,8 +149,8 @@ TEST(FatTreeScale, K32CountsWithoutRouteTables) {
   // duplex: 256 core-gw + 3*8192 = 24832 -> 49664 unidirectional, the
   // committed BENCH_scale.json "links" value.
   EXPECT_EQ(ft.net().link_count(), 49664u);
-  // O(links) builder memory: a dense next-hop table at this scale would
-  // be ~9.5k x 9.5k entries; analytic routing never materializes it.
+  // Analytic routing skips the BFS from every switch that route tables
+  // would cost at this scale.
   EXPECT_EQ(ft.net().route_table_entries(), 0u);
 }
 

@@ -98,7 +98,8 @@ void BM_LinkPipelineThroughput(benchmark::State& state) {
   std::uint64_t delivered_total = 0;
   for (auto _ : state) {
     sim::Simulator sim(1);
-    net::Link link(sim, net::LinkId{0}, net::NodeId{0}, net::NodeId{1},
+    net::PacketPool pool;
+    net::Link link(sim, pool, net::LinkId{0}, net::NodeId{0}, net::NodeId{1},
                    sim::BitRate{10e9}, 5e-6, 1 << 22);
     std::uint64_t delivered = 0;
     std::uint64_t sent = 0;
@@ -132,7 +133,8 @@ void BM_LinkSjfDeepQueue(benchmark::State& state) {
   std::uint64_t delivered_total = 0;
   for (auto _ : state) {
     sim::Simulator sim(1);
-    net::Link link(sim, net::LinkId{0}, net::NodeId{0}, net::NodeId{1},
+    net::PacketPool pool;
+    net::Link link(sim, pool, net::LinkId{0}, net::NodeId{0}, net::NodeId{1},
                    sim::BitRate{10e9}, 5e-6, 1 << 30);
     link.set_discipline(net::QueueDiscipline::kSjf);
     std::uint64_t delivered = 0;

@@ -53,8 +53,8 @@ void Link::start_transmission() {
   transmitting_ = true;
   // SJF selection (section IV-B) commits to the packet now; it is taken
   // out of the queue when the transmission completes.
-  cur_node_ = queue_.select_next();
-  const Packet& head = queue_.packet(cur_node_);
+  cur_slot_ = queue_.select_next();
+  const Packet& head = queue_.packet(cur_slot_);
   // Serialization time rounds to the nearest nanosecond once, here; from
   // this point on every timestamp derived from it is exact integer time
   // (ByteCount / BitRate is the same bytes * 8.0 / bps expression the
@@ -64,22 +64,28 @@ void Link::start_transmission() {
 }
 
 void Link::on_tx_complete() {
-  Packet p = queue_.take(cur_node_);
-  cur_node_ = PacketQueue::kNull;
-  queued_bytes_ -= p.size_bytes;
+  const PacketPool::Index n = cur_slot_;
+  cur_slot_ = PacketPool::kNull;
+  queue_.detach(n);
+  PacketPool::Slot& slot = pool_.at(n);
+  queued_bytes_ -= slot.pkt.size_bytes;
   ++stats_.tx_packets;
-  stats_.tx_bytes += static_cast<std::uint64_t>(p.size_bytes);
-  queue_.note_transmitted(p.flow);  // SJF Cnt_j bookkeeping; no-op for FIFO
+  stats_.tx_bytes += static_cast<std::uint64_t>(slot.pkt.size_bytes);
+  queue_.note_transmitted(slot.pkt.flow);  // SJF Cnt_j; no-op for FIFO
 
-  // Propagation: park the packet on the in-flight ring; the single armed
-  // delivery timer walks the ring head-by-head (constant delay => FIFO).
-  // The parked deadline and the armed timer are the same exact integer
-  // sum, so deliver_head always finds the head due at or after now.
-  inflight_.emplace_back(sim_.now() + prop_delay_, std::move(p));
-  if (!delivery_armed_) {
-    delivery_armed_ = true;
+  // Propagation: relink the slot onto the in-flight FIFO; the single armed
+  // delivery timer walks it head-by-head (constant delay => FIFO). The
+  // stored deadline and the armed timer are the same exact integer sum,
+  // so deliver_head always finds the head due at or after now.
+  slot.key = static_cast<std::uint64_t>((sim_.now() + prop_delay_).nanos());
+  slot.next = PacketPool::kNull;
+  if (inflight_tail_ != PacketPool::kNull) {
+    pool_.at(inflight_tail_).next = n;
+  } else {
+    inflight_head_ = n;
     sim_.post_in(prop_delay_, [this] { deliver_head(); });
   }
+  inflight_tail_ = n;
 
   if (!queue_.empty()) {
     start_transmission();
@@ -89,13 +95,17 @@ void Link::on_tx_complete() {
 }
 
 void Link::deliver_head() {
-  Packet p = std::move(inflight_.front().second);
-  inflight_.pop_front();
-  if (!inflight_.empty()) {
-    sim_.post_in(delivery_delay(inflight_.front().first, sim_.now()),
-                 [this] { deliver_head(); });
+  const PacketPool::Index n = inflight_head_;
+  inflight_head_ = pool_.at(n).next;
+  // Free the slot before deliver_ runs: the next hop's enqueue may grow
+  // the pool.
+  Packet p = pool_.take(n);
+  if (inflight_head_ != PacketPool::kNull) {
+    const auto due = sim::Time::from_nanos(
+        static_cast<sim::Time::rep_type>(pool_.at(inflight_head_).key));
+    sim_.post_in(delivery_delay(due, sim_.now()), [this] { deliver_head(); });
   } else {
-    delivery_armed_ = false;
+    inflight_tail_ = PacketPool::kNull;
   }
   if (deliver_) deliver_(std::move(p));
 }

@@ -6,9 +6,13 @@
 // instantaneous queue length Q(t) and the bytes that arrived during the
 // current control interval L(t). Resource monitors/allocators sample both.
 //
-// The queue is a pool-backed PacketQueue (FIFO or OpenFlow-SJF service) and
-// the propagation stage is a ring buffer, so the steady-state packet path
-// performs no heap allocation.
+// A packet occupies one slot of the network's shared PacketPool from the
+// moment the link accepts it until the far end takes it for delivery. The
+// queue (FIFO or OpenFlow-SJF service) and the propagation stage are lists
+// threaded through those slots: finishing transmission relinks the slot
+// onto the in-flight FIFO without copying the packet. Packet memory is
+// therefore bounded by the packets the whole network holds at once, and
+// the steady-state packet path performs no heap allocation.
 #pragma once
 
 #include <cassert>
@@ -17,9 +21,9 @@
 #include <utility>
 
 #include "net/packet.h"
+#include "net/packet_pool.h"
 #include "net/packet_queue.h"
 #include "sim/simulator.h"
-#include "util/ring.h"
 
 namespace scda::net {
 
@@ -39,16 +43,20 @@ class Link {
   /// `deliver` is invoked at the downstream node after propagation.
   using DeliverFn = std::function<void(Packet&&)>;
 
-  Link(sim::Simulator& sim, LinkId id, NodeId from, NodeId to,
-       sim::BitRate capacity, double prop_delay_s,
+  /// `pool` holds the link's queued and propagating packets; it is shared
+  /// with the other links of the network and must outlive the link.
+  Link(sim::Simulator& sim, PacketPool& pool, LinkId id, NodeId from,
+       NodeId to, sim::BitRate capacity, double prop_delay_s,
        std::int64_t queue_limit_bytes)
       : sim_(sim),
+        pool_(pool),
         id_(id),
         from_(from),
         to_(to),
         capacity_(capacity),
         prop_delay_(sim::secs(prop_delay_s)),
-        queue_limit_bytes_(queue_limit_bytes) {}
+        queue_limit_bytes_(queue_limit_bytes),
+        queue_(pool) {}
 
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
@@ -150,12 +158,9 @@ class Link {
   }
 
   [[nodiscard]] const LinkStats& stats() const noexcept { return stats_; }
-  /// Queue-structure perf counters (pool high-water mark, SJF index use).
+  /// Queue-structure perf counters (queue depth peak, SJF index use).
   [[nodiscard]] const PacketQueue::Perf& queue_perf() const noexcept {
     return queue_.perf();
-  }
-  [[nodiscard]] std::size_t queue_pool_capacity() const noexcept {
-    return queue_.pool_capacity();
   }
 
   /// Long-run utilization in [0,1]: transmitted bits / (capacity * elapsed).
@@ -168,10 +173,7 @@ class Link {
   /// Delay until the head of the propagation queue is due. Deadlines are
   /// exact integer-nanosecond sums of the same now + prop_delay values the
   /// timers were armed with, so a head that is past due is a scheduling
-  /// bug, full stop — there is no floating-point drift to forgive. (The
-  /// double-seconds era clamped few-ulp negatives here and counted them
-  /// as `delivery_clamps`; that counter is gone because the condition is
-  /// now structurally impossible.)
+  /// bug.
   [[nodiscard]] static sim::Time delivery_delay(sim::Time due,
                                                 sim::Time now) noexcept {
     assert(due >= now && "propagation deadline in the past: scheduling bug");
@@ -187,6 +189,7 @@ class Link {
   void trace_drop(const Packet& p, const char* reason);
 
   sim::Simulator& sim_;
+  PacketPool& pool_;
   LinkId id_;
   NodeId from_;
   NodeId to_;
@@ -195,14 +198,16 @@ class Link {
   std::int64_t queue_limit_bytes_;
 
   PacketQueue queue_;
-  /// Packet selected for the transmission in progress (owned by queue_
-  /// until the tx-complete event takes it).
-  PacketQueue::NodeIndex cur_node_ = PacketQueue::kNull;
-  /// Packets transmitted and propagating: (arrival time, packet). FIFO
-  /// because the propagation delay is constant, so one timer (for the head)
-  /// suffices and the per-packet closure never captures the packet itself.
-  util::Ring<std::pair<sim::Time, Packet>> inflight_;
-  bool delivery_armed_ = false;
+  /// Slot selected for the transmission in progress (queued until the
+  /// tx-complete event detaches it).
+  PacketPool::Index cur_slot_ = PacketPool::kNull;
+  /// Slots transmitted and propagating, linked through Slot::next and
+  /// keyed by their delivery deadline. FIFO because the propagation delay
+  /// is constant, so one timer (for the head) suffices and the per-packet
+  /// closure never captures the packet itself. The timer is armed exactly
+  /// while the list is non-empty.
+  PacketPool::Index inflight_head_ = PacketPool::kNull;
+  PacketPool::Index inflight_tail_ = PacketPool::kNull;
   std::int64_t queued_bytes_ = 0;
   std::int64_t interval_arrived_bytes_ = 0;
   std::int32_t fluid_flows_ = 0;

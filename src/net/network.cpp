@@ -27,7 +27,7 @@ LinkId Network::add_link(NodeId a, NodeId b, sim::BitRate capacity,
   if (capacity <= sim::BitRate{})
     throw std::invalid_argument("Network::add_link: capacity must be > 0");
   const auto id = LinkId::from_index(links_.size());
-  links_.push_back(std::make_unique<Link>(sim_, id, a, b, capacity,
+  links_.push_back(std::make_unique<Link>(sim_, pool_, id, a, b, capacity,
                                           prop_delay_s, queue_limit_bytes));
   Link* raw = links_.back().get();
   raw->set_deliver([this, to = b](Packet&& p) { forward(std::move(p), to); });

@@ -8,7 +8,8 @@
 // through the same out-link; a tree node has about one run per child
 // subtree, so the tables grow with the node count rather than its square.
 // A hop looks its link up by binary search over the node's runs. Packets
-// are forwarded hop-by-hop through drop-tail links.
+// are forwarded hop-by-hop through drop-tail links, whose queued and
+// propagating packets all live in one PacketPool owned by the network.
 #pragma once
 
 #include <memory>
@@ -20,6 +21,7 @@
 #include "net/link.h"
 #include "net/node.h"
 #include "net/packet.h"
+#include "net/packet_pool.h"
 #include "sim/simulator.h"
 
 namespace scda::net {
@@ -88,6 +90,12 @@ class Network {
   /// Throws when dst is unreachable.
   [[nodiscard]] std::vector<LinkId> path(NodeId src, NodeId dst) const;
 
+  /// Packet slots the links' shared pool has allocated: the peak number of
+  /// packets queued or propagating anywhere in the network at once.
+  [[nodiscard]] std::size_t packet_slots() const noexcept {
+    return pool_.capacity();
+  }
+
   /// Links leaving a node (adjacency view for custom route computation,
   /// e.g. the widest-path selector of paper section IX).
   [[nodiscard]] const std::vector<LinkId>& out_links(NodeId n) const {
@@ -134,6 +142,8 @@ class Network {
 
   sim::Simulator& sim_;
   std::vector<std::unique_ptr<Node>> nodes_;
+  /// Declared before links_, which refer to it, so it outlives them.
+  PacketPool pool_;
   std::vector<std::unique_ptr<Link>> links_;
   /// adjacency: out_links_[node] = link ids leaving the node
   std::vector<std::vector<LinkId>> out_links_;

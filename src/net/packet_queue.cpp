@@ -15,14 +15,14 @@ void PacketQueue::set_discipline(QueueDiscipline d) {
 }
 
 void PacketQueue::push(Packet&& p) {
-  const NodeIndex n = acquire(std::move(p));
-  Node& node = pool_[n];
-  node.arrival = ++arrival_seq_;
-  node.prev = tail_;
-  node.next = kNull;
-  node.flow_next = kNull;
+  const Index n = pool_.acquire(std::move(p));
+  PacketPool::Slot& slot = pool_.at(n);
+  slot.key = ++arrival_seq_;
+  slot.prev = tail_;
+  slot.next = kNull;
+  slot.flow_next = kNull;
   if (tail_ != kNull) {
-    pool_[tail_].next = n;
+    pool_.at(tail_).next = n;
   } else {
     head_ = n;
   }
@@ -31,21 +31,21 @@ void PacketQueue::push(Packet&& p) {
   if (size_ > perf_.pool_hwm) perf_.pool_hwm = size_;
 
   if (discipline_ == QueueDiscipline::kSjf) {
-    FlowState& st = flows_[node.pkt.flow];
+    FlowState& st = flows_[slot.pkt.flow];
     if (st.queued == 0) {
       st.head = st.tail = n;
       st.queued = 1;
       // The flow (re)joins the index keyed by its new oldest packet.
-      index_insert(node.pkt.flow, st);
+      index_insert(slot.pkt.flow, st);
     } else {
-      pool_[st.tail].flow_next = n;
+      pool_.at(st.tail).flow_next = n;
       st.tail = n;
       ++st.queued;
     }
   }
 }
 
-PacketQueue::NodeIndex PacketQueue::select_next() {
+PacketQueue::Index PacketQueue::select_next() {
   assert(size_ > 0);
   if (discipline_ != QueueDiscipline::kSjf || size_ == 1) return head_;
   assert(!sjf_order_.empty());
@@ -56,26 +56,23 @@ PacketQueue::NodeIndex PacketQueue::select_next() {
   return it->second.head;
 }
 
-Packet PacketQueue::take(NodeIndex n) {
-  Node& node = pool_[n];
+void PacketQueue::detach(Index n) {
+  const PacketPool::Slot& slot = pool_.at(n);
   if (discipline_ == QueueDiscipline::kSjf) {
-    const auto it = flows_.find(node.pkt.flow);
+    const auto it = flows_.find(slot.pkt.flow);
     assert(it != flows_.end());
     FlowState& st = it->second;
     // Service is always the flow's oldest packet, so unlinking the chain
     // head is O(1).
     assert(st.head == n);
-    index_erase(node.pkt.flow, st);
-    st.head = node.flow_next;
+    index_erase(slot.pkt.flow, st);
+    st.head = slot.flow_next;
     if (st.head == kNull) st.tail = kNull;
     --st.queued;
-    if (st.queued > 0) index_insert(node.pkt.flow, st);
+    if (st.queued > 0) index_insert(slot.pkt.flow, st);
   }
   unlink_global(n);
   --size_;
-  Packet out = std::move(node.pkt);
-  release(n);
-  return out;
 }
 
 void PacketQueue::note_transmitted(FlowId flow) {
@@ -86,44 +83,28 @@ void PacketQueue::note_transmitted(FlowId flow) {
   if (st.queued > 0) index_insert(flow, st);
 }
 
-PacketQueue::NodeIndex PacketQueue::acquire(Packet&& p) {
-  if (free_head_ != kNull) {
-    const NodeIndex n = free_head_;
-    free_head_ = pool_[n].next;
-    pool_[n].pkt = std::move(p);
-    return n;
-  }
-  pool_.push_back(Node{std::move(p), kNull, kNull, kNull, 0});
-  return static_cast<NodeIndex>(pool_.size() - 1);
-}
-
-void PacketQueue::release(NodeIndex n) noexcept {
-  pool_[n].next = free_head_;
-  free_head_ = n;
-}
-
-void PacketQueue::unlink_global(NodeIndex n) noexcept {
-  Node& node = pool_[n];
-  if (node.prev != kNull) {
-    pool_[node.prev].next = node.next;
+void PacketQueue::unlink_global(Index n) noexcept {
+  const PacketPool::Slot& slot = pool_.at(n);
+  if (slot.prev != kNull) {
+    pool_.at(slot.prev).next = slot.next;
   } else {
-    head_ = node.next;
+    head_ = slot.next;
   }
-  if (node.next != kNull) {
-    pool_[node.next].prev = node.prev;
+  if (slot.next != kNull) {
+    pool_.at(slot.next).prev = slot.prev;
   } else {
-    tail_ = node.prev;
+    tail_ = slot.prev;
   }
 }
 
 void PacketQueue::index_insert(FlowId flow, const FlowState& st) {
   assert(st.queued > 0 || st.head != kNull);
-  sjf_order_.insert(SjfKey{st.tx_count, pool_[st.head].arrival, flow});
+  sjf_order_.insert(SjfKey{st.tx_count, pool_.at(st.head).key, flow});
 }
 
 void PacketQueue::index_erase(FlowId flow, const FlowState& st) {
   const auto it =
-      sjf_order_.find(SjfKey{st.tx_count, pool_[st.head].arrival, flow});
+      sjf_order_.find(SjfKey{st.tx_count, pool_.at(st.head).key, flow});
   assert(it != sjf_order_.end());
   sjf_order_.erase(it);
 }
@@ -135,15 +116,15 @@ void PacketQueue::rebuild_sjf_state() {
     st.queued = 0;
   }
   // Walk the arrival-order list so per-flow chains stay FIFO.
-  for (NodeIndex n = head_; n != kNull; n = pool_[n].next) {
-    Node& node = pool_[n];
-    node.flow_next = kNull;
-    FlowState& st = flows_[node.pkt.flow];
+  for (Index n = head_; n != kNull; n = pool_.at(n).next) {
+    PacketPool::Slot& slot = pool_.at(n);
+    slot.flow_next = kNull;
+    FlowState& st = flows_[slot.pkt.flow];
     if (st.queued == 0) {
       st.head = st.tail = n;
       st.queued = 1;
     } else {
-      pool_[st.tail].flow_next = n;
+      pool_.at(st.tail).flow_next = n;
       st.tail = n;
       ++st.queued;
     }

@@ -1,7 +1,7 @@
-// PacketQueue: pool-backed link queue with O(1) FIFO service and
-// O(log F) SJF service (F = flows currently queued).
+// PacketQueue: a link queue over shared PacketPool slots, with O(1) FIFO
+// service and O(log F) SJF service (F = flows currently queued).
 //
-// Packets live in recycled pool slots threaded onto two lists: a global
+// Queued packets sit in pool slots threaded onto two lists: a global
 // doubly-linked arrival-order list (FIFO service, middle removal for SJF)
 // and a per-flow singly-linked chain. The SJF discipline (paper section
 // IV-B: serve the queued packet whose flow has transmitted the fewest
@@ -17,9 +17,9 @@
 #include <cstdint>
 #include <set>
 #include <unordered_map>
-#include <vector>
 
 #include "net/packet.h"
+#include "net/packet_pool.h"
 
 namespace scda::net {
 
@@ -33,24 +33,20 @@ enum class QueueDiscipline : std::uint8_t { kFifo, kSjf };
 
 class PacketQueue {
  public:
-  using NodeIndex = std::uint32_t;
-  static constexpr NodeIndex kNull = 0xFFFFFFFFu;
+  using Index = PacketPool::Index;
+  static constexpr Index kNull = PacketPool::kNull;
 
   struct Perf {
     std::uint64_t pool_hwm = 0;    ///< peak concurrently queued packets
     std::uint64_t sjf_selects = 0; ///< SJF selections served from the index
   };
 
-  PacketQueue() = default;
+  explicit PacketQueue(PacketPool& pool) : pool_(pool) {}
   PacketQueue(const PacketQueue&) = delete;
   PacketQueue& operator=(const PacketQueue&) = delete;
 
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  /// Pool slots ever allocated (recycled; bounded by peak queue depth).
-  [[nodiscard]] std::size_t pool_capacity() const noexcept {
-    return pool_.size();
-  }
   [[nodiscard]] const Perf& perf() const noexcept { return perf_; }
 
   [[nodiscard]] QueueDiscipline discipline() const noexcept {
@@ -66,16 +62,18 @@ class PacketQueue {
   void push(Packet&& p);
 
   /// Pick the packet to serve next per the discipline, without removing
-  /// it. The returned handle stays valid until take() — pushes never move
-  /// pooled packets.
-  [[nodiscard]] NodeIndex select_next();
+  /// it. The returned slot index stays valid until detach(), across any
+  /// pushes in between.
+  [[nodiscard]] Index select_next();
 
-  [[nodiscard]] const Packet& packet(NodeIndex n) const noexcept {
-    return pool_[n].pkt;
+  [[nodiscard]] const Packet& packet(Index n) const noexcept {
+    return pool_.at(n).pkt;
   }
 
-  /// Remove a previously selected packet from the queue.
-  Packet take(NodeIndex n);
+  /// Remove a previously selected packet from the queue. Its slot stays
+  /// acquired and now belongs to the caller, who relinks it or takes the
+  /// packet out of the pool.
+  void detach(Index n);
 
   /// Account one transmitted packet against `flow` (SJF bookkeeping;
   /// counts only advance while the SJF discipline is active, matching the
@@ -89,18 +87,10 @@ class PacketQueue {
   }
 
  private:
-  struct Node {
-    Packet pkt;
-    NodeIndex prev = kNull;       ///< global arrival-order list
-    NodeIndex next = kNull;
-    NodeIndex flow_next = kNull;  ///< per-flow FIFO chain
-    std::uint64_t arrival = 0;
-  };
-
   struct FlowState {
     std::uint64_t tx_count = 0;
-    NodeIndex head = kNull;  ///< oldest queued packet of the flow
-    NodeIndex tail = kNull;
+    Index head = kNull;  ///< oldest queued packet of the flow
+    Index tail = kNull;
     std::uint32_t queued = 0;
   };
 
@@ -116,17 +106,14 @@ class PacketQueue {
     }
   };
 
-  NodeIndex acquire(Packet&& p);
-  void release(NodeIndex n) noexcept;
-  void unlink_global(NodeIndex n) noexcept;
+  void unlink_global(Index n) noexcept;
   void index_insert(FlowId flow, const FlowState& st);
   void index_erase(FlowId flow, const FlowState& st);
   void rebuild_sjf_state();
 
-  std::vector<Node> pool_;
-  NodeIndex free_head_ = kNull;
-  NodeIndex head_ = kNull;  ///< global arrival-order list
-  NodeIndex tail_ = kNull;
+  PacketPool& pool_;
+  Index head_ = kNull;  ///< global arrival-order list
+  Index tail_ = kNull;
   std::size_t size_ = 0;
   std::uint64_t arrival_seq_ = 0;
 

@@ -113,7 +113,7 @@ class StrongId {
 /// Range: +-2^63 ns is roughly +-292 years of simulated time — far beyond
 /// any run this simulator performs — and integer +/- within that range
 /// never loses precision, unlike the double-of-seconds representation
-/// this replaced (docs/perf.md, "delivery clamp" history).
+/// this replaced.
 class SimTime {
  public:
   using rep_type = std::int64_t;

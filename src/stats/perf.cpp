@@ -23,8 +23,8 @@ CorePerf collect_core_perf(const sim::Simulator& sim,
   CorePerf p = collect_core_perf(sim);
   for (std::size_t i = 0; i < net.link_count(); ++i) {
     const net::Link& l = net.link(net::LinkId::from_index(i));
-    p.link_pool_slots += l.queue_pool_capacity();
     const auto& qp = l.queue_perf();
+    p.link_pool_slots += qp.pool_hwm;
     if (qp.pool_hwm > p.link_queue_hwm) p.link_queue_hwm = qp.pool_hwm;
     p.sjf_selects += qp.sjf_selects;
   }

@@ -22,11 +22,12 @@ struct CorePerf {
   std::uint64_t callbacks_inline = 0;  ///< captures stored in-slot
   std::uint64_t callbacks_heap = 0;    ///< captures that hit the allocator
 
-  // Packet path, summed over all links. (The delivery_clamps counter that
-  // used to live here is gone: with integer-nanosecond SimTime a clamped
-  // delivery delay is structurally impossible, so Link asserts instead of
-  // counting — see Link::delivery_delay.)
-  std::uint64_t link_pool_slots = 0;   ///< packet slots allocated
+  // Packet path, over all links.
+  /// Sum over links of the peak queue depth (PacketQueue::Perf::pool_hwm).
+  /// The name dates from per-link queue pools, each of which grew exactly
+  /// when its queue passed its previous peak, so the value is unchanged.
+  /// Packets now share one pool per network (Network::packet_slots()).
+  std::uint64_t link_pool_slots = 0;
   std::uint64_t link_queue_hwm = 0;    ///< max of per-link queue peaks
   std::uint64_t sjf_selects = 0;       ///< SJF index selections served
 

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "net/packet.h"
+#include "net/packet_pool.h"
 #include "sim/simulator.h"
 
 namespace scda::net {
@@ -19,11 +20,13 @@ Packet data_packet(std::int32_t payload, FlowId flow = FlowId{1}) {
 class LinkTest : public ::testing::Test {
  protected:
   sim::Simulator sim_;
+  PacketPool pool_;
 };
 
 TEST_F(LinkTest, SinglePacketTimingIsTxPlusPropagation) {
   // 1500B wire @ 1 Mbps = 12 ms tx, plus 10 ms propagation.
-  Link link(sim_, LinkId{0}, NodeId{0}, NodeId{1}, sim::BitRate{1e6}, 0.010, 1 << 20);
+  Link link(sim_, pool_, LinkId{0}, NodeId{0}, NodeId{1}, sim::BitRate{1e6},
+            0.010, 1 << 20);
   std::vector<double> arrivals;
   link.set_deliver([&](Packet&&) { arrivals.push_back(sim_.now().seconds()); });
   ASSERT_TRUE(link.enqueue(data_packet(1500 - kHeaderBytes)));
@@ -33,7 +36,8 @@ TEST_F(LinkTest, SinglePacketTimingIsTxPlusPropagation) {
 }
 
 TEST_F(LinkTest, BackToBackPacketsSerialize) {
-  Link link(sim_, LinkId{0}, NodeId{0}, NodeId{1}, sim::BitRate{1e6}, 0.010, 1 << 20);
+  Link link(sim_, pool_, LinkId{0}, NodeId{0}, NodeId{1}, sim::BitRate{1e6},
+            0.010, 1 << 20);
   std::vector<double> arrivals;
   link.set_deliver([&](Packet&&) { arrivals.push_back(sim_.now().seconds()); });
   ASSERT_TRUE(link.enqueue(data_packet(1500 - kHeaderBytes)));
@@ -45,7 +49,8 @@ TEST_F(LinkTest, BackToBackPacketsSerialize) {
 
 TEST_F(LinkTest, DropTailWhenQueueFull) {
   // Queue fits exactly two 1500-byte packets.
-  Link link(sim_, LinkId{0}, NodeId{0}, NodeId{1}, sim::BitRate{1e6}, 0.001, 3000);
+  Link link(sim_, pool_, LinkId{0}, NodeId{0}, NodeId{1}, sim::BitRate{1e6},
+            0.001, 3000);
   int delivered = 0;
   link.set_deliver([&](Packet&&) { ++delivered; });
   EXPECT_TRUE(link.enqueue(data_packet(1460)));
@@ -58,7 +63,8 @@ TEST_F(LinkTest, DropTailWhenQueueFull) {
 }
 
 TEST_F(LinkTest, QueueBytesReflectsOccupancy) {
-  Link link(sim_, LinkId{0}, NodeId{0}, NodeId{1}, sim::BitRate{1e6}, 0.001, 1 << 20);
+  Link link(sim_, pool_, LinkId{0}, NodeId{0}, NodeId{1}, sim::BitRate{1e6},
+            0.001, 1 << 20);
   EXPECT_EQ(link.queue_bytes(), 0);
   ASSERT_TRUE(link.enqueue(data_packet(1460)));
   ASSERT_TRUE(link.enqueue(data_packet(1460)));
@@ -68,7 +74,8 @@ TEST_F(LinkTest, QueueBytesReflectsOccupancy) {
 }
 
 TEST_F(LinkTest, IntervalArrivalCounterIncludesDrops) {
-  Link link(sim_, LinkId{0}, NodeId{0}, NodeId{1}, sim::BitRate{1e6}, 0.001, 1500);
+  Link link(sim_, pool_, LinkId{0}, NodeId{0}, NodeId{1}, sim::BitRate{1e6},
+            0.001, 1500);
   ASSERT_TRUE(link.enqueue(data_packet(1460)));
   EXPECT_FALSE(link.enqueue(data_packet(1460)));  // dropped but offered
   EXPECT_EQ(link.interval_arrived_bytes(), 3000);
@@ -77,7 +84,8 @@ TEST_F(LinkTest, IntervalArrivalCounterIncludesDrops) {
 }
 
 TEST_F(LinkTest, StatsAccumulateBytes) {
-  Link link(sim_, LinkId{0}, NodeId{0}, NodeId{1}, sim::BitRate{1e6}, 0.001, 1 << 20);
+  Link link(sim_, pool_, LinkId{0}, NodeId{0}, NodeId{1}, sim::BitRate{1e6},
+            0.001, 1 << 20);
   link.set_deliver([](Packet&&) {});
   ASSERT_TRUE(link.enqueue(data_packet(1460)));
   sim_.run();
@@ -86,7 +94,8 @@ TEST_F(LinkTest, StatsAccumulateBytes) {
 }
 
 TEST_F(LinkTest, UtilizationMatchesTransmittedBits) {
-  Link link(sim_, LinkId{0}, NodeId{0}, NodeId{1}, sim::BitRate{1e6}, 0.0, 1 << 20);
+  Link link(sim_, pool_, LinkId{0}, NodeId{0}, NodeId{1}, sim::BitRate{1e6},
+            0.0, 1 << 20);
   link.set_deliver([](Packet&&) {});
   // 10 packets * 1500 B = 120 kbit over 1 s at 1 Mbps -> 12% utilization
   for (int i = 0; i < 10; ++i) ASSERT_TRUE(link.enqueue(data_packet(1460)));
@@ -95,7 +104,8 @@ TEST_F(LinkTest, UtilizationMatchesTransmittedBits) {
 }
 
 TEST_F(LinkTest, CapacityChangeAffectsSubsequentPackets) {
-  Link link(sim_, LinkId{0}, NodeId{0}, NodeId{1}, sim::BitRate{1e6}, 0.0, 1 << 20);
+  Link link(sim_, pool_, LinkId{0}, NodeId{0}, NodeId{1}, sim::BitRate{1e6},
+            0.0, 1 << 20);
   std::vector<double> arrivals;
   link.set_deliver([&](Packet&&) { arrivals.push_back(sim_.now().seconds()); });
   ASSERT_TRUE(link.enqueue(data_packet(1460)));
@@ -109,7 +119,8 @@ TEST_F(LinkTest, CapacityChangeAffectsSubsequentPackets) {
 }
 
 TEST_F(LinkTest, DeliveryPreservesPacketFields) {
-  Link link(sim_, LinkId{7}, NodeId{0}, NodeId{1}, sim::BitRate{1e6}, 0.001, 1 << 20);
+  Link link(sim_, pool_, LinkId{7}, NodeId{0}, NodeId{1}, sim::BitRate{1e6},
+            0.001, 1 << 20);
   Packet got;
   link.set_deliver([&](Packet&& p) { got = p; });
   Packet p = make_data(scda::net::FlowId{42}, scda::net::NodeId{3},
@@ -126,11 +137,32 @@ TEST_F(LinkTest, DeliveryPreservesPacketFields) {
   EXPECT_DOUBLE_EQ(got.ts.seconds(), 1.25);
 }
 
-// Regression for the negative-delay crash: the delivery timer computes
-// `due - now`, and after millions of float additions the head's deadline
-// can land a few ulps below the current clock. The seed passed that raw
-// difference to Simulator::schedule_in, which throws on negative delays and
-// tore down whole runs. delivery_delay must clamp FP noise to zero.
+TEST_F(LinkTest, CutLinkDeliversPacketsOnTheWireAndDropsNewOnes) {
+  // 1500B wire @ 1 Mbps = 12 ms tx, then 50 ms propagation. At 30 ms both
+  // packets have left the queue and are propagating when the link is cut:
+  // they still arrive, while a packet offered to the down link is dropped.
+  Link link(sim_, pool_, LinkId{0}, NodeId{0}, NodeId{1}, sim::BitRate{1e6},
+            0.050, 1 << 20);
+  std::vector<double> arrivals;
+  link.set_deliver([&](Packet&&) { arrivals.push_back(sim_.now().seconds()); });
+  ASSERT_TRUE(link.enqueue(data_packet(1500 - kHeaderBytes)));
+  ASSERT_TRUE(link.enqueue(data_packet(1500 - kHeaderBytes)));
+  sim_.run_until(sim::secs(0.030));
+  ASSERT_EQ(link.stats().tx_packets, 2u);
+  ASSERT_TRUE(arrivals.empty());
+
+  link.set_up(false);
+  EXPECT_FALSE(link.enqueue(data_packet(1500 - kHeaderBytes)));
+  EXPECT_EQ(link.stats().dropped_packets, 1u);
+  sim_.run();
+  ASSERT_EQ(arrivals.size(), 2u);
+  EXPECT_NEAR(arrivals[0], 0.012 + 0.050, 1e-9);
+  EXPECT_NEAR(arrivals[1], 0.024 + 0.050, 1e-9);
+  EXPECT_EQ(link.stats().tx_packets, 2u);
+}
+
+// The delivery timer waits `due - now` for the head of the propagation
+// stage; both are exact integer-nanosecond times.
 TEST(LinkDeliveryDelay, PositiveDelayPassesThrough) {
   EXPECT_DOUBLE_EQ(
       Link::delivery_delay(scda::sim::secs(2.0), scda::sim::secs(1.0))
@@ -142,9 +174,10 @@ TEST(LinkDeliveryDelay, PositiveDelayPassesThrough) {
       0.0);
 }
 
-TEST(LinkDeliveryDelay, UlpNegativeDelayClampsToZero) {
-  // `due` one ulp below `now`: exactly the drift repeated accumulation
-  // produces. The clamped delay must be a valid schedule_in argument.
+TEST(LinkDeliveryDelay, SubNanosecondGapIsZeroDelay) {
+  // `due` one ulp below `now` in double seconds: far less than a
+  // nanosecond apart, so both round to the same SimTime and the delay is
+  // exactly zero.
   const double now = 1000.0;
   const double due = std::nextafter(now, 0.0);
   ASSERT_LT(due - now, 0.0);
@@ -171,7 +204,7 @@ TEST_F(LinkTest, AdversarialPropagationDelaysNeverThrow) {
   //
   // capacity chosen so tx time per 83-byte wire packet = 83*8/0.9e6 s
   // (a repeating binary fraction); prop delay 1/3e-4 likewise.
-  Link link(sim_, LinkId{0}, NodeId{0}, NodeId{1}, sim::BitRate{0.9e6},
+  Link link(sim_, pool_, LinkId{0}, NodeId{0}, NodeId{1}, sim::BitRate{0.9e6},
             1.0 / 3.0 * 1e-4, 1 << 22);
   std::uint64_t delivered = 0;
   std::uint64_t sent = 0;

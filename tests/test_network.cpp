@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 
 #include "net/fat_tree.h"
@@ -189,6 +190,62 @@ TEST_F(NetworkTest, LookupBeforeRoutesBuiltThrows) {
   EXPECT_EQ(net_.route_table_entries(), 0u);
   EXPECT_THROW((void)net_.next_hop(a, b), std::logic_error);
   EXPECT_THROW((void)net_.path(a, b), std::logic_error);
+}
+
+// --- shared packet pool ------------------------------------------------------
+TEST_F(NetworkTest, PacketSlotsFollowTheNetworkPeakNotTheSumOfLinkPeaks) {
+  // A burst of 8 packets crosses a -> b, then, once it has drained, a
+  // burst of 12 crosses b -> a. The second link reuses the slots the first
+  // one freed, so the pool ends at the larger burst, not at 8 + 12.
+  const auto a = net_.add_node(NodeRole::kOther, "a");
+  const auto b = net_.add_node(NodeRole::kOther, "b");
+  const auto [ab, ba] = net_.add_duplex(a, b, sim::BitRate{1e6}, 0.01, 1 << 20);
+  net_.build_routes();
+  int delivered = 0;
+  net_.node(a).set_sink([&](Packet&&) { ++delivered; });
+  net_.node(b).set_sink([&](Packet&&) { ++delivered; });
+  EXPECT_EQ(net_.packet_slots(), 0u);
+
+  for (int i = 0; i < 8; ++i)
+    net_.send(make_data(FlowId{1}, a, b, i, 1000, sim_.now()));
+  sim_.run();
+  ASSERT_EQ(delivered, 8);
+  EXPECT_EQ(net_.packet_slots(), 8u);
+  for (int i = 0; i < 12; ++i)
+    net_.send(make_data(FlowId{2}, b, a, i, 1000, sim_.now()));
+  sim_.run();
+  ASSERT_EQ(delivered, 20);
+
+  const std::uint64_t peak_ab = net_.link(ab).queue_perf().pool_hwm;
+  const std::uint64_t peak_ba = net_.link(ba).queue_perf().pool_hwm;
+  EXPECT_EQ(peak_ab, 8u);
+  EXPECT_EQ(peak_ba, 12u);
+  EXPECT_LE(net_.packet_slots(), std::max(peak_ab, peak_ba));
+}
+
+TEST(NetworkLifetime, DestroyedWithPacketsQueuedAndPropagating) {
+  // The network owns every packet its links hold; destroying it mid-run
+  // must release them all (ASan/LSan check this in the sanitizer build).
+  // The simulator outlives the network but never runs again.
+  sim::Simulator sim;
+  {
+    Network net(sim);
+    const auto a = net.add_node(NodeRole::kOther, "a");
+    const auto b = net.add_node(NodeRole::kOther, "b");
+    const LinkId ab = net.add_link(a, b, sim::BitRate{1e6}, 0.05, 1 << 20);
+    net.build_routes();
+    int delivered = 0;
+    net.node(b).set_sink([&](Packet&&) { ++delivered; });
+    for (int i = 0; i < 10; ++i)
+      net.send(make_data(FlowId{1}, a, b, i, 1460, sim::Time{}));
+    // 12 ms per packet on the wire, then 50 ms propagation: at 30 ms two
+    // packets are propagating and eight are queued.
+    sim.run_until(sim::secs(0.030));
+    EXPECT_EQ(delivered, 0);
+    EXPECT_EQ(net.link(ab).stats().tx_packets, 2u);
+    EXPECT_EQ(net.link(ab).queue_bytes(), 8 * 1500);
+    EXPECT_EQ(net.packet_slots(), 10u);
+  }
 }
 
 // --- route oracle ------------------------------------------------------------

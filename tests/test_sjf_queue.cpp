@@ -12,8 +12,8 @@ namespace {
 class SjfQueueTest : public ::testing::Test {
  protected:
   SjfQueueTest()
-      : link_(sim_, LinkId{0}, NodeId{0}, NodeId{1}, sim::BitRate{1e6}, 0.001,
-              1 << 20) {
+      : link_(sim_, pool_, LinkId{0}, NodeId{0}, NodeId{1}, sim::BitRate{1e6},
+              0.001, 1 << 20) {
     link_.set_discipline(QueueDiscipline::kSjf);
     link_.set_deliver([this](Packet&& p) { order_.push_back(p.flow); });
   }
@@ -24,6 +24,7 @@ class SjfQueueTest : public ::testing::Test {
   }
 
   sim::Simulator sim_;
+  PacketPool pool_;
   Link link_;
   std::vector<FlowId> order_;
 };

@@ -45,15 +45,13 @@ class BlockServer {
     stored_total_ -= it->second;
     blocks_.erase(it);
   }
-  /// Wipe every stored block and learned access count (server recovery
-  /// after a failure, docs/scenarios.md): the machine comes back empty and
-  /// refills through normal placement, so stale blocks never leak disk
-  /// across churn cycles.
+  /// Wipe every stored block (server recovery after a failure,
+  /// docs/scenarios.md): the machine comes back empty and refills through
+  /// normal placement, so stale blocks never leak disk across churn cycles.
   void scrub() {
     resources_.release_bytes(stored_total_);
     stored_total_ = 0;
     blocks_.clear();
-    access_counts_.clear();
   }
   [[nodiscard]] bool has(ContentId id) const { return blocks_.count(id) != 0; }
   [[nodiscard]] std::int64_t stored_bytes(ContentId id) const {
@@ -62,15 +60,6 @@ class BlockServer {
   }
   [[nodiscard]] std::size_t block_count() const noexcept {
     return blocks_.size();
-  }
-
-  // --- access-frequency learning (section VII-C) -----------------------------
-  /// The RM counts content accesses to learn popularity; the cloud uses it
-  /// to migrate cold content to dormant servers.
-  void record_access(ContentId id) { ++access_counts_[id]; }
-  [[nodiscard]] std::uint64_t access_count(ContentId id) const {
-    const auto it = access_counts_.find(id);
-    return it == access_counts_.end() ? 0 : it->second;
   }
 
   // --- activity tracking (dormancy policy) -----------------------------------
@@ -98,7 +87,6 @@ class BlockServer {
   ServerResources resources_;
   PowerModel power_;
   std::unordered_map<ContentId, std::int64_t> blocks_;
-  std::unordered_map<ContentId, std::uint64_t> access_counts_;
   std::int64_t stored_total_ = 0;  ///< sum over blocks_ (scrub in O(1))
   std::int32_t active_flows_ = 0;
   bool failed_ = false;

@@ -262,7 +262,7 @@ void Cloud::migration_scan() {
       op.kind = CloudOp::Kind::kMigration;
       op.server = target;
       op.source_server = source;
-      migrating_[id] = true;
+      migrating_.insert(id);
       ++started;
       count_ctrl(4, 4 * kCtrlMsgBytes);
       const net::NodeId src_node =
@@ -380,7 +380,7 @@ void Cloud::rebalance_scan() {
     op.kind = CloudOp::Kind::kRebalance;
     op.server = target;
     op.source_server = static_cast<std::int32_t>(s);
-    migrating_[c.id] = true;
+    migrating_.insert(c.id);
     ++started;
     ++rebalance_stats_.flows_started;
     count_ctrl(4, 4 * kCtrlMsgBytes);
@@ -405,7 +405,7 @@ bool Cloud::write(std::size_t client_idx, ContentId id, std::int64_t bytes,
                   ContentClass content_class, double priority,
                   sim::BitRate reserved) {
   if (client_idx >= topo_.clients().size() || bytes <= 0) return false;
-  if (!known_content_.emplace(id, true).second) return false;  // duplicate
+  if (!known_content_.insert(id).second) return false;  // duplicate
 
   // Steps 1-2 (Fig. 3): UCL -> FES (WAN) -> NNS (intra-DC), then the NNS
   // service queue. Steps 3-7 happen inside the NNS handler; the data
@@ -1017,13 +1017,11 @@ void Cloud::on_flow_complete(const transport::FlowRecord& rec) {
   const bool target_alive =
       op.server >= 0 && !servers_[static_cast<std::size_t>(op.server)].failed();
   if (meta != nullptr && target_alive) {
-    BlockServer& bs = servers_[static_cast<std::size_t>(op.server)];
     switch (op.kind) {
       case CloudOp::Kind::kWrite:
         ++meta->writes;
         meta->replicas.push_back(op.server);
         note_replicas_changed(*meta);
-        bs.record_access(op.content);
         classifier_.record_write(op.content, sim_.now());
         if (cfg_.enable_replication &&
             static_cast<std::int32_t>(meta->replicas.size()) <
@@ -1053,13 +1051,11 @@ void Cloud::on_flow_complete(const transport::FlowRecord& rec) {
         break;
       case CloudOp::Kind::kRead:
         ++meta->reads;
-        bs.record_access(op.content);
         classifier_.record_read(op.content, sim_.now());
         break;
       case CloudOp::Kind::kAppend:
         ++meta->writes;
         meta->size_bytes += rec.size_bytes;
-        bs.record_access(op.content);
         classifier_.record_write(op.content, sim_.now());
         break;
       case CloudOp::Kind::kMigration: {
@@ -1349,17 +1345,16 @@ void Cloud::rollback_partial_store(const CloudOp& op) {
 }
 
 void Cloud::abort_flows_touching_server(std::int32_t server_idx) {
-  // Collect first (abort_flow mutates ops_), iterating the dense record
-  // table in flow-id order for determinism.
+  // Collect first (abort_flow mutates ops_), then abort in flow-id order
+  // for determinism. ops_ holds the flows not yet completed; the record
+  // check skips one whose completion is still being handled.
   std::vector<net::FlowId> victims;
-  for (const auto& rec : transports_.records()) {
-    if (rec->finished() || rec->aborted) continue;
-    const auto oit = ops_.find(rec->id);
-    if (oit == ops_.end()) continue;
-    const CloudOp& op = oit->second;
-    if (op.server == server_idx || op.source_server == server_idx)
-      victims.push_back(rec->id);
+  for (const auto& [id, op] : ops_) {
+    if (op.server != server_idx && op.source_server != server_idx) continue;
+    const transport::FlowRecord& rec = transports_.record(id);
+    if (!rec.finished() && !rec.aborted) victims.push_back(id);
   }
+  std::sort(victims.begin(), victims.end());
   for (const net::FlowId id : victims) abort_flow(id);
 }
 
@@ -1382,8 +1377,7 @@ void Cloud::propagate_rate_changes() {
 }
 
 void Cloud::enqueue_repair(ContentId id) {
-  if (repair_pending_.count(id)) return;
-  repair_pending_[id] = true;
+  if (!repair_pending_.insert(id).second) return;
   repair_queue_.push_back(id);
 }
 

@@ -17,6 +17,7 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "core/block_server.h"
@@ -456,7 +457,7 @@ class Cloud {
   std::unordered_map<ContentId, double> pending_deadline_;
   std::uint64_t migrations_completed_ = 0;
   /// Content with a move already in flight (avoid duplicate migrations).
-  std::unordered_map<ContentId, bool> migrating_;
+  std::unordered_set<ContentId> migrating_;
 
   std::vector<CloudCompletionFn> on_complete_;
   std::unordered_map<net::FlowId, CloudOp> ops_;
@@ -469,7 +470,7 @@ class Cloud {
 
   /// Content ids accepted for writing (pending or stored); duplicate write
   /// requests are rejected synchronously.
-  std::unordered_map<ContentId, bool> known_content_;
+  std::unordered_set<ContentId> known_content_;
   std::uint64_t failed_reads_ = 0;
   std::uint64_t failed_writes_ = 0;
   std::uint64_t ctrl_messages_ = 0;
@@ -480,7 +481,7 @@ class Cloud {
   std::unique_ptr<ChurnInjector> churn_injector_;
   std::deque<ContentId> repair_queue_;
   /// Content queued or repairing (deduplicates repair requests).
-  std::unordered_map<ContentId, bool> repair_pending_;
+  std::unordered_set<ContentId> repair_pending_;
   std::int32_t repairs_in_flight_ = 0;
   /// Exact integration of object-seconds under-replicated.
   std::int64_t under_replicated_count_ = 0;

@@ -10,11 +10,11 @@ void SlaManager::on_violation(net::LinkId link, sim::BitRate demand,
   events_.push_back(SlaEvent{time, link, demand, gamma});
   last_violation_[link] = time;
 
-  if (boost_threshold_ == 0 || boosted_[link]) return;
+  if (boost_threshold_ == 0 || boosted_.count(link)) return;
   if (++consecutive_[link] >= boost_threshold_) {
     net::Link& l = net_.link(link);
     l.set_capacity(l.capacity() * boost_factor_);
-    boosted_[link] = true;
+    boosted_.insert(link);
     ++boosts_applied_;
     if (obs::TraceRecorder* tr = obs::tracer_of(net_.sim())) {
       tr->instant(time, "control", "sla_capacity_boost", obs::kTrackControl,

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "net/network.h"
@@ -64,7 +65,7 @@ class SlaManager {
   std::vector<SlaEvent> events_;
   std::unordered_map<net::LinkId, sim::Time> last_violation_;
   std::unordered_map<net::LinkId, std::uint32_t> consecutive_;
-  std::unordered_map<net::LinkId, bool> boosted_;
+  std::unordered_set<net::LinkId> boosted_;
   std::uint64_t boosts_applied_ = 0;
 };
 

@@ -1,9 +1,11 @@
 // Tests for the sweep runner: seed derivation, the worker pool, logger
-// thread-safety, cross-instance Simulator isolation, and the headline
-// determinism contract — aggregated sweep output is byte-identical no
-// matter how many workers executed it.
+// thread-safety, cross-instance Simulator isolation, a bounded classifier
+// footprint in concurrent Clouds, and the headline determinism contract —
+// aggregated sweep output is byte-identical no matter how many workers
+// executed it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -261,6 +263,77 @@ TEST(Isolation, ConcurrentSimulatorsMatchSoloRuns) {
   t2.join();
   expect_identical(ref1, con1);
   expect_identical(ref2, con2);
+}
+
+// ------------------------------------------------ bounded footprint ----
+
+/// After a steady stream of small requests over `windows` classifier
+/// windows: the classifier's log length, and the write, read and append
+/// completions of the last window as a completion callback counted them.
+struct WindowCount {
+  std::size_t log = 0;
+  std::size_t completions = 0;
+};
+
+WindowCount steady_stream_window(int windows) {
+  sim::Simulator sim(7);
+  core::CloudConfig cc;
+  cc.topology.n_agg = 2;
+  cc.topology.tors_per_agg = 2;
+  cc.topology.servers_per_tor = 2;
+  cc.topology.n_clients = 4;
+  cc.topology.base_bps = util::mbps(100);
+  core::Cloud cloud(sim, cc);
+  std::vector<sim::SimTime> done;
+  cloud.add_completion_callback(
+      [&](const transport::FlowRecord&, const core::CloudOp& op) {
+        if (op.kind == core::CloudOp::Kind::kWrite ||
+            op.kind == core::CloudOp::Kind::kRead ||
+            op.kind == core::CloudOp::Kind::kAppend)
+          done.push_back(sim.now());
+      });
+  // One request round per second, half a second after each whole second:
+  // a new object, a read of the one written 8 s before, and every fourth
+  // round an append to it.
+  const sim::SimTime window =
+      sim::secs(cloud.classifier().config().window_s);
+  const sim::SimTime end = window * windows;
+  for (core::ContentId id = 0;; ++id) {
+    const sim::SimTime due = sim::secs(static_cast<double>(id) + 0.5);
+    if (due >= end) break;
+    sim.run_until(due);
+    const auto client = static_cast<std::size_t>(id % 4);
+    EXPECT_TRUE(cloud.write(client, id, 4000));
+    if (id < 8) continue;
+    EXPECT_TRUE(cloud.read(client, id - 8));
+    if (id % 4 == 0) {
+      EXPECT_TRUE(cloud.append(client, id - 8, 1000));
+    }
+  }
+  sim.run_until(end);
+  // The last query expires every access older than the window.
+  EXPECT_EQ(cloud.classifier().accesses_in_window(0, sim.now()), 0u);
+  WindowCount n;
+  n.log = cloud.classifier().window_accesses();
+  n.completions = static_cast<std::size_t>(
+      done.end() - std::lower_bound(done.begin(), done.end(), end - window));
+  return n;
+}
+
+TEST(Footprint, ClassifierHoldsOnlyTheLastWindow) {
+  // The two run lengths execute side by side on the worker pool, so the
+  // TSan shard covers this test too.
+  runner::WorkerPool pool(2);
+  const std::vector<int> windows = {2, 4};
+  const auto counts = runner::parallel_map<WindowCount>(
+      pool, windows, [](int w, std::size_t) { return steady_stream_window(w); });
+  for (const WindowCount& n : counts) {
+    EXPECT_GT(n.completions, 0u);
+    EXPECT_EQ(n.log, n.completions);
+  }
+  // The window holds as many accesses after four windows as after two:
+  // the classifier does not grow with the run.
+  EXPECT_EQ(counts[0].log, counts[1].log);
 }
 
 // ------------------------------------------------- sweep determinism ----

@@ -72,16 +72,6 @@ TEST(BlockServer, GrowingExistingBlockAccumulates) {
   EXPECT_EQ(bs.stored_bytes(1), 300);
 }
 
-TEST(BlockServer, AccessCountingLearnsPopularity) {
-  BlockServer bs(0, net::NodeId{100});
-  EXPECT_EQ(bs.access_count(5), 0u);
-  bs.record_access(5);
-  bs.record_access(5);
-  bs.record_access(6);
-  EXPECT_EQ(bs.access_count(5), 2u);
-  EXPECT_EQ(bs.access_count(6), 1u);
-}
-
 TEST(BlockServer, FlowActivityTracking) {
   BlockServer bs(0, net::NodeId{100});
   EXPECT_EQ(bs.active_flows(), 0);

@@ -11,11 +11,6 @@ namespace scda::core {
 using transport::ContentClass;
 using transport::TransportKind;
 
-namespace {
-/// Approximate wire size of one control RPC (request id + addresses + rate).
-constexpr std::uint64_t kCtrlMsgBytes = 64;
-}  // namespace
-
 Cloud::Cloud(sim::Simulator& sim, CloudConfig cfg)
     : sim_(sim),
       cfg_(std::move(cfg)),
@@ -23,7 +18,9 @@ Cloud::Cloud(sim::Simulator& sim, CloudConfig cfg)
       transports_(topo_.net()),
       allocator_(topo_.net(), cfg_.params),
       hierarchy_(topo_, allocator_),
-      sla_(topo_.net()) {
+      sla_(topo_.net()),
+      metadata_(sim_, cfg_.params, sim::nns_churn_configured(cfg_.churn),
+                servers_) {
   const auto n_servers = static_cast<std::size_t>(cfg_.topology.n_servers());
 
   // Block servers with heterogeneous power profiles (section VII-D).
@@ -39,28 +36,24 @@ Cloud::Cloud(sim::Simulator& sim, CloudConfig cfg)
   for (std::size_t s = 0; s < n_servers; ++s)
     server_index_by_node_.emplace(topo_.servers()[s], s);
 
-  // Name nodes behind the FES (section III-A).
-  const auto n_nns = std::max<std::int32_t>(1, cfg_.params.n_name_nodes);
-  for (std::int32_t i = 0; i < n_nns; ++i) {
-    name_nodes_.push_back(std::make_unique<NameNode>(
-        sim_, i, cfg_.params.nns_service_time_s));
-  }
-  std::vector<NameNode*> nns_ptrs;
-  for (auto& n : name_nodes_) nns_ptrs.push_back(n.get());
-  fes_ = std::make_unique<FrontEnd>(std::move(nns_ptrs));
-
-  // Metadata-plane fault tolerance (docs/scenarios.md): when NNS churn is
-  // configured, every shard gets a standby mirror and the request paths
-  // grow failover + timeout/retry. Gated so that runs without NNS churn
-  // execute the exact historical event sequence.
-  nns_failover_ = sim::nns_churn_configured(cfg_.churn);
-  if (nns_failover_) {
-    for (std::int32_t i = 0; i < n_nns; ++i) {
-      standby_nodes_.push_back(std::make_unique<NameNode>(
-          sim_, n_nns + i, cfg_.params.nns_service_time_s));
-    }
-    nns_state_.assign(static_cast<std::size_t>(n_nns), NnsShardState{});
-  }
+  // A recovering name node pulls its peer's map as a background flow
+  // between the instances' host servers (docs/scenarios.md).
+  metadata_.set_sync_flow_fn([this](std::size_t instance,
+                                    std::size_t src_host,
+                                    std::size_t dst_host,
+                                    std::int64_t bytes) {
+    CloudOp op;
+    op.content = kInvalidContent;
+    op.content_class = ContentClass::kPassive;
+    op.kind = CloudOp::Kind::kNnsSync;
+    op.server = static_cast<std::int32_t>(dst_host);
+    op.source_server = static_cast<std::int32_t>(src_host);
+    op.client = static_cast<std::int64_t>(instance);
+    return start_data_flow(topo_.servers()[src_host],
+                           topo_.servers()[dst_host], bytes, op,
+                           cfg_.params.repair_priority,
+                           /*reserved=*/sim::BitRate{});
+  });
 
   selector_ = std::make_unique<ServerSelector>(
       hierarchy_, servers_, cfg_.params, sim_.rng(), cfg_.placement);
@@ -155,7 +148,7 @@ void Cloud::control_tick() {
   hierarchy_.update();
   if (cfg_.transport == TransportKind::kScda) update_ongoing_flows();
   drain_repair_queue();
-  if (nns_failover_) drain_resync_queue();
+  metadata_.drain_resync_queue();
   integrate_power();
   dormancy_housekeeping();
   // Overhead: each RM and RA reports (or forwards) its rate sums once per
@@ -166,7 +159,7 @@ void Cloud::control_tick() {
 
   if (obs::TraceRecorder* tr = obs::tracer_of(sim_)) {
     const sim::Time now = sim_.now();
-    tr->counter(now, "active_flows", static_cast<double>(ops_.size()));
+    tr->counter(now, "active_flows", static_cast<double>(active_flows()));
     tr->counter(now, "eventq_pending",
                 static_cast<double>(sim_.queue().scheduled()));
     tr->counter(now, "dormant_servers",
@@ -230,9 +223,9 @@ void Cloud::migration_scan() {
   if (cfg_.params.rscale <= sim::BitRate{}) return;
   std::int32_t started = 0;
   const sim::Time now = sim_.now();
-  for (std::size_t shard = 0; shard < name_nodes_.size(); ++shard) {
+  for (std::size_t shard = 0; shard < metadata_.shard_count(); ++shard) {
     if (started >= cfg_.params.max_migrations_per_scan) break;
-    NameNode& nns = authority_nns(shard);
+    NameNode& nns = metadata_.authority(shard);
     for (const ContentId id : nns.content_ids()) {
       if (started >= cfg_.params.max_migrations_per_scan) break;
       ContentMeta* meta = nns.find(id);
@@ -295,8 +288,8 @@ void Cloud::rebalance_scan() {
     ContentId id = kInvalidContent;
   };
   std::vector<Candidate> hottest(n);
-  for (std::size_t shard = 0; shard < name_nodes_.size(); ++shard) {
-    NameNode& nns = authority_nns(shard);
+  for (std::size_t shard = 0; shard < metadata_.shard_count(); ++shard) {
+    NameNode& nns = metadata_.authority(shard);
     for (const ContentId id : nns.content_ids()) {
       const ContentMeta* meta = nns.find(id);
       if (meta == nullptr || meta->replicas.empty()) continue;
@@ -349,8 +342,7 @@ void Cloud::rebalance_scan() {
       ++rebalance_stats_.skipped;
       continue;
     }
-    NameNode& nns = meta_owner(c.id);
-    ContentMeta* meta = nns.find(c.id);
+    ContentMeta* meta = metadata_.owner(c.id).find(c.id);
     if (meta == nullptr ||
         std::find(meta->replicas.begin(), meta->replicas.end(),
                   static_cast<std::int32_t>(s)) == meta->replicas.end()) {
@@ -439,7 +431,7 @@ bool Cloud::write(std::size_t client_idx, ContentId id, std::int64_t bytes,
     meta.size_bytes = bytes;
     meta.content_class = content_class;
     meta.last_access_time = sim_.now();
-    mirror_meta(serving, id);
+    metadata_.mirror(serving, id);
 
     // Steps 5-9: RA forwards the UCL id to the BS; BS derives rcvw from
     // its RM and greets the UCL (WAN hop); then the UCL starts writing.
@@ -460,7 +452,7 @@ bool Cloud::write(std::size_t client_idx, ContentId id, std::int64_t bytes,
     });
   };
   sim_.post_in(sim::secs(to_nns), [this, id, h = std::move(handler)] {
-    submit_metadata_request(static_cast<std::uint64_t>(id), h, [this, id] {
+    metadata_.submit(static_cast<std::uint64_t>(id), h, [this, id] {
       ++failed_writes_;
       known_content_.erase(id);
       pending_deadline_.erase(id);
@@ -496,7 +488,7 @@ bool Cloud::read(std::size_t client_idx, ContentId id, double priority) {
       setup += cfg_.dormant_wake_latency_s;
     }
     meta->last_access_time = sim_.now();
-    mirror_meta(serving, id);
+    metadata_.mirror(serving, id);
 
     CloudOp op;
     op.content = id;
@@ -513,8 +505,8 @@ bool Cloud::read(std::size_t client_idx, ContentId id, double priority) {
     });
   };
   sim_.post_in(sim::secs(to_nns), [this, id, h = std::move(handler)] {
-    submit_metadata_request(static_cast<std::uint64_t>(id), h,
-                            [this] { ++failed_reads_; });
+    metadata_.submit(static_cast<std::uint64_t>(id), h,
+                     [this] { ++failed_reads_; });
   });
   return true;
 }
@@ -541,7 +533,7 @@ bool Cloud::append(std::size_t client_idx, ContentId id, std::int64_t bytes,
       return;
     }
     meta->last_access_time = sim_.now();
-    mirror_meta(serving, id);
+    metadata_.mirror(serving, id);
     count_ctrl(4, 4 * kCtrlMsgBytes);
     CloudOp op;
     op.content = id;
@@ -559,8 +551,8 @@ bool Cloud::append(std::size_t client_idx, ContentId id, std::int64_t bytes,
     });
   };
   sim_.post_in(sim::secs(to_nns), [this, id, h = std::move(handler)] {
-    submit_metadata_request(static_cast<std::uint64_t>(id), h,
-                            [this] { ++failed_writes_; });
+    metadata_.submit(static_cast<std::uint64_t>(id), h,
+                     [this] { ++failed_writes_; });
   });
   return true;
 }
@@ -621,7 +613,7 @@ void Cloud::begin_replication(const CloudOp& write_op, std::int64_t bytes,
                       /*reserved=*/sim::BitRate{});
     });
   };
-  submit_metadata_request(
+  metadata_.submit(
       static_cast<std::uint64_t>(write_op.content), std::move(handler),
       [this, content = write_op.content, repair] {
         // The metadata plane never answered: release the repair slot (if
@@ -633,279 +625,6 @@ void Cloud::begin_replication(const CloudOp& write_op, std::int64_t bytes,
         }
         enqueue_repair(content);
       });
-}
-
-// --------------------------------------------------------------------------
-// metadata plane: sharding, failover, timeout/retry, mirroring, resync
-// --------------------------------------------------------------------------
-
-std::size_t Cloud::shard_of_key(std::uint64_t key) const {
-  return fes_->dispatch_index(key);
-}
-
-NameNode& Cloud::authority_nns(std::size_t shard) {
-  if (!nns_failover_) return *name_nodes_[shard];
-  const NnsShardState& st = nns_state_[shard];
-  if (st.primary_alive && !st.primary_syncing) return *name_nodes_[shard];
-  if (st.standby_alive && !st.standby_syncing) return *standby_nodes_[shard];
-  return *name_nodes_[shard];
-}
-
-const NameNode& Cloud::authority_nns(std::size_t shard) const {
-  return const_cast<Cloud*>(this)->authority_nns(shard);
-}
-
-NameNode& Cloud::meta_owner(ContentId id) {
-  return authority_nns(shard_of_key(static_cast<std::uint64_t>(id)));
-}
-
-NameNode* Cloud::serving_nns(std::size_t shard) {
-  if (!nns_failover_) return name_nodes_[shard].get();
-  const NnsShardState& st = nns_state_[shard];
-  if (st.primary_alive && !st.primary_syncing) return name_nodes_[shard].get();
-  if (st.standby_alive && !st.standby_syncing)
-    return standby_nodes_[shard].get();
-  return nullptr;
-}
-
-void Cloud::submit_metadata_request(std::uint64_t key,
-                                    std::function<void(NameNode&)> fn,
-                                    std::function<void()> on_give_up) {
-  const std::size_t shard = shard_of_key(key);
-  if (!nns_failover_) {
-    // Historical path: direct submit, no timeout machinery, no rng draws —
-    // byte-identical event sequence for churn-free runs.
-    NameNode* node = &fes_->node(shard);
-    node->submit([node, f = std::move(fn)] { f(*node); });
-    return;
-  }
-  auto req = std::make_shared<MetaRequest>();
-  req->fn = std::move(fn);
-  req->on_give_up = std::move(on_give_up);
-  dispatch_metadata(shard, 1, req);
-}
-
-void Cloud::dispatch_metadata(std::size_t shard, std::int32_t attempt,
-                              const std::shared_ptr<MetaRequest>& req) {
-  if (req->done) return;
-  // Re-dispatches pay the FES hop again (client -> FES -> NNS RPC pair).
-  if (attempt > 1) count_ctrl(2, 2 * kCtrlMsgBytes);
-  NameNode* node = serving_nns(shard);
-  if (node == nullptr) {
-    // Degraded window: both shard instances down (or resyncing). The
-    // request is queued behind the backoff timer, never lost.
-    ++meta_stats_.unavailable;
-    schedule_metadata_retry(shard, attempt, req);
-    return;
-  }
-  if (node != name_nodes_[shard].get()) ++meta_stats_.failovers;
-  const double delay = node->submit([req, node] {
-    if (req->done) return;
-    req->done = true;
-    req->fn(*node);
-  });
-  if (delay < 0) {  // raced a same-timestamp failure
-    ++meta_stats_.unavailable;
-    schedule_metadata_retry(shard, attempt, req);
-    return;
-  }
-  // Client-side deadline: if the NNS dies with the request queued, the
-  // handler never fires and this timer re-drives the request.
-  sim_.post_in(sim::secs(cfg_.params.metadata_timeout_s),
-               [this, shard, attempt, req] {
-                 if (req->done) return;
-                 ++meta_stats_.requests_timed_out;
-                 schedule_metadata_retry(shard, attempt, req);
-               });
-}
-
-void Cloud::schedule_metadata_retry(std::size_t shard, std::int32_t attempt,
-                                    const std::shared_ptr<MetaRequest>& req) {
-  if (req->done) return;
-  if (attempt >= cfg_.params.metadata_max_attempts) {
-    req->done = true;
-    ++meta_stats_.requests_dropped;
-    if (req->on_give_up) req->on_give_up();
-    return;
-  }
-  ++meta_stats_.retries;
-  // Exponential backoff with jitter from the run's seeded RNG: the draw
-  // happens in event order, so runs stay deterministic per seed.
-  double backoff = cfg_.params.metadata_backoff_base_s;
-  for (std::int32_t i = 1; i < attempt; ++i) backoff *= 2.0;
-  backoff *= 1.0 + cfg_.params.metadata_backoff_jitter * sim_.rng().uniform();
-  sim_.post_in(sim::secs(backoff), [this, shard, attempt, req] {
-    dispatch_metadata(shard, attempt + 1, req);
-  });
-}
-
-void Cloud::mirror_meta(NameNode& from, ContentId id) {
-  if (!nns_failover_ || id == kInvalidContent) return;
-  const std::size_t shard = shard_of_key(static_cast<std::uint64_t>(id));
-  const NnsShardState& st = nns_state_[shard];
-  const bool from_primary = &from == name_nodes_[shard].get();
-  if (!from_primary && &from != standby_nodes_[shard].get()) return;
-  const bool peer_ready = from_primary
-                              ? (st.standby_alive && !st.standby_syncing)
-                              : (st.primary_alive && !st.primary_syncing);
-  if (!peer_ready) return;  // a dead/resyncing peer catches up via resync
-  const ContentMeta* m = from.find(id);
-  if (m == nullptr) return;
-  ++meta_stats_.mirror_updates;
-  count_ctrl(1, kCtrlMsgBytes + static_cast<std::uint64_t>(
-                                    cfg_.params.nns_meta_entry.bytes()));
-  NameNode* peer =
-      from_primary ? standby_nodes_[shard].get() : name_nodes_[shard].get();
-  // The record copy rides one intra-DC control hop; the peer applies
-  // whatever was on the wire (by value) when it arrives.
-  sim_.post_in(sim::secs(cfg_.params.ctrl_dc_latency_s),
-               [peer, copy = *m] {
-                 if (peer->alive()) peer->apply_mirror(copy);
-               });
-}
-
-void Cloud::fail_nns(std::size_t instance) {
-  if (!nns_failover_ || instance >= nns_instance_count()) return;
-  const std::size_t n = name_nodes_.size();
-  const std::size_t shard = instance % n;
-  const bool is_standby = instance >= n;
-  NnsShardState& st = nns_state_[shard];
-  bool& alive = is_standby ? st.standby_alive : st.primary_alive;
-  bool& syncing = is_standby ? st.standby_syncing : st.primary_syncing;
-  if (!alive) return;
-  alive = false;
-  syncing = false;
-  nns_instance(instance).set_alive(false);
-  // Any in-flight resync in this shard involves the dead instance either
-  // as the recovering node or as the sync source: cut it.
-  if (st.sync_flow != net::kInvalidFlow) {
-    const net::FlowId f = st.sync_flow;
-    st.sync_flow = net::kInvalidFlow;
-    abort_flow(f);
-  }
-}
-
-void Cloud::recover_nns(std::size_t instance) {
-  if (!nns_failover_ || instance >= nns_instance_count()) return;
-  const std::size_t n = name_nodes_.size();
-  const std::size_t shard = instance % n;
-  const bool is_standby = instance >= n;
-  NnsShardState& st = nns_state_[shard];
-  bool& alive = is_standby ? st.standby_alive : st.primary_alive;
-  bool& syncing = is_standby ? st.standby_syncing : st.primary_syncing;
-  if (alive) return;
-  alive = true;
-  const bool peer_serving = is_standby
-                                ? (st.primary_alive && !st.primary_syncing)
-                                : (st.standby_alive && !st.standby_syncing);
-  if (!peer_serving) {
-    // No live source to sync from: rejoin immediately with whatever map
-    // survived (possibly stale; mirrors resume from here).
-    syncing = false;
-    nns_instance(instance).set_alive(true);
-    return;
-  }
-  syncing = true;
-  resync_queue_.push_back(instance);
-}
-
-void Cloud::drain_resync_queue() {
-  if (resync_queue_.empty()) return;
-  const std::size_t n = name_nodes_.size();
-  std::deque<std::size_t> retry;
-  while (!resync_queue_.empty()) {
-    const std::size_t instance = resync_queue_.front();
-    resync_queue_.pop_front();
-    const std::size_t shard = instance % n;
-    const bool is_standby = instance >= n;
-    NnsShardState& st = nns_state_[shard];
-    const bool alive = is_standby ? st.standby_alive : st.primary_alive;
-    const bool syncing =
-        is_standby ? st.standby_syncing : st.primary_syncing;
-    if (!alive || !syncing) continue;  // stale entry (died or rejoined)
-    if (st.sync_flow != net::kInvalidFlow || st.sync_pending)
-      continue;  // duplicate entry; the running sync covers it
-    const std::size_t peer_instance = is_standby ? shard : shard + n;
-    const bool peer_serving = is_standby
-                                  ? (st.primary_alive && !st.primary_syncing)
-                                  : (st.standby_alive && !st.standby_syncing);
-    if (!peer_serving) {
-      retry.push_back(instance);  // wait for a live source
-      continue;
-    }
-    const std::size_t src_host = nns_host_server(peer_instance);
-    const std::size_t dst_host = nns_host_server(instance);
-    if (servers_[src_host].failed() || servers_[dst_host].failed()) {
-      retry.push_back(instance);  // wait for the hosts to come back
-      continue;
-    }
-    const NameNode& peer = nns_instance(peer_instance);
-    const std::int64_t bytes = std::max<std::int64_t>(
-        1500, static_cast<std::int64_t>(peer.content_count()) *
-                  cfg_.params.nns_meta_entry.bytes());
-    st.sync_pending = true;
-    ++meta_stats_.resyncs_started;
-    count_ctrl(2, 2 * kCtrlMsgBytes);
-    CloudOp op;
-    op.content = kInvalidContent;
-    op.content_class = ContentClass::kPassive;
-    op.kind = CloudOp::Kind::kNnsSync;
-    op.server = static_cast<std::int32_t>(dst_host);
-    op.source_server = static_cast<std::int32_t>(src_host);
-    op.client = static_cast<std::int64_t>(instance);
-    const net::NodeId src_node = topo_.servers()[src_host];
-    const net::NodeId dst_node = topo_.servers()[dst_host];
-    sim_.post_in(
-        sim::secs(2 * cfg_.params.ctrl_dc_latency_s),
-        [this, op, bytes, src_node, dst_node, shard, instance, is_standby] {
-          // Conditions may have changed during the setup RPC window.
-          NnsShardState& st2 = nns_state_[shard];
-          st2.sync_pending = false;
-          const bool alive2 =
-              is_standby ? st2.standby_alive : st2.primary_alive;
-          const bool syncing2 =
-              is_standby ? st2.standby_syncing : st2.primary_syncing;
-          if (!alive2 || !syncing2) return;  // died again during setup
-          const bool peer_ok =
-              is_standby ? (st2.primary_alive && !st2.primary_syncing)
-                         : (st2.standby_alive && !st2.standby_syncing);
-          if (!peer_ok ||
-              servers_[static_cast<std::size_t>(op.source_server)].failed() ||
-              servers_[static_cast<std::size_t>(op.server)].failed()) {
-            resync_queue_.push_back(instance);
-            return;
-          }
-          st2.sync_flow =
-              start_data_flow(src_node, dst_node, bytes, op,
-                              cfg_.params.repair_priority,
-                              /*reserved=*/sim::BitRate{});
-        });
-  }
-  for (const std::size_t i : retry) resync_queue_.push_back(i);
-}
-
-void Cloud::finish_resync(std::size_t instance) {
-  const std::size_t n = name_nodes_.size();
-  const std::size_t shard = instance % n;
-  const bool is_standby = instance >= n;
-  NnsShardState& st = nns_state_[shard];
-  st.sync_flow = net::kInvalidFlow;
-  bool& alive = is_standby ? st.standby_alive : st.primary_alive;
-  bool& syncing = is_standby ? st.standby_syncing : st.primary_syncing;
-  if (!alive || !syncing) return;
-  const std::size_t peer_instance = is_standby ? shard : shard + n;
-  NameNode& me = nns_instance(instance);
-  me.adopt_meta_from(nns_instance(peer_instance));
-  syncing = false;
-  me.set_alive(true);
-  ++meta_stats_.resyncs_completed;
-}
-
-std::size_t Cloud::nns_host_server(std::size_t instance) const {
-  // The control plane is consolidated on a few servers (paper section
-  // III); model each NNS instance as hosted on a fixed server so sync
-  // traffic crosses the real fabric.
-  return instance % servers_.size();
 }
 
 // --------------------------------------------------------------------------
@@ -1001,14 +720,14 @@ void Cloud::on_flow_complete(const transport::FlowRecord& rec) {
   if (op.kind == CloudOp::Kind::kNnsSync) {
     // A recovering NNS instance finished pulling its peer's metadata map;
     // it adopts the map and rejoins (docs/scenarios.md).
-    meta_stats_.resync_bytes += static_cast<std::uint64_t>(rec.size_bytes);
-    finish_resync(static_cast<std::size_t>(op.client));
+    metadata_.resync_completed(static_cast<std::size_t>(op.client),
+                               rec.size_bytes);
     for (const auto& fn : on_complete_) fn(rec, op);
     if (it != ops_.end()) ops_.erase(it);
     return;
   }
 
-  NameNode& nns = meta_owner(op.content);
+  NameNode& nns = metadata_.owner(op.content);
   ContentMeta* meta = nns.find(op.content);
   // A flow can land on a server that failed after the NNS picked it (the
   // selection-to-start control window, or a mid-transfer crash in packet
@@ -1058,9 +777,11 @@ void Cloud::on_flow_complete(const transport::FlowRecord& rec) {
         meta->size_bytes += rec.size_bytes;
         classifier_.record_write(op.content, sim_.now());
         break;
-      case CloudOp::Kind::kMigration: {
-        // The cold copy now lives on the target; vacate the source and
-        // downgrade the stored class to passive (section VII-C).
+      case CloudOp::Kind::kMigration:
+      case CloudOp::Kind::kRebalance:
+        // The moved copy now lives on the target: a cold copy on a
+        // dormant-eligible server (section VII-C) or a hot/overfull one on
+        // a cooler server (docs/scenarios.md). Vacate the source.
         meta->replicas.push_back(op.server);
         if (op.source_server >= 0) {
           const auto src = static_cast<std::size_t>(op.source_server);
@@ -1072,36 +793,21 @@ void Cloud::on_flow_complete(const transport::FlowRecord& rec) {
           }
           std::erase(meta->replicas, op.source_server);
         }
-        meta->content_class = ContentClass::kPassive;
-        ++migrations_completed_;
         migrating_.erase(op.content);
-        break;
-      }
-      case CloudOp::Kind::kRebalance: {
-        // The hot/overfull copy now lives on the cooler target; vacate the
-        // source (docs/scenarios.md proactive rebalancing).
-        meta->replicas.push_back(op.server);
-        if (op.source_server >= 0) {
-          const auto src = static_cast<std::size_t>(op.source_server);
-          if (servers_[src].has(op.content)) {
-            servers_[src].remove(op.content);
-            if (meta->content_class != ContentClass::kPassive &&
-                active_content_count_[src] > 0)
-              --active_content_count_[src];
-          }
-          std::erase(meta->replicas, op.source_server);
+        if (op.kind == CloudOp::Kind::kMigration) {
+          meta->content_class = ContentClass::kPassive;
+          ++migrations_completed_;
+        } else {
+          note_replicas_changed(*meta);
+          ++rebalance_stats_.flows_completed;
+          rebalance_stats_.bytes_moved +=
+              static_cast<std::uint64_t>(rec.size_bytes);
         }
-        note_replicas_changed(*meta);
-        ++rebalance_stats_.flows_completed;
-        rebalance_stats_.bytes_moved +=
-            static_cast<std::uint64_t>(rec.size_bytes);
-        migrating_.erase(op.content);
         break;
-      }
       case CloudOp::Kind::kNnsSync:
         break;  // handled above (early return)
     }
-    mirror_meta(nns, op.content);
+    metadata_.mirror(nns, op.content);
   } else if (op.kind == CloudOp::Kind::kMigration ||
              op.kind == CloudOp::Kind::kRebalance) {
     migrating_.erase(op.content);
@@ -1132,63 +838,6 @@ void Cloud::on_flow_complete(const transport::FlowRecord& rec) {
 // statistics
 // --------------------------------------------------------------------------
 
-void CloudSnapshot::print(std::FILE* out) const {
-  std::fprintf(out,
-               "cloud @ t=%.2fs: active_flows=%zu contents=%zu "
-               "completed=%llu\n"
-               "  sla_violations=%llu failed_reads=%llu failed_writes=%llu "
-               "migrations=%llu\n"
-               "  dormant=%zu failed=%zu energy=%.1fkJ "
-               "mean_nns_delay=%.3fms ctrl=%llu msgs (%.1f KB)\n",
-               time_s, active_flows, contents_stored,
-               static_cast<unsigned long long>(flows_completed),
-               static_cast<unsigned long long>(sla_violations),
-               static_cast<unsigned long long>(failed_reads),
-               static_cast<unsigned long long>(failed_writes),
-               static_cast<unsigned long long>(migrations), dormant_servers,
-               failed_servers, total_energy_j / 1e3,
-               mean_nns_delay_s * 1e3,
-               static_cast<unsigned long long>(control_messages),
-               static_cast<double>(control_bytes) / 1e3);
-}
-
-CloudSnapshot Cloud::snapshot() const {
-  CloudSnapshot s;
-  s.time_s = sim_.now().seconds();
-  s.active_flows = ops_.size();
-
-  // Content is counted on each shard's authority map (primary unless
-  // failover moved authority); service stats aggregate every instance,
-  // standbys included, since requests they served are real requests.
-  std::uint64_t served = 0;
-  for (std::size_t shard = 0; shard < name_nodes_.size(); ++shard)
-    s.contents_stored += authority_nns(shard).content_count();
-  for (const auto& nn : name_nodes_) {
-    s.mean_nns_delay_s += nn->mean_delay() * static_cast<double>(nn->served());
-    served += nn->served();
-  }
-  for (const auto& nn : standby_nodes_) {
-    s.mean_nns_delay_s += nn->mean_delay() * static_cast<double>(nn->served());
-    served += nn->served();
-  }
-  if (served > 0) s.mean_nns_delay_s /= static_cast<double>(served);
-
-  for (const auto& rec : transports_.records())
-    if (rec->finished()) ++s.flows_completed;
-
-  s.sla_violations = allocator_.sla_violations();
-  s.failed_reads = failed_reads_;
-  s.failed_writes = failed_writes_;
-  s.migrations = migrations_completed_;
-  s.dormant_servers = dormant_servers();
-  for (const auto& bs : servers_)
-    if (bs.failed()) ++s.failed_servers;
-  s.total_energy_j = total_energy_j();
-  s.control_messages = ctrl_messages_;
-  s.control_bytes = ctrl_bytes_;
-  return s;
-}
-
 double Cloud::total_energy_j() const {
   double e = 0;
   for (const auto& s : servers_) e += s.power().energy_j();
@@ -1199,6 +848,13 @@ std::size_t Cloud::dormant_servers() const {
   std::size_t n = 0;
   for (const auto& s : servers_)
     if (s.dormant()) ++n;
+  return n;
+}
+
+std::size_t Cloud::failed_servers() const {
+  std::size_t n = 0;
+  for (const auto& s : servers_)
+    if (s.failed()) ++n;
   return n;
 }
 
@@ -1219,8 +875,8 @@ void Cloud::fail_server(std::size_t server_idx, bool re_replicate) {
   // correlated failure cannot stampede the fabric. Durability accounting
   // runs on the authority map only; the standby mirror is scrubbed without
   // accounting so the clock is not double-counted.
-  for (std::size_t shard = 0; shard < name_nodes_.size(); ++shard) {
-    NameNode& auth = authority_nns(shard);
+  for (std::size_t shard = 0; shard < metadata_.shard_count(); ++shard) {
+    NameNode& auth = metadata_.authority(shard);
     for (const ContentId id : auth.content_ids()) {
       ContentMeta* meta = auth.find(id);
       if (meta == nullptr) continue;
@@ -1233,12 +889,10 @@ void Cloud::fail_server(std::size_t server_idx, bool re_replicate) {
               std::max<std::int32_t>(1, cfg_.params.replicas))
         enqueue_repair(id);
     }
-    if (!nns_failover_) continue;
-    NameNode& peer = &auth == name_nodes_[shard].get()
-                         ? *standby_nodes_[shard]
-                         : *name_nodes_[shard];
-    for (const ContentId id : peer.content_ids()) {
-      if (ContentMeta* meta = peer.find(id)) std::erase(meta->replicas, idx);
+    NameNode* peer = metadata_.peer(auth);
+    if (peer == nullptr) continue;
+    for (const ContentId id : peer->content_ids()) {
+      if (ContentMeta* meta = peer->find(id)) std::erase(meta->replicas, idx);
     }
   }
   propagate_rate_changes();
@@ -1253,6 +907,11 @@ void Cloud::recover_server(std::size_t server_idx) {
   // disk are orphans.
   bs.scrub();
   active_content_count_.at(server_idx) = 0;
+}
+
+void Cloud::fail_nns(std::size_t instance) {
+  const net::FlowId sync = metadata_.fail(instance);
+  if (sync != net::kInvalidFlow) abort_flow(sync);
 }
 
 // --------------------------------------------------------------------------
@@ -1303,29 +962,16 @@ bool Cloud::abort_flow(net::FlowId id) {
       enqueue_repair(op.content);
       break;
     case CloudOp::Kind::kMigration:
-      rollback_partial_store(op);
-      migrating_.erase(op.content);
-      break;
     case CloudOp::Kind::kRebalance:
       // The move never landed; the source copy was untouched (it is only
       // vacated on completion), so just roll back the target reservation.
       rollback_partial_store(op);
       migrating_.erase(op.content);
       break;
-    case CloudOp::Kind::kNnsSync: {
-      // The sync source or a host died mid-transfer. If the recovering
-      // instance is still up and waiting, queue a fresh attempt.
-      const auto instance = static_cast<std::size_t>(client);
-      const std::size_t n = name_nodes_.size();
-      NnsShardState& st = nns_state_[instance % n];
-      st.sync_flow = net::kInvalidFlow;
-      const bool is_standby = instance >= n;
-      const bool alive = is_standby ? st.standby_alive : st.primary_alive;
-      const bool syncing =
-          is_standby ? st.standby_syncing : st.primary_syncing;
-      if (alive && syncing) resync_queue_.push_back(instance);
+    case CloudOp::Kind::kNnsSync:
+      // The sync source or a host died mid-transfer.
+      metadata_.resync_aborted(static_cast<std::size_t>(client));
       break;
-    }
   }
   return true;
 }
@@ -1388,7 +1034,7 @@ void Cloud::drain_repair_queue() {
          repairs_in_flight_ < cfg_.params.max_concurrent_repairs) {
     const ContentId id = repair_queue_.front();
     repair_queue_.pop_front();
-    ContentMeta* meta = meta_owner(id).find(id);
+    ContentMeta* meta = metadata_.owner(id).find(id);
     if (meta == nullptr || meta->replicas.empty() ||
         static_cast<std::int32_t>(meta->replicas.size()) >=
             std::max<std::int32_t>(1, cfg_.params.replicas)) {

@@ -1,10 +1,10 @@
 // Cloud: the top-level SCDA system façade and public API.
 //
 // Owns the three-tier datacenter (figure 6), the transports, the RM/RA
-// allocation hierarchy, the FES + name nodes, the block servers with their
-// power/resource models, and the SLA manager. Client write/read requests
-// follow the message sequences of paper figures 3-5, with control-plane
-// hops modelled as latency-delayed RPCs.
+// allocation hierarchy, the metadata plane (FES + name nodes), the block
+// servers with their power/resource models, and the SLA manager. Client
+// write/read requests follow the message sequences of paper figures 3-5,
+// with control-plane hops modelled as latency-delayed RPCs.
 //
 // The same class also runs the RandTCP baseline (random placement + TCP),
 // selected through CloudConfig, so SCDA-vs-RandTCP comparisons share every
@@ -23,7 +23,7 @@
 #include "core/block_server.h"
 #include "core/classifier.h"
 #include "core/hierarchy.h"
-#include "core/name_node.h"
+#include "core/metadata_plane.h"
 #include "core/params.h"
 #include "core/rate_allocator.h"
 #include "core/selection.h"
@@ -96,21 +96,6 @@ struct ChurnStats {
   std::uint64_t objects_lost = 0;    ///< every replica gone (unreadable)
 };
 
-/// Metadata-plane fault-tolerance counters (docs/scenarios.md). Surfaced
-/// as `metadata.*` metric ids only when NNS churn is configured, so
-/// committed churn artifacts stay byte-identical.
-struct MetadataStats {
-  std::uint64_t requests_timed_out = 0;  ///< client deadline expiries
-  std::uint64_t retries = 0;             ///< re-dispatches (backoff path)
-  std::uint64_t failovers = 0;           ///< requests served by a standby
-  std::uint64_t unavailable = 0;   ///< dispatches finding no live replica
-  std::uint64_t requests_dropped = 0;  ///< attempts exhausted (failed op)
-  std::uint64_t mirror_updates = 0;    ///< primary->standby record copies
-  std::uint64_t resyncs_started = 0;   ///< recovery sync flows launched
-  std::uint64_t resyncs_completed = 0;
-  std::uint64_t resync_bytes = 0;      ///< payload moved by sync flows
-};
-
 /// Proactive-rebalancing counters (docs/scenarios.md). Surfaced as
 /// `rebalance.*` metric ids only when rebalancing is enabled.
 struct RebalanceStats {
@@ -123,29 +108,6 @@ struct RebalanceStats {
 
 using CloudCompletionFn =
     std::function<void(const transport::FlowRecord&, const CloudOp&)>;
-
-/// Point-in-time operational summary of the whole cloud (monitoring /
-/// off-line diagnosis — the paper's "aggregated and monitored traffic
-/// metrics can be offloaded to an external server").
-struct CloudSnapshot {
-  double time_s = 0;
-  std::size_t active_flows = 0;
-  std::size_t contents_stored = 0;
-  std::uint64_t flows_completed = 0;
-  std::uint64_t sla_violations = 0;
-  std::uint64_t failed_reads = 0;
-  std::uint64_t failed_writes = 0;
-  std::uint64_t migrations = 0;
-  std::size_t dormant_servers = 0;
-  std::size_t failed_servers = 0;
-  double total_energy_j = 0;
-  double mean_nns_delay_s = 0;
-  std::uint64_t control_messages = 0;
-  std::uint64_t control_bytes = 0;
-
-  /// Human-readable one-block dump.
-  void print(std::FILE* out) const;
-};
 
 class Cloud {
  public:
@@ -190,7 +152,8 @@ class Cloud {
   [[nodiscard]] Hierarchy& hierarchy() noexcept { return hierarchy_; }
   [[nodiscard]] SlaManager& sla() noexcept { return sla_; }
   [[nodiscard]] ServerSelector& selector() noexcept { return *selector_; }
-  [[nodiscard]] FrontEnd& fes() noexcept { return *fes_; }
+  [[nodiscard]] MetadataPlane& metadata() noexcept { return metadata_; }
+  [[nodiscard]] FrontEnd& fes() noexcept { return metadata_.fes(); }
   [[nodiscard]] std::vector<BlockServer>& servers() noexcept {
     return servers_;
   }
@@ -207,12 +170,19 @@ class Cloud {
   [[nodiscard]] double total_energy_j() const;
   /// Count of servers currently dormant.
   [[nodiscard]] std::size_t dormant_servers() const;
-  /// Control-plane overhead accounting (messages modelled as RPCs).
+  /// Count of servers currently failed.
+  [[nodiscard]] std::size_t failed_servers() const;
+  /// Data flows started and not yet completed or aborted.
+  [[nodiscard]] std::size_t active_flows() const noexcept {
+    return ops_.size();
+  }
+  /// Control-plane overhead accounting (messages modelled as RPCs),
+  /// including the metadata plane's own retries, mirrors and sync setup.
   [[nodiscard]] std::uint64_t control_messages() const noexcept {
-    return ctrl_messages_;
+    return ctrl_messages_ + metadata_.control_messages();
   }
   [[nodiscard]] std::uint64_t control_bytes() const noexcept {
-    return ctrl_bytes_;
+    return ctrl_bytes_ + metadata_.control_bytes();
   }
 
   /// Adjust a flow's priority weight; takes effect next control interval
@@ -235,9 +205,6 @@ class Cloud {
   [[nodiscard]] TargetRateController& target_rates() noexcept {
     return target_ctrl_;
   }
-
-  /// Operational summary for monitoring/diagnosis.
-  [[nodiscard]] CloudSnapshot snapshot() const;
 
   // --- failure injection -----------------------------------------------------
   /// Take a block server down. In-flight flows touching it are aborted
@@ -265,32 +232,22 @@ class Cloud {
   bool abort_flow(net::FlowId id);
 
   // --- metadata-plane fault tolerance (docs/scenarios.md) --------------------
-  /// Whether the NNS failover layer (standby mirroring, liveness-aware
-  /// dispatch, timeout/retry) is active for this run.
+  // Forwards to metadata(); see MetadataPlane for the instance numbering.
   [[nodiscard]] bool nns_failover_enabled() const noexcept {
-    return nns_failover_;
+    return metadata_.failover_enabled();
   }
-  /// NNS instances: shard primaries first, then standbys (instance
-  /// n_shards + i is shard i's standby). Without failover there are only
-  /// the primaries.
   [[nodiscard]] std::size_t nns_instance_count() const noexcept {
-    return name_nodes_.size() + standby_nodes_.size();
+    return metadata_.instance_count();
   }
   [[nodiscard]] NameNode& nns_instance(std::size_t instance) {
-    return instance < name_nodes_.size()
-               ? *name_nodes_[instance]
-               : *standby_nodes_.at(instance - name_nodes_.size());
+    return metadata_.instance(instance);
   }
-  /// Take an NNS instance down: it stops serving, its queued requests die
-  /// with it (clients recover via timeout + retry), and dispatch fails
-  /// over to the shard's surviving peer.
+  /// Take an NNS instance down (MetadataPlane::fail) and abort the sync
+  /// flow it was part of.
   void fail_nns(std::size_t instance);
-  /// Bring an NNS instance back: it re-syncs its metadata from the live
-  /// peer as a low-priority background flow before rejoining; with no
-  /// live peer it rejoins immediately with whatever state it kept.
-  void recover_nns(std::size_t instance);
+  void recover_nns(std::size_t instance) { metadata_.recover(instance); }
   [[nodiscard]] const MetadataStats& meta_stats() const noexcept {
-    return meta_stats_;
+    return metadata_.stats();
   }
 
   // --- proactive rebalancing -------------------------------------------------
@@ -344,51 +301,6 @@ class Cloud {
     ctrl_bytes_ += bytes;
   }
 
-  // --- metadata-plane machinery (docs/scenarios.md) --------------------------
-  /// One client-side metadata request: the handler runs on whichever NNS
-  /// instance ends up serving it; on_give_up fires when every attempt is
-  /// exhausted (the request is surfaced as a failed operation).
-  struct MetaRequest {
-    std::function<void(NameNode&)> fn;
-    std::function<void()> on_give_up;
-    bool done = false;
-  };
-  /// Liveness + recovery state of one metadata shard (primary/standby).
-  struct NnsShardState {
-    bool primary_alive = true;
-    bool standby_alive = true;
-    bool primary_syncing = false;  ///< recovering, not yet rejoined
-    bool standby_syncing = false;
-    net::FlowId sync_flow = net::kInvalidFlow;  ///< in-flight resync
-    bool sync_pending = false;  ///< resync setup RPC posted, flow not yet up
-  };
-
-  [[nodiscard]] std::size_t shard_of_key(std::uint64_t key) const;
-  /// The shard's serving node: primary unless down/syncing, else standby,
-  /// else nullptr (degraded window — requests queue and retry).
-  [[nodiscard]] NameNode* serving_nns(std::size_t shard);
-  /// Submit a metadata request keyed by `key` through the FES, with
-  /// failover + timeout/retry when the metadata plane can churn; reduces
-  /// to the historical direct submit otherwise.
-  void submit_metadata_request(std::uint64_t key,
-                               std::function<void(NameNode&)> fn,
-                               std::function<void()> on_give_up);
-  void dispatch_metadata(std::size_t shard, std::int32_t attempt,
-                         const std::shared_ptr<MetaRequest>& req);
-  void schedule_metadata_retry(std::size_t shard, std::int32_t attempt,
-                               const std::shared_ptr<MetaRequest>& req);
-  /// Mirror one record from the node that just mutated it to the shard's
-  /// peer (intra-DC consistency hop; the peer applies the copy one
-  /// ctrl_dc latency later).
-  void mirror_meta(NameNode& from, ContentId id);
-  /// Launch queued standby/primary re-sync flows (control tick; deferred
-  /// while the peer or a host server is down).
-  void drain_resync_queue();
-  void finish_resync(std::size_t instance);
-  /// Host server an NNS instance's sync traffic terminates on (the
-  /// control plane is consolidated on a few servers, paper section III).
-  [[nodiscard]] std::size_t nns_host_server(std::size_t instance) const;
-
   net::FlowId start_data_flow(net::NodeId src, net::NodeId dst,
                               std::int64_t bytes, const CloudOp& op,
                               double priority, sim::BitRate reserved);
@@ -414,15 +326,6 @@ class Cloud {
   /// Push refreshed allocations to senders and the fluid engine.
   void propagate_rate_changes();
 
-  /// The authoritative metadata map for `id`: the shard's primary unless
-  /// failover handed authority to the standby. Falls back to the primary
-  /// when the whole shard is down (bookkeeping continues on the durable
-  /// map; *serving* requests is gated separately by serving_nns()).
-  [[nodiscard]] NameNode& meta_owner(ContentId id);
-  /// Per-shard version of meta_owner (same authority rule).
-  [[nodiscard]] NameNode& authority_nns(std::size_t shard);
-  [[nodiscard]] const NameNode& authority_nns(std::size_t shard) const;
-
   /// Server index of a server node id (node ids are not contiguous).
   [[nodiscard]] std::size_t server_index_of(net::NodeId node) const {
     return server_index_by_node_.at(node);
@@ -435,19 +338,10 @@ class Cloud {
   RateAllocator allocator_;
   Hierarchy hierarchy_;
   SlaManager sla_;
-  std::vector<std::unique_ptr<NameNode>> name_nodes_;
-  /// Shard standbys (same order as name_nodes_); populated only when NNS
-  /// churn is configured, so churn-free runs carry zero extra state.
-  std::vector<std::unique_ptr<NameNode>> standby_nodes_;
-  bool nns_failover_ = false;
-  std::vector<NnsShardState> nns_state_;
-  /// NNS instances waiting for a recovery sync (drained on control ticks).
-  std::deque<std::size_t> resync_queue_;
-  MetadataStats meta_stats_;
   RebalanceStats rebalance_stats_;
-  std::unique_ptr<FrontEnd> fes_;
   std::unique_ptr<ServerSelector> selector_;
   std::vector<BlockServer> servers_;
+  MetadataPlane metadata_;
   std::unique_ptr<sim::PeriodicProcess> control_loop_;
   std::unique_ptr<sim::PeriodicProcess> migration_loop_;
   std::unique_ptr<sim::PeriodicProcess> rebalance_loop_;

@@ -45,14 +45,19 @@ class NameNode {
   NameNode(const NameNode&) = delete;
   NameNode& operator=(const NameNode&) = delete;
 
+  /// Liveness of one NNS instance (metadata-plane churn,
+  /// docs/scenarios.md): serving requests, up but pulling its peer's map
+  /// before it rejoins, or down.
+  enum class State : std::uint8_t { kServing, kSyncing, kDown };
+
   /// Enqueue a metadata request; `handler` runs after the queueing +
   /// service delay. Returns the delay the request will experience, or a
-  /// negative value when the node is down (the request is dropped — the
-  /// client-side timeout in Cloud recovers it). Requests queued when the
-  /// node crashes die with it: the crash bumps the generation and stale
-  /// handlers become no-ops when their service event fires.
+  /// negative value when the node is not serving (the request is dropped —
+  /// the client-side timeout in MetadataPlane recovers it). Requests queued
+  /// when the node crashes die with it: the crash bumps the generation and
+  /// stale handlers become no-ops when their service event fires.
   double submit(std::function<void()> handler) {
-    if (!alive_) return -1.0;
+    if (!alive()) return -1.0;
     const sim::Time now = sim_.now();
     const sim::Time start = std::max(now, busy_until_);
     busy_until_ = start + sim::secs(service_time_s_);
@@ -68,17 +73,20 @@ class NameNode {
   }
 
   // --- liveness (metadata-plane churn, docs/scenarios.md) --------------------
-  [[nodiscard]] bool alive() const noexcept { return alive_; }
-  void set_alive(bool alive) {
-    if (alive_ == alive) return;
-    alive_ = alive;
-    if (!alive) {
+  [[nodiscard]] State state() const noexcept { return state_; }
+  /// Serving: the only state in which submit() accepts requests.
+  [[nodiscard]] bool alive() const noexcept {
+    return state_ == State::kServing;
+  }
+  void set_state(State state) {
+    if (state == State::kDown && state_ != State::kDown) {
       // The machine died: everything sitting in its service queue is lost
       // (clients recover via timeout + retry) and the queue drains empty,
       // so a recovered node starts idle instead of paying ghost backlog.
       ++generation_;
       busy_until_ = sim::Time{};
     }
+    state_ = state;
   }
 
   // --- metadata --------------------------------------------------------------
@@ -131,7 +139,7 @@ class NameNode {
   std::int32_t index_;
   double service_time_s_;
   sim::Time busy_until_{};
-  bool alive_ = true;
+  State state_ = State::kServing;
   std::uint64_t generation_ = 0;
   std::uint64_t served_ = 0;
   double total_delay_ = 0;
@@ -153,10 +161,10 @@ class FrontEnd {
   [[nodiscard]] NameNode& dispatch_by_content(ContentId content) {
     return *nodes_[mix(static_cast<std::uint64_t>(content)) % nodes_.size()];
   }
-  /// Shard index a key hashes to — the failover-aware paths in Cloud need
-  /// the index (to consult liveness and pick primary vs standby), not the
-  /// node reference. Same hash as dispatch_by_*, so the mapping is stable
-  /// across runs and worker counts.
+  /// Shard index a key hashes to — the failover-aware paths in
+  /// MetadataPlane need the index (to consult liveness and pick primary vs
+  /// standby), not the node reference. Same hash as dispatch_by_*, so the
+  /// mapping is stable across runs and worker counts.
   [[nodiscard]] std::size_t dispatch_index(std::uint64_t key) const {
     return mix(key) % nodes_.size();
   }

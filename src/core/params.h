@@ -12,6 +12,10 @@ namespace scda::core {
 /// (net::kDefaultMtuBytes carries the same value on the packet path).
 inline constexpr sim::ByteCount kMtu{1500};
 
+/// Approximate wire size of one control RPC (request id + addresses +
+/// rate); control-plane overhead is counted in these units.
+inline constexpr std::uint64_t kCtrlMsgBytes = 64;
+
 /// Which rate metric the RM/RA computes each control interval.
 enum class RateMetricKind : std::uint8_t {
   kExact,       ///< eqs. 2-4: needs per-flow rate sums S(t)

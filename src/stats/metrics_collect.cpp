@@ -172,18 +172,21 @@ void collect_run_metrics(obs::MetricsRegistry& reg, const sim::Simulator& sim,
   reg.add("core.sla.boosts",
           static_cast<double>(cloud.sla().boosts_applied()));
 
-  // --- cloud-level snapshot --------------------------------------------------
-  const core::CloudSnapshot snap = cloud.snapshot();
-  reg.set("cloud.contents_stored", static_cast<double>(snap.contents_stored));
-  reg.add("cloud.failed_reads", static_cast<double>(snap.failed_reads));
-  reg.add("cloud.failed_writes", static_cast<double>(snap.failed_writes));
-  reg.add("cloud.migrations", static_cast<double>(snap.migrations));
-  reg.set("cloud.dormant_servers", static_cast<double>(snap.dormant_servers));
-  reg.set("cloud.failed_servers", static_cast<double>(snap.failed_servers));
-  reg.set("cloud.energy_j", snap.total_energy_j);
-  reg.set("cloud.mean_nns_delay_s", snap.mean_nns_delay_s);
-  reg.add("cloud.control_messages", static_cast<double>(snap.control_messages));
-  reg.add("cloud.control_bytes", static_cast<double>(snap.control_bytes));
+  // --- cloud level -----------------------------------------------------------
+  reg.set("cloud.contents_stored",
+          static_cast<double>(cloud.metadata().contents_stored()));
+  reg.add("cloud.failed_reads", static_cast<double>(cloud.failed_reads()));
+  reg.add("cloud.failed_writes", static_cast<double>(cloud.failed_writes()));
+  reg.add("cloud.migrations",
+          static_cast<double>(cloud.migrations_completed()));
+  reg.set("cloud.dormant_servers",
+          static_cast<double>(cloud.dormant_servers()));
+  reg.set("cloud.failed_servers", static_cast<double>(cloud.failed_servers()));
+  reg.set("cloud.energy_j", cloud.total_energy_j());
+  reg.set("cloud.mean_nns_delay_s", cloud.metadata().mean_delay());
+  reg.add("cloud.control_messages",
+          static_cast<double>(cloud.control_messages()));
+  reg.add("cloud.control_bytes", static_cast<double>(cloud.control_bytes()));
 
   // --- flight recorder self-accounting ---------------------------------------
   if (const obs::Observability* o = sim.observability()) {

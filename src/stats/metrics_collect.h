@@ -1,8 +1,9 @@
 // Pull-based metric collection: walk the stack's existing cheap counters
 // (EventQueueStats, LinkStats, SenderStats, RateAllocator::ControlStats,
-// CloudSnapshot) at end of run and fold them into a MetricsRegistry. No
-// component pays anything on its hot path for these — the counters already
-// exist for the perf/figure machinery; this just gives them stable ids.
+// the Cloud and MetadataPlane accessors) at end of run and fold them into
+// a MetricsRegistry. No component pays anything on its hot path for these
+// — the counters already exist for the perf/figure machinery; this just
+// gives them stable ids.
 //
 // The full metric catalog is documented in docs/observability.md. Every
 // value is a pure function of the simulation state, so snapshots taken

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "util/units.h"
 
 namespace scda::core {
@@ -283,6 +285,64 @@ TEST_F(CloudTest, HotContentIsNotMigrated) {
 TEST_F(CloudTest, SetFlowPriorityIsSafeForUnknownFlows) {
   build(small_config());
   EXPECT_NO_THROW(cloud_->set_flow_priority(scda::net::FlowId{12345}, 2.0));
+}
+
+TEST(QueueSampler, ScdaKeepsQueuesNearEmptyUnderLoad) {
+  // The paper's eq. 2 drains standing queues: with several concurrent
+  // SCDA flows through one bottleneck the mean queue must stay far below
+  // the drop-tail limit.
+  sim::Simulator sim(3);
+  CloudConfig cfg = small_config();
+  cfg.topology.base_bps = util::mbps(200);
+  cfg.enable_replication = false;
+  Cloud cloud(sim, cfg);
+
+  // Sample the client-0 uplink (shared bottleneck of 4 uploads) every
+  // 10 ms.
+  net::Network& net = cloud.topology().net();
+  const net::Link& up = net.link(net.link_between(
+      cloud.topology().clients()[0], cloud.topology().gateway()));
+  double sum = 0;
+  double max = 0;
+  std::uint64_t samples = 0;
+  scda::sim::PeriodicProcess sampler(sim, scda::sim::secs(0.01), [&] {
+    const auto q = static_cast<double>(up.queue_bytes());
+    sum += q;
+    max = std::max(max, q);
+    ++samples;
+  });
+  sampler.start(scda::sim::secs(0.01));
+
+  for (int i = 0; i < 4; ++i) cloud.write(0, i + 1, util::megabytes(20));
+  sim.run_until(scda::sim::secs(8.0));
+  sampler.stop();
+
+  const auto limit = static_cast<double>(cfg.topology.queue_limit_bytes);
+  ASSERT_GT(samples, 0u);
+  EXPECT_LT(sum / static_cast<double>(samples), 0.15 * limit);
+  EXPECT_LT(max, limit);
+}
+
+TEST(ControlTrafficTest, OverheadIsTinyVersusLinkCapacity) {
+  // Control RPCs are counted, not put on the wire: every tau each RM and
+  // RA reports once, plus the request RPCs of figures 3-5. Over a loaded
+  // 10 s run they stay far below one link's capacity.
+  sim::Simulator sim(5);
+  CloudConfig cfg = small_config();
+  cfg.topology.servers_per_tor = 2;  // 8 servers, 4 tors, 2 aggs
+  cfg.topology.n_clients = 2;
+  cfg.topology.base_bps = util::mbps(100);
+  Cloud cloud(sim, cfg);
+  for (int i = 0; i < 8; ++i)
+    cloud.write(static_cast<std::size_t>(i % 2), i + 1, util::kilobytes(256));
+  sim.run_until(scda::sim::secs(5.0));
+  for (int i = 0; i < 8; ++i)
+    cloud.read(static_cast<std::size_t>(i % 2), i + 1);
+  sim.run_until(scda::sim::secs(10.0));
+
+  ASSERT_GT(cloud.control_messages(), 0u);
+  const double bps = static_cast<double>(cloud.control_bytes()) * 8.0 / 10.0;
+  EXPECT_LT(bps, 0.01 * cfg.topology.base_bps.bps());
 }
 
 }  // namespace

@@ -76,7 +76,7 @@ TEST_P(CloudMatrix, ShortWorkloadRunsClean) {
   EXPECT_GT(cloud.total_energy_j(), 0.0);
   EXPECT_GT(s.goodput_bps, 0.0);
   // All issued content ops completed (writes + replications + reads).
-  EXPECT_EQ(cloud.snapshot().active_flows, 0u);
+  EXPECT_EQ(cloud.active_flows(), 0u);
   // Every completed flow has a positive, finite FCT.
   for (const auto& r : col.records()) {
     EXPECT_GT(r.fct_s, 0.0);

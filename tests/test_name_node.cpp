@@ -98,15 +98,21 @@ TEST(NameNode, ContentIdsSortedAscending) {
 TEST(NameNode, DeadNodeRejectsSubmit) {
   sim::Simulator sim;
   NameNode nns(sim, 0, 0.001);
-  nns.set_alive(false);
+  nns.set_state(NameNode::State::kDown);
   EXPECT_FALSE(nns.alive());
   bool ran = false;
   EXPECT_LT(nns.submit([&] { ran = true; }), 0.0);
   sim.run();
   EXPECT_FALSE(ran);
   EXPECT_EQ(nns.served(), 0u);
+  // Up but still re-syncing from its peer: not serving yet either.
+  nns.set_state(NameNode::State::kSyncing);
+  EXPECT_FALSE(nns.alive());
+  EXPECT_LT(nns.submit([&] { ran = true; }), 0.0);
+  sim.run();
+  EXPECT_FALSE(ran);
   // Revived, it serves normally again.
-  nns.set_alive(true);
+  nns.set_state(NameNode::State::kServing);
   EXPECT_GE(nns.submit([&] { ran = true; }), 0.0);
   sim.run();
   EXPECT_TRUE(ran);
@@ -119,12 +125,13 @@ TEST(NameNode, CrashVoidsQueuedHandlersAndClearsBacklog) {
   for (int i = 0; i < 3; ++i) nns.submit([&] { ++fired; });
   // Crash before any service completes: the queued handlers must die with
   // the node instead of firing against the recovered instance.
-  sim.post_at(scda::sim::secs(0.5), [&] { nns.set_alive(false); });
+  sim.post_at(scda::sim::secs(0.5),
+              [&] { nns.set_state(NameNode::State::kDown); });
   sim.run();
   EXPECT_EQ(fired, 0);
   // Recovery starts from an empty queue (no ghost backlog): a fresh
   // request is served after exactly one service time.
-  nns.set_alive(true);
+  nns.set_state(NameNode::State::kServing);
   double served_at = -1;
   sim.post_at(scda::sim::secs(10.0),
               [&] { nns.submit([&] { served_at = sim.now().seconds(); }); });

@@ -1,8 +1,9 @@
-// Tests for interactive sessions in the workload driver and the Cloud
-// snapshot API.
+// Tests for interactive sessions in the workload driver and for the
+// end-of-run metrics snapshot of a Cloud.
 #include <gtest/gtest.h>
 
 #include "core/cloud.h"
+#include "stats/metrics_collect.h"
 #include "util/units.h"
 #include "workload/driver.h"
 #include "workload/generators.h"
@@ -86,28 +87,20 @@ TEST(Snapshot, ReflectsCloudState) {
   sim.run_until(scda::sim::secs(40.0));
   cloud.fail_server(0, false);
 
-  const core::CloudSnapshot s = cloud.snapshot();
-  EXPECT_DOUBLE_EQ(s.time_s, 40.0);
-  EXPECT_EQ(s.contents_stored, 2u);
-  EXPECT_EQ(s.flows_completed, 3u);  // 2 writes + 1 read (no replication)
-  EXPECT_EQ(s.failed_servers, 1u);
-  EXPECT_EQ(s.failed_reads, 0u);
-  EXPECT_GT(s.total_energy_j, 0.0);
-  EXPECT_GT(s.control_messages, 0u);
-  EXPECT_GE(s.mean_nns_delay_s, 0.0);
-}
-
-TEST(Snapshot, PrintProducesOutput) {
-  sim::Simulator sim(13);
-  core::Cloud cloud(sim, small_cloud());
-  sim.run_until(scda::sim::secs(1.0));
-  char buf[2048];
-  std::FILE* f = fmemopen(buf, sizeof buf, "w");
-  cloud.snapshot().print(f);
-  std::fclose(f);
-  const std::string out(buf);
-  EXPECT_NE(out.find("cloud @ t=1.00s"), std::string::npos);
-  EXPECT_NE(out.find("sla_violations="), std::string::npos);
+  obs::MetricsRegistry reg;
+  stats::collect_run_metrics(reg, sim, cloud);
+  const obs::MetricsSnapshot s = reg.snapshot();
+  EXPECT_DOUBLE_EQ(s.value("sim.time_s"), 40.0);
+  EXPECT_DOUBLE_EQ(s.value("cloud.contents_stored"), 2.0);
+  // 2 writes + 1 read (no replication)
+  EXPECT_DOUBLE_EQ(s.value("transport.flows_completed"), 3.0);
+  EXPECT_DOUBLE_EQ(s.value("cloud.failed_servers"), 1.0);
+  ASSERT_TRUE(s.has("cloud.failed_reads"));
+  EXPECT_DOUBLE_EQ(s.value("cloud.failed_reads"), 0.0);
+  EXPECT_GT(s.value("cloud.energy_j"), 0.0);
+  EXPECT_GT(s.value("cloud.control_messages"), 0.0);
+  ASSERT_TRUE(s.has("cloud.mean_nns_delay_s"));
+  EXPECT_GE(s.value("cloud.mean_nns_delay_s"), 0.0);
 }
 
 }  // namespace

@@ -28,10 +28,10 @@ struct FatTreeConfig {
   std::int64_t queue_limit_bytes = 256 * 1500;
 
   /// Build the network's route tables. Packet-mode traffic needs them.
-  /// They are small (k=32: ~337k destination runs, ~2.7 MB), but the BFS
-  /// from each of the 1,280 switches that builds them takes ~0.5-0.8 s at
-  /// k=32, against ~15 ms for the rest of the fabric. Fluid-only scale
-  /// runs turn this off and use FatTree::server_path().
+  /// At k=32 they hold ~337k destination runs (~2.7 MB) and take
+  /// ~0.06-0.1 s to build, a BFS over the switches from each of the 1,280
+  /// switches, against ~5-10 ms for the rest of the fabric. Fluid-only
+  /// scale runs turn this off and use FatTree::server_path().
   bool build_routes = true;
 
   [[nodiscard]] std::int32_t pods() const noexcept { return k; }

@@ -57,6 +57,55 @@ void Network::build_routes() {
     const NodeId nb = links_[out_links_[s][0].index()]->to();
     return out_links_[nb.index()].size() != 1;
   };
+  // A leaf is a node whose only out-link and only in-link both join it to
+  // the same neighbour, its parent: a server under its ToR, a client under
+  // the gateway. A BFS reaches a leaf only from its parent, which is then
+  // already visited, so the leaf discovers nothing: dropping the arcs into
+  // leaves changes no other node's first hop. A leaf destination leaves
+  // the source through the source's own link to it (down[], the leaf's one
+  // in-link) when the source is its parent, and through the parent's hop
+  // otherwise.
+  constexpr std::size_t kNoParent = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> in_degree(n, 0);
+  std::vector<LinkId> down(n, kInvalidLink);
+  for (const auto& l : links_) {
+    const std::size_t v = l->to().index();
+    if (in_degree[v]++ == 0) down[v] = l->id();
+  }
+  std::vector<std::size_t> parent(n, kNoParent);
+  for (std::size_t v = 0; v < n; ++v) {
+    if (out_links_[v].size() != 1 || in_degree[v] != 1) continue;
+    const NodeId up = links_[out_links_[v][0].index()]->to();
+    if (links_[down[v].index()]->from() == up) parent[v] = up.index();
+  }
+  // Out-links to non-leaves, flat, in ascending link id per node.
+  struct Arc {
+    NodeId to;
+    LinkId link;
+  };
+  std::vector<Arc> arcs;
+  arcs.reserve(links_.size());
+  std::vector<std::size_t> arcs_begin(n + 1);
+  for (std::size_t u = 0; u < n; ++u) {
+    arcs_begin[u] = arcs.size();
+    for (const LinkId lid : out_links_[u]) {
+      const NodeId v = links_[lid.index()]->to();
+      if (parent[v.index()] == kNoParent) arcs.push_back({v, lid});
+    }
+  }
+  arcs_begin[n] = arcs.size();
+  // Destination segments: a run of consecutive non-leaves, or of
+  // consecutive leaves of one parent, which all share that parent's hop.
+  struct Segment {
+    std::size_t first;
+    std::size_t parent;
+  };
+  std::vector<Segment> segments;
+  for (std::size_t d = 0; d < n; ++d) {
+    if (segments.empty() || segments.back().parent != parent[d])
+      segments.push_back({d, parent[d]});
+  }
+
   // Appends node `self`'s runs for ascending destinations. Its own
   // destination is a don't-care: a run that would start there starts one
   // later, so the preceding run absorbs it.
@@ -78,32 +127,49 @@ void Network::build_routes() {
     }
   };
 
-  // BFS over the out-link adjacency from every node whose row is not
-  // derived. For tree topologies this is exact; for general graphs it
-  // yields deterministic shortest hop-count paths. hop[d] is the link
-  // leaving the source towards d: out-links are explored in ascending id,
-  // so it is the lowest-id link to the BFS first hop.
+  // BFS over the arcs from every node whose row is not derived. For tree
+  // topologies this is exact; for general graphs it yields deterministic
+  // shortest hop-count paths. hop[d] is the link leaving the source
+  // towards d: arcs are explored in ascending link id, so it is the
+  // lowest-id link to the BFS first hop. Only the entries the previous BFS
+  // set are reset. reaches_all[s]: s's row has no unreachable run.
   std::vector<RouteRun> bfs_runs;
   std::vector<std::size_t> bfs_begin(n + 1);
-  std::vector<LinkId> hop(n);
+  std::vector<bool> reaches_all(n);
+  std::vector<LinkId> hop(n, kInvalidLink);
   std::vector<std::size_t> queue;
   for (std::size_t s = 0; s < n; ++s) {
     bfs_begin[s] = bfs_runs.size();
     if (derived(s)) continue;
-    std::fill(hop.begin(), hop.end(), kInvalidLink);
+    for (const std::size_t u : queue) hop[u] = kInvalidLink;
     queue.assign(1, s);
     for (std::size_t head = 0; head < queue.size(); ++head) {
       const std::size_t u = queue[head];
-      for (const LinkId lid : out_links_[u]) {
-        const std::size_t v = links_[lid.index()]->to().index();
+      for (std::size_t a = arcs_begin[u]; a < arcs_begin[u + 1]; ++a) {
+        const std::size_t v = arcs[a].to.index();
         if (v == s || hop[v].valid()) continue;
-        hop[v] = (u == s) ? lid : hop[u];
+        hop[v] = (u == s) ? arcs[a].link : hop[u];
         queue.push_back(v);
       }
     }
     Row row{bfs_runs, s};
-    for (std::size_t d = 0; d < n; ++d) row.add(d, d + 1, hop[d]);
+    for (std::size_t g = 0; g < segments.size(); ++g) {
+      const std::size_t first = segments[g].first;
+      const std::size_t last =
+          g + 1 < segments.size() ? segments[g + 1].first : n;
+      const std::size_t p = segments[g].parent;
+      if (p == kNoParent) {
+        for (std::size_t d = first; d < last; ++d) row.add(d, d + 1, hop[d]);
+      } else if (p == s) {
+        for (std::size_t d = first; d < last; ++d) row.add(d, d + 1, down[d]);
+      } else {
+        row.add(first, last, hop[p]);
+      }
+    }
     row.close();
+    reaches_all[s] = std::all_of(
+        bfs_runs.begin() + static_cast<std::ptrdiff_t>(row.begin),
+        bfs_runs.end(), [](const RouteRun& r) { return r.link.valid(); });
   }
   bfs_begin[n] = bfs_runs.size();
 
@@ -119,6 +185,10 @@ void Network::build_routes() {
     }
     const LinkId link = out_links_[s][0];
     const std::size_t nb = links_[link.index()]->to().index();
+    if (reaches_all[nb]) {  // everything but s is reached through nb
+      runs_.push_back({NodeId{0}, link});
+      continue;
+    }
     Row row{runs_, s};
     for (std::size_t r = bfs_begin[nb]; r < bfs_begin[nb + 1]; ++r) {
       const std::size_t first = bfs_runs[r].first.index();

@@ -3,10 +3,15 @@
 // Routing is static shortest-path (BFS over hop count), computed once after
 // the topology is built — appropriate for the tree topologies of the paper
 // (unique paths) and deterministic for general graphs (out-links are
-// explored in ascending link id, so the lowest-id link wins ties). Each
-// node stores its routes as runs of consecutive destination ids that leave
-// through the same out-link; a tree node has about one run per child
-// subtree, so the tables grow with the node count rather than its square.
+// explored in ascending link id, so the lowest-id link wins ties). The BFS
+// skips leaves: a node whose only out-link and only in-link join it to the
+// same neighbour, its parent (a server under its ToR, a client under the
+// gateway), takes its parent's first hop. A node with one out-link takes
+// its neighbour's routes, so on the datacenter fabrics the BFS runs from
+// and over the switches only. Each node stores its routes as runs of
+// consecutive destination ids that leave through the same out-link; a
+// tree node has about one run per child subtree, so the tables grow with
+// the node count rather than its square.
 // A hop looks its link up by binary search over the node's runs. Packets
 // are forwarded hop-by-hop through drop-tail links, whose queued and
 // propagating packets all live in one PacketPool owned by the network.
@@ -52,8 +57,9 @@ class Network {
   void build_routes();
 
   /// Whether the route tables exist. Large fluid-only topologies (k=32
-  /// fat-tree) skip build_routes(), whose BFS from every switch dominates
-  /// their setup, and compute paths analytically instead.
+  /// fat-tree) skip build_routes(), whose BFS from every switch still
+  /// takes most of their construction, and compute paths analytically
+  /// instead.
   [[nodiscard]] bool routes_built() const noexcept { return routes_built_; }
   /// Total destination runs over all nodes (0 when routes were never
   /// built). The scale guard tests assert this stays 0 for analytic-route

@@ -343,6 +343,15 @@ TEST(RouteOracle, FatTreeK8) {
   EXPECT_EQ(expect_routes_match_dense_oracle(ft.net()), 0u);
 }
 
+TEST(RouteOracle, FatTreeK16) {
+  // 1,353 nodes and the most runs per node of any shape.
+  sim::Simulator sim;
+  FatTreeConfig cfg;
+  cfg.k = 16;
+  FatTree ft(sim, cfg);
+  EXPECT_EQ(expect_routes_match_dense_oracle(ft.net()), 0u);
+}
+
 TEST(RouteOracle, LeafSpine) {
   sim::Simulator sim;
   LeafSpine ls(sim, LeafSpineConfig{});
@@ -352,8 +361,14 @@ TEST(RouteOracle, LeafSpine) {
 TEST(RouteOracle, RandomGraphs) {
   // Sparse seeded digraphs mixing one-way, duplex and parallel links, so
   // some nodes have no out-link, some exactly one (leading to a node with
-  // several or with one), and some pairs are unreachable.
+  // several or with one), and some pairs are unreachable. Among the
+  // single-out-link nodes are leaves (one duplex link and nothing else),
+  // leaves whose parent's one out-link leads back to them, and near-leaves
+  // the leaf rule must not take: two in-links, an in-link from another
+  // node, or parallel links down from the parent.
   int sinks = 0, single = 0, single_to_single = 0, parallel = 0;
+  int leaves = 0, leaf_parent_single = 0;
+  int near_two_in = 0, near_foreign_in = 0, near_parallel_in = 0;
   std::size_t unreachable = 0;
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     sim::Simulator sim;
@@ -378,12 +393,32 @@ TEST(RouteOracle, RandomGraphs) {
       }
     }
     net.build_routes();
+    std::vector<std::vector<NodeId>> in_from(net.node_count());
+    for (std::size_t l = 0; l < net.link_count(); ++l) {
+      const Link& link = net.link(LinkId::from_index(l));
+      in_from[link.to().index()].push_back(link.from());
+    }
     for (std::size_t i = 0; i < net.node_count(); ++i) {
       const auto& out = net.out_links(NodeId::from_index(i));
       sinks += out.empty();
       if (out.size() != 1) continue;
       ++single;
-      single_to_single += net.out_links(net.link(out[0]).to()).size() == 1;
+      const NodeId up = net.link(out[0]).to();
+      const bool up_single = net.out_links(up).size() == 1;
+      single_to_single += up_single;
+      const auto& in = in_from[i];
+      const auto from_up =
+          static_cast<std::size_t>(std::count(in.begin(), in.end(), up));
+      if (in.size() == 1 && from_up == 1) {
+        ++leaves;
+        leaf_parent_single += up_single;
+      } else if (in.size() == 1) {
+        ++near_foreign_in;
+      } else if (in.size() >= 2 && from_up == in.size()) {
+        ++near_parallel_in;
+      } else if (in.size() >= 2) {
+        ++near_two_in;
+      }
     }
     SCOPED_TRACE("seed " + std::to_string(seed));
     unreachable += expect_routes_match_dense_oracle(net);
@@ -393,6 +428,32 @@ TEST(RouteOracle, RandomGraphs) {
   EXPECT_GT(single, 0);
   EXPECT_GT(single_to_single, 0);
   EXPECT_GT(parallel, 0);
+  EXPECT_GT(leaves, 0);
+  EXPECT_GT(leaf_parent_single, 0);
+  EXPECT_GT(near_two_in, 0);
+  EXPECT_GT(near_foreign_in, 0);
+  EXPECT_GT(near_parallel_in, 0);
+}
+
+TEST(RouteTables, RunCountsPinnedOnEveryShape) {
+  // Every route can stay right while a row splits into more runs; these
+  // counts catch that. k=32 is the full 9,481-node table.
+  sim::Simulator sim;
+  EXPECT_EQ(ThreeTierTree(sim, TopologyConfig{}).net().route_table_entries(),
+            523u);
+  EXPECT_EQ(
+      ThreeTierTree(sim, tree_1024_servers()).net().route_table_entries(),
+      2779u);
+  const std::pair<std::int32_t, std::size_t> fat_trees[] = {
+      {4, 246}, {8, 2284}, {16, 25992}, {32, 337408}};
+  for (const auto& [k, runs] : fat_trees) {
+    FatTreeConfig cfg;
+    cfg.k = k;
+    EXPECT_EQ(FatTree(sim, cfg).net().route_table_entries(), runs)
+        << "k=" << k;
+  }
+  EXPECT_EQ(LeafSpine(sim, LeafSpineConfig{}).net().route_table_entries(),
+            284u);
 }
 
 TEST(RouteTables, LinearInNodeCountOn1024ServerTree) {

@@ -26,6 +26,7 @@ void header(const char* name, const net::Network& net) {
   std::printf("fabric: %s\n", name);
   std::printf("nodes: %zu, unidirectional links: %zu\n", net.node_count(),
               net.link_count());
+  std::printf("route runs: %zu\n", net.route_table_entries());
 }
 
 void paths_between(const net::Network& net, const char* what, net::NodeId a,
@@ -114,8 +115,9 @@ int run_fattree(const util::ArgParser& args) {
               cfg.n_clients);
   paths_between(t.net(), "server -> server (edge):", t.servers()[0],
                 t.servers()[1]);
+  // The first server of the pod's second edge switch.
   paths_between(t.net(), "server -> server (pod):", t.servers()[0],
-                t.servers()[2]);
+                t.servers()[static_cast<std::size_t>(cfg.servers_per_edge())]);
   paths_between(t.net(), "server -> server (x-pod):", t.servers()[0],
                 t.servers()[static_cast<std::size_t>(cfg.n_servers()) - 1]);
   return 0;

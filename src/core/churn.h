@@ -1,8 +1,10 @@
 // ChurnInjector: drives a pre-built FailureSchedule through the Cloud.
 //
 // The schedule (sim/failure_schedule.h) is a pure function of (config,
-// topology shape, run seed), computed once at construction; the injector
-// posts each transition through the simulator and translates it into the
+// topology shape, run seed), computed once at construction, after the
+// scripted entries pass validate_scripted() against the Cloud's census (an
+// out-of-range index throws std::invalid_argument). The injector posts
+// each transition through the simulator and translates it into the
 // Cloud's failure API:
 //
 //   server down/up -> Cloud::fail_server / recover_server

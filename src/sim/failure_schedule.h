@@ -12,7 +12,10 @@
 // Stochastic churn is an alternating renewal process per entity: up
 // durations ~ Exp(MTBF), down durations ~ Exp(MTTR). Each entity draws
 // from its own splitmix64-derived RNG stream, so adding servers or
-// enabling link churn never perturbs another entity's timeline.
+// enabling link churn never perturbs another entity's timeline. Each
+// stream is the exact std::mt19937_64 sequence of its seed, computed only
+// as far as it is read (Mt64Prefix, sim/rng.h), since an entity draws
+// only a handful of times.
 // Scripted entries ("kill pod 3 at t=30s") overlay the stochastic plan;
 // overlapping outages are resolved by the injector's per-entity down
 // counts (core/churn.h), not here — the schedule just lists transitions.
@@ -20,6 +23,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <random>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -145,14 +149,18 @@ inline void append_renewal(std::vector<FailureEvent>& out, std::uint64_t seed,
   const std::uint64_t key =
       (tag << 32) |
       static_cast<std::uint64_t>(static_cast<std::uint32_t>(index));
-  Rng rng(churn_mix(seed ^ churn_mix(key)));
-  double t = rng.exponential(mtbf_s);
+  Mt64Prefix eng(churn_mix(seed ^ churn_mix(key)));
+  // Rng::exponential's draw; both means are > 0 here.
+  const auto exponential = [&eng](double mean) {
+    return std::exponential_distribution<double>(1.0 / mean)(eng);
+  };
+  double t = exponential(mtbf_s);
   while (t < horizon_s) {
     out.push_back({secs(t), down, index});
-    t += mttr_s > 0.0 ? rng.exponential(mttr_s) : 0.0;
+    t += mttr_s > 0.0 ? exponential(mttr_s) : 0.0;
     if (t >= horizon_s) break;
     out.push_back({secs(t), up, index});
-    t += rng.exponential(mtbf_s);
+    t += exponential(mtbf_s);
   }
 }
 
@@ -306,11 +314,13 @@ namespace detail {
 }
 
 /// Range-check scripted entries against the run's entity census, so an
-/// out-of-range index is a clear CLI error instead of a silently dropped
-/// schedule row. Throws std::invalid_argument naming the bad entry.
+/// out-of-range index is a clear error instead of a silently dropped
+/// schedule row. ChurnInjector runs it on every Cloud's census. Throws
+/// std::invalid_argument naming the bad entry.
 inline void validate_scripted(const std::vector<ScriptedFailure>& scripted,
                               const ChurnShape& shape) {
-  const auto fail = [](const ScriptedFailure& f, std::int32_t limit) {
+  const auto check = [](const ScriptedFailure& f, std::int32_t limit) {
+    if (f.index >= 0 && f.index < limit) return;
     throw std::invalid_argument(
         "--kill: " + std::string(to_string(f.target)) + " index " +
         std::to_string(f.index) + " out of range (have " +
@@ -319,22 +329,19 @@ inline void validate_scripted(const std::vector<ScriptedFailure>& scripted,
   for (const ScriptedFailure& f : scripted) {
     switch (f.target) {
       case ScriptedFailure::Target::kServer:
-        if (f.index >= shape.n_servers) fail(f, shape.n_servers);
+        check(f, shape.n_servers);
         break;
       case ScriptedFailure::Target::kLink:
-        if (f.index >= shape.n_links) fail(f, shape.n_links);
+        check(f, shape.n_links);
         break;
-      case ScriptedFailure::Target::kPod: {
-        const std::int32_t pods =
-            shape.servers_per_pod > 0
-                ? (shape.n_servers + shape.servers_per_pod - 1) /
-                      shape.servers_per_pod
-                : 0;
-        if (f.index >= pods) fail(f, pods);
+      case ScriptedFailure::Target::kPod:
+        check(f, shape.servers_per_pod > 0
+                     ? (shape.n_servers + shape.servers_per_pod - 1) /
+                           shape.servers_per_pod
+                     : 0);
         break;
-      }
       case ScriptedFailure::Target::kNns:
-        if (f.index >= shape.n_nns) fail(f, shape.n_nns);
+        check(f, shape.n_nns);
         break;
     }
   }

@@ -6,13 +6,86 @@
 // lognormal, and discrete empirical sampling.
 #pragma once
 
+#include <array>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <random>
 #include <stdexcept>
 #include <vector>
 
 namespace scda::sim {
+
+/// The output sequence of std::mt19937_64(seed), computed only as far as it
+/// is read. The real engine seeds all 312 state words and twists all 312
+/// before its first output, which dominates a stream that is drawn a few
+/// times (one per churn entity, docs/perf.md "Churn streams").
+///
+/// Output j < 156 (state_size - shift_size) is the tempered word
+/// x[j + 156] ^ twist(x[j], x[j + 1]). The first twist pass computes word
+/// j < 156 from words j, j + 1 and j + 156 before it rewrites any of them,
+/// so all three are still the seeded words. Draw j therefore extends the
+/// seed recurrence up to word j + 156 and no further: 157 words for the
+/// first draw. From draw 156 on, outputs read twisted words, and the engine
+/// hands over to a real std::mt19937_64(seed) advanced past the 156 outputs
+/// already returned.
+class Mt64Prefix {
+  using Mt = std::mt19937_64;
+
+ public:
+  // NOLINTNEXTLINE(readability-identifier-naming): the URBG requirement
+  using result_type = Mt::result_type;
+  static constexpr result_type min() noexcept { return Mt::min(); }
+  static constexpr result_type max() noexcept { return Mt::max(); }
+
+  explicit Mt64Prefix(result_type seed) noexcept : x_{seed} {}
+
+  result_type operator()() {
+    if (drawn_ < kPrefix) {
+      const std::size_t j = drawn_++;
+      seed_through(j + Mt::shift_size);
+      return temper(x_[j + Mt::shift_size] ^ twist(x_[j], x_[j + 1]));
+    }
+    if (!tail_) {
+      tail_.emplace(x_[0]);  // the seed
+      tail_->discard(kPrefix);
+    }
+    return (*tail_)();
+  }
+
+ private:
+  static constexpr std::size_t kPrefix = Mt::state_size - Mt::shift_size;
+  static constexpr result_type kLowerMask =
+      (result_type{1} << Mt::mask_bits) - 1;
+
+  /// Seed recurrence x[i] = f * (x[i-1] ^ (x[i-1] >> (w-2))) + i.
+  void seed_through(std::size_t last) noexcept {
+    for (; seeded_ <= last; ++seeded_) {
+      const result_type prev = x_[seeded_ - 1];
+      x_[seeded_] = Mt::initialization_multiplier *
+                        (prev ^ (prev >> (Mt::word_size - 2))) +
+                    seeded_;
+    }
+  }
+
+  static result_type twist(result_type lo, result_type hi) noexcept {
+    const result_type y = (lo & ~kLowerMask) | (hi & kLowerMask);
+    return (y >> 1) ^ ((y & 1) ? Mt::xor_mask : 0);
+  }
+
+  static result_type temper(result_type z) noexcept {
+    z ^= (z >> Mt::tempering_u) & Mt::tempering_d;
+    z ^= (z << Mt::tempering_s) & Mt::tempering_b;
+    z ^= (z << Mt::tempering_t) & Mt::tempering_c;
+    return z ^ (z >> Mt::tempering_l);
+  }
+
+  std::size_t drawn_ = 0;
+  std::size_t seeded_ = 1;
+  std::array<result_type, Mt::state_size> x_;
+  std::optional<Mt> tail_;
+};
 
 class Rng {
  public:

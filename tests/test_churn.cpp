@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "core/churn.h"
 #include "core/cloud.h"
@@ -131,12 +134,149 @@ TEST(FailureSchedule, PermanentAndOutOfRangeScripts) {
 }
 
 // ---------------------------------------------------------------------------
+// schedule oracle: build_failure_schedule against the full-engine renewal
+// ---------------------------------------------------------------------------
+
+/// Reference copy of append_renewal drawing through sim::Rng, a fully
+/// seeded std::mt19937_64, as it did before Mt64Prefix. Returns the number
+/// of draws the entity made.
+int reference_renewal(std::vector<sim::FailureEvent>& out, std::uint64_t seed,
+                      std::uint64_t tag, std::int32_t index, double mtbf_s,
+                      double mttr_s, double horizon_s, sim::FailureKind down,
+                      sim::FailureKind up) {
+  if (mtbf_s <= 0.0 || horizon_s <= 0.0) return 0;
+  const std::uint64_t key =
+      (tag << 32) |
+      static_cast<std::uint64_t>(static_cast<std::uint32_t>(index));
+  sim::Rng rng(sim::churn_mix(seed ^ sim::churn_mix(key)));
+  int draws = 1;
+  double t = rng.exponential(mtbf_s);
+  while (t < horizon_s) {
+    out.push_back({sim::secs(t), down, index});
+    if (mttr_s > 0.0) ++draws;
+    t += mttr_s > 0.0 ? rng.exponential(mttr_s) : 0.0;
+    if (t >= horizon_s) break;
+    out.push_back({sim::secs(t), up, index});
+    ++draws;
+    t += rng.exponential(mtbf_s);
+  }
+  return draws;
+}
+
+/// The reference schedule and the most draws any one entity made. Scripted
+/// rows come from the production expansion with the stochastic processes
+/// off (horizon 0), so only the renewal draws differ from the code under
+/// test.
+std::pair<std::vector<sim::FailureEvent>, int> reference_schedule(
+    const sim::ChurnConfig& cfg, const sim::ChurnShape& shape,
+    std::uint64_t seed) {
+  sim::ChurnConfig scripted_only = cfg;
+  scripted_only.horizon_s = 0.0;
+  std::vector<sim::FailureEvent> out =
+      sim::build_failure_schedule(scripted_only, shape, seed);
+  int max_draws = 0;
+  if (!cfg.enabled) return {out, max_draws};
+  const auto renew = [&](std::uint64_t tag, std::int32_t n, double mtbf_s,
+                         double mttr_s, sim::FailureKind down,
+                         sim::FailureKind up) {
+    for (std::int32_t i = 0; i < n; ++i)
+      max_draws = std::max(max_draws,
+                           reference_renewal(out, seed, tag, i, mtbf_s, mttr_s,
+                                             cfg.horizon_s, down, up));
+  };
+  renew(1, shape.n_servers, cfg.server_mtbf_s, cfg.server_mttr_s,
+        sim::FailureKind::kServerDown, sim::FailureKind::kServerUp);
+  renew(2, shape.n_links, cfg.link_mtbf_s, cfg.link_mttr_s,
+        sim::FailureKind::kLinkDown, sim::FailureKind::kLinkUp);
+  renew(3, shape.n_nns, cfg.nns_mtbf_s, cfg.nns_mttr_s,
+        sim::FailureKind::kNnsDown, sim::FailureKind::kNnsUp);
+  std::sort(out.begin(), out.end(),
+            [](const sim::FailureEvent& a, const sim::FailureEvent& b) {
+              if (a.at != b.at) return a.at < b.at;
+              if (a.kind != b.kind) return a.kind < b.kind;
+              return a.index < b.index;
+            });
+  return {out, max_draws};
+}
+
+void expect_same_schedule(const std::vector<sim::FailureEvent>& got,
+                          const std::vector<sim::FailureEvent>& want,
+                          int pair) {
+  ASSERT_EQ(got.size(), want.size()) << "pair " << pair;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].at, want[i].at) << "pair " << pair << " event " << i;
+    ASSERT_EQ(got[i].kind, want[i].kind) << "pair " << pair << " event " << i;
+    ASSERT_EQ(got[i].index, want[i].index) << "pair " << pair << " event "
+                                           << i;
+  }
+}
+
+/// A seeded (config, census) pair. Some classes are off (MTBF 0), some
+/// repair instantly (MTTR 0), and some fail often enough, relative to the
+/// horizon, to draw past the 156-draw prefix and the 312-draw second twist.
+std::pair<sim::ChurnConfig, sim::ChurnShape> random_churn(sim::Rng& rng) {
+  sim::ChurnShape shape;
+  shape.n_servers = static_cast<std::int32_t>(rng.uniform_int(0, 40));
+  shape.n_links = static_cast<std::int32_t>(rng.uniform_int(0, 8));
+  shape.servers_per_pod = static_cast<std::int32_t>(rng.uniform_int(0, 12));
+  shape.n_nns = static_cast<std::int32_t>(rng.uniform_int(0, 8));
+
+  sim::ChurnConfig cfg;
+  cfg.enabled = !rng.bernoulli(0.05);
+  const double horizons[] = {0.0, 15.0, 60.0, 120.0};
+  cfg.horizon_s = horizons[rng.uniform_int(0, 3)];
+  const auto mtbf = [&rng] {
+    const double u = rng.uniform();
+    if (u < 0.2) return 0.0;
+    if (u < 0.45) return rng.uniform(0.2, 1.0);  // hundreds of draws
+    return rng.uniform(2.0, 200.0);
+  };
+  const auto mttr = [&rng] {
+    return rng.bernoulli(0.25) ? 0.0 : rng.uniform(0.01, 10.0);
+  };
+  cfg.server_mtbf_s = mtbf();
+  cfg.server_mttr_s = mttr();
+  cfg.link_mtbf_s = mtbf();
+  cfg.link_mttr_s = mttr();
+  cfg.nns_mtbf_s = mtbf();
+  cfg.nns_mttr_s = mttr();
+
+  const auto scripted = rng.uniform_int(0, 3);
+  for (std::int64_t k = 0; k < scripted; ++k) {
+    sim::ScriptedFailure f;
+    f.target = static_cast<sim::ScriptedFailure::Target>(rng.uniform_int(0, 3));
+    f.index = static_cast<std::int32_t>(rng.uniform_int(-1, 12));
+    f.at_s = rng.uniform(-1.0, 130.0);
+    f.duration_s = rng.bernoulli(0.3) ? 0.0 : rng.uniform(0.0, 30.0);
+    cfg.scripted.push_back(f);
+  }
+  return {cfg, shape};
+}
+
+TEST(FailureScheduleOracle, MatchesFullEngineOnSeededConfigs) {
+  sim::Rng rng(2013);
+  int max_draws = 0;
+  for (int pair = 0; pair < 200; ++pair) {
+    const auto [cfg, shape] = random_churn(rng);
+    const auto seed = static_cast<std::uint64_t>(rng.uniform_int(0, 1 << 30));
+    const auto [want, draws] = reference_schedule(cfg, shape, seed);
+    max_draws = std::max(max_draws, draws);
+    expect_same_schedule(sim::build_failure_schedule(cfg, shape, seed), want,
+                         pair);
+  }
+  // The pairs reach past the hand-over to the real engine at draw 156 and
+  // past its second twist at draw 312.
+  EXPECT_GT(max_draws, 312);
+}
+
+// ---------------------------------------------------------------------------
 // cloud-level churn
 // ---------------------------------------------------------------------------
 
 class ChurnTest : public ::testing::Test {
  protected:
   void build(CloudConfig cfg, std::uint64_t seed = 5) {
+    cloud_.reset();  // before the simulator it posts into
     cfg.topology.n_agg = 2;
     cfg.topology.tors_per_agg = 2;
     cfg.topology.servers_per_tor = 4;
@@ -177,6 +317,21 @@ TEST_F(ChurnTest, InjectorAppliesScriptedOutageAndRecovers) {
   EXPECT_FALSE(cloud_->servers()[2].failed());
   EXPECT_EQ(cloud_->churn()->stats().server_downs, 1u);
   EXPECT_EQ(cloud_->churn()->stats().server_ups, 1u);
+}
+
+TEST_F(ChurnTest, OutOfRangeScriptedServerRejectsTheCloud) {
+  // 16 servers: index 16 and index -1 are both out of range, so the
+  // Cloud's ChurnInjector throws instead of dropping the row.
+  CloudConfig cfg;
+  cfg.churn.enabled = true;
+  cfg.churn.scripted.push_back(
+      {1.0, sim::ScriptedFailure::Target::kServer, 16, 2.0});
+  EXPECT_THROW(build(cfg), std::invalid_argument);
+  cfg.churn.scripted.back().index = -1;
+  EXPECT_THROW(build(cfg), std::invalid_argument);
+  cfg.churn.scripted.back().index = 15;
+  build(cfg);
+  EXPECT_EQ(cloud_->churn()->schedule().size(), 2u);
 }
 
 TEST_F(ChurnTest, NestedOutagesNeverDoubleFailOrEarlyRecover) {

@@ -134,6 +134,14 @@ TEST(ParseKillSpecs, ValidateScriptedRangeChecks) {
   EXPECT_THROW(
       sim::validate_scripted(sim::parse_kill_specs("pod:2@1"), shape),
       std::invalid_argument);
+  // parse_kill_specs rejects a negative index, but a scripted row built
+  // in code reaches validate_scripted (through ChurnInjector) as is.
+  using Target = sim::ScriptedFailure::Target;
+  for (const Target target :
+       {Target::kServer, Target::kLink, Target::kPod, Target::kNns})
+    EXPECT_THROW(sim::validate_scripted({{1.0, target, -1, 0.0}}, shape),
+                 std::invalid_argument)
+        << sim::to_string(target);
 }
 
 // ---------------------------------------------------------------------------

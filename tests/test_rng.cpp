@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
+
+#include "sim/failure_schedule.h"
 
 namespace scda::sim {
 namespace {
@@ -144,6 +147,30 @@ TEST_P(ParetoShapeSweep, EmpiricalMeanTracksAnalytic) {
 
 INSTANTIATE_TEST_SUITE_P(Shapes, ParetoShapeSweep,
                          ::testing::Values(2.0, 2.5, 3.0, 4.0));
+
+// Mt64Prefix against std::mt19937_64 itself. The seeds are the churn
+// streams' own (churn_mix(run_seed ^ churn_mix((tag << 32) | index)), as in
+// append_renewal) plus the edge words. 700 draws cross the hand-over to the
+// real engine at draw 156 and that engine's second twist at draw 312.
+std::vector<std::uint64_t> churn_stream_seeds() {
+  std::vector<std::uint64_t> seeds{0, 1, 5489, ~std::uint64_t{0}};
+  for (const std::uint64_t run : {1ULL, 2ULL, 42ULL, 0x5cda2013ULL})
+    for (std::uint64_t tag = 1; tag <= 3; ++tag)
+      for (std::uint64_t index = 0; index < 100; ++index)
+        seeds.push_back(churn_mix(run ^ churn_mix((tag << 32) | index)));
+  return seeds;
+}
+
+TEST(Mt64Prefix, MatchesStdEngineOnChurnSeeds) {
+  const std::vector<std::uint64_t> seeds = churn_stream_seeds();
+  ASSERT_GE(seeds.size(), 1000u);
+  for (const std::uint64_t seed : seeds) {
+    std::mt19937_64 ref(seed);
+    Mt64Prefix eng(seed);
+    for (int draw = 0; draw < 700; ++draw)
+      ASSERT_EQ(eng(), ref()) << "seed " << seed << " draw " << draw;
+  }
+}
 
 }  // namespace
 }  // namespace scda::sim

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 namespace scda::workload {
 namespace {
@@ -12,8 +15,12 @@ using transport::ContentClass;
 
 class TraceTest : public ::testing::Test {
  protected:
+  // ctest runs each case as its own process, concurrently under -j, so
+  // every case and process writes a file of its own.
   TraceTest() {
-    path_ = ::testing::TempDir() + "scda_trace_test.csv";
+    path_ = ::testing::TempDir() + "scda_trace_test_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+            "_" + std::to_string(::getpid()) + ".csv";
   }
   ~TraceTest() override { std::remove(path_.c_str()); }
 

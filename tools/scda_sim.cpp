@@ -9,7 +9,6 @@
 //   scda_sim --policy randtcp --workload dc --k 1 --seed 7 --out base
 //   scda_sim --workload trace --trace mytrace.csv --out replay
 //   scda_sim --record-trace video_sample.csv --workload video --samples 1000
-#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -183,17 +182,9 @@ int main(int argc, char** argv) {
     cfg.params.rebalance_interval_s = args.get_double("rebalance", 0.0);
     if (args.has("kill")) {
       cfg.churn.scripted = sim::parse_kill_specs(args.get("kill"));
+      // The Cloud's ChurnInjector range-checks the indices against the
+      // run's census before the run starts.
       cfg.churn.enabled = true;
-      // Validate indices against the run's census now: a typo is a clear
-      // CLI error instead of a silently dropped schedule row.
-      sim::ChurnShape shape;
-      shape.n_servers = cfg.topology.n_servers();
-      shape.n_links = cfg.topology.n_tors();
-      shape.servers_per_pod =
-          cfg.topology.tors_per_agg * cfg.topology.servers_per_tor;
-      shape.n_nns =
-          2 * std::max<std::int32_t>(1, cfg.params.n_name_nodes);
-      sim::validate_scripted(cfg.churn.scripted, shape);
     }
     if (cfg.churn.enabled)
       cfg.churn.horizon_s =

@@ -126,8 +126,7 @@ struct FigureIds {
 namespace detail {
 
 /// The historical single-seed report: per-run series, summaries, headline
-/// comparison, core-perf counters. Byte-identical to the pre-runner
-/// harness.
+/// comparison, and each arm's metrics snapshot.
 inline void print_single(const ExperimentConfig& cfg, const FigureIds& figs,
                          const RunResult& scda_r, const RunResult& rand_r) {
   const auto label = [&](const char* base, const char* sys) {
@@ -180,8 +179,6 @@ inline void print_single(const ExperimentConfig& cfg, const FigureIds& figs,
               static_cast<unsigned long long>(scda_r.sla_violations),
               static_cast<unsigned long long>(scda_r.events),
               static_cast<unsigned long long>(rand_r.events));
-  stats::emit_core_perf(stdout, scda_r.perf);
-  stats::emit_core_perf(stdout, rand_r.perf);
   stats::emit_metrics(stdout, scda_r.metrics);
   stats::emit_metrics(stdout, rand_r.metrics);
   std::printf("\n");

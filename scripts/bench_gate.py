@@ -26,11 +26,14 @@ carry scda_toolchain == "optimized" -- debug numbers are refused rather
 than compared.
 
 The churn ablation gate (--churn-input) is different in kind: the
-bench_churn JSON's `checksum` folds the headline counters of every
-ablation cell and is a pure function of arguments and seed, so it is
+bench_churn JSON is a pure function of arguments and seed, so its
+`checksum` and every simulated field of every ablation cell are
 compared for *equality* against the committed BENCH_churn.json — any
 divergence is a determinism leak (or an unacknowledged behaviour
-change), never host noise. Wall time is deliberately not gated there.
+change), never host noise. The checksum folds only the headline
+counters, so the per-cell comparison is what catches a moved
+`under_replicated_s` or `mean_fct_s`. Wall time is deliberately not
+gated there.
 
 Usage:
   bench_micro_core --benchmark_repetitions=3 \
@@ -155,10 +158,10 @@ def gate_churn(run, baseline):
     """Return a list of failure strings comparing a bench_churn run to the
     committed baseline. Empty list = pass.
 
-    The checksum is a pure function of (arguments, seed): equality is the
-    whole contract. The argument echo fields are compared first so a run
-    with different knobs fails as "wrong configuration", not as a scary
-    determinism leak.
+    The checksum and every cell field are pure functions of (arguments,
+    seed): equality is the whole contract. The argument echo fields are
+    compared first so a run with different knobs fails as "wrong
+    configuration", not as a scary determinism leak.
     """
     failures = []
     if run.get("toolchain") != "optimized":
@@ -176,11 +179,21 @@ def gate_churn(run, baseline):
             )
     if failures:
         return failures
-    if len(run.get("cells", [])) != len(baseline.get("cells", [])):
+    run_cells = run.get("cells", [])
+    base_cells = baseline.get("cells", [])
+    if len(run_cells) != len(base_cells):
         failures.append(
-            f"cell count {len(run.get('cells', []))} != baseline "
-            f"{len(baseline.get('cells', []))}"
+            f"cell count {len(run_cells)} != baseline {len(base_cells)}"
         )
+    for i, (got, want) in enumerate(zip(run_cells, base_cells)):
+        label = (f"cell {i} ({want.get('placement')}, "
+                 f"replicas={want.get('replicas')})")
+        for key in sorted(set(got) | set(want)):
+            if got.get(key) != want.get(key):
+                failures.append(
+                    f"{label}: {key} = {got.get(key)!r}, baseline has "
+                    f"{want.get(key)!r}"
+                )
     if run.get("checksum") != baseline.get("checksum"):
         failures.append(
             f"checksum {run.get('checksum')} != committed "
@@ -203,8 +216,9 @@ def run_churn_gate(args):
         print(f"bench_gate: FAIL -- churn ablation vs {args.churn_baseline}")
         return 1
     print(
-        f"bench_gate: PASS -- churn checksum {run['checksum']} matches "
-        f"{args.churn_baseline} ({len(run.get('cells', []))} cells)"
+        f"bench_gate: PASS -- churn checksum {run['checksum']} and every "
+        f"field of {len(run.get('cells', []))} cells match "
+        f"{args.churn_baseline}"
     )
     return 0
 
@@ -292,12 +306,18 @@ def self_test():
     )
     _expect(medians == {"BM_A": 2.0}, "only *_median rows ingested")
 
-    # --- churn checksum gate fixtures -------------------------------------
+    # --- churn gate fixtures ----------------------------------------------
+    cells = [
+        {"placement": "scda", "replicas": 1, "repair_flows": 0,
+         "mean_fct_s": 0.131973, "under_replicated_s": 2755.208},
+        {"placement": "scda", "replicas": 2, "repair_flows": 407,
+         "mean_fct_s": 0.136943, "under_replicated_s": 1837.554},
+    ]
     committed = {
         "bench": "churn", "duration_s": 30, "drain_s": 15,
         "arrival_rate": 30, "server_mtbf_s": 60, "server_mttr_s": 4,
         "seed": 1, "checksum": "abc123", "toolchain": "optimized",
-        "cells": [{}, {}],
+        "cells": cells,
     }
     good = dict(committed, wall_s=9.9)  # wall time may differ freely
     _expect(gate_churn(good, committed) == [], "matching churn run passes")
@@ -319,8 +339,24 @@ def self_test():
     )
     _expect(
         any("cell count" in m for m in
-            gate_churn(dict(good, cells=[{}]), committed)),
+            gate_churn(dict(good, cells=cells[:1]), committed)),
         "missing ablation cell fails",
+    )
+    # A field the checksum does not fold moves under an unchanged checksum.
+    moved = [dict(cells[0]), dict(cells[1], under_replicated_s=1840.0)]
+    _expect(
+        gate_churn(dict(good, cells=moved), committed) == [
+            "cell 1 (scda, replicas=2): under_replicated_s = 1840.0, "
+            "baseline has 1837.554"
+        ],
+        "moved simulated field fails under an equal checksum",
+    )
+    dropped = [dict(cells[0]), dict(cells[1])]
+    del dropped[0]["mean_fct_s"]
+    _expect(
+        any("mean_fct_s = None" in m for m in
+            gate_churn(dict(good, cells=dropped), committed)),
+        "cell field missing from the run fails",
     )
 
     print("bench_gate --self-test: all fixtures passed")
@@ -341,7 +377,7 @@ def main():
         "regression beyond host drift)",
     )
     p.add_argument(
-        "--churn-input", help="bench_churn JSON to gate by checksum equality"
+        "--churn-input", help="bench_churn JSON to gate by equality"
     )
     p.add_argument(
         "--churn-baseline",

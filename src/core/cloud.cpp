@@ -1058,19 +1058,20 @@ void Cloud::drain_repair_queue() {
   for (const ContentId id : retry) repair_queue_.push_back(id);
 }
 
-void Cloud::note_replicas_changed(ContentMeta& meta) {
+void Cloud::note_replicas_changed(const ContentMeta& meta) {
   const auto n = static_cast<std::int32_t>(meta.replicas.size());
   const std::int32_t target = std::max<std::int32_t>(1, cfg_.params.replicas);
-  if (!meta.reached_target) {
+  auto it = below_target_.find(meta.id);
+  if (it == below_target_.end()) {
     // Durability accounting only starts once the object is fully
     // replicated; the initial fill is not an under-replication episode.
     if (n < target) return;
-    meta.reached_target = true;
+    it = below_target_.emplace(meta.id, false).first;
   }
   const bool under = n < target;
-  if (under != meta.under_replicated) {
+  if (under != it->second) {
     update_under_replicated_clock();
-    meta.under_replicated = under;
+    it->second = under;
     under_replicated_count_ += under ? 1 : -1;
   }
   // n == 0 is absorbing (fail_server only scrubs replicas it actually
@@ -1096,16 +1097,6 @@ double Cloud::under_replicated_seconds() const {
 
 void Cloud::set_flow_priority(net::FlowId id, double priority) {
   if (allocator_.has_flow(id)) allocator_.set_priority(id, priority);
-}
-
-void Cloud::set_flow_target_rate(net::FlowId id, sim::BitRate target) {
-  if (allocator_.has_flow(id)) target_ctrl_.set_target_rate(id, target);
-}
-
-void Cloud::set_flow_deadline(net::FlowId id, double deadline_s) {
-  if (!allocator_.has_flow(id)) return;
-  const transport::FlowRecord& rec = transports_.record(id);
-  target_ctrl_.set_deadline(id, rec.size_bytes, deadline_s);
 }
 
 bool Cloud::write_with_deadline(std::size_t client_idx, ContentId id,

@@ -82,9 +82,8 @@ struct CloudOp {
   bool repair = false;
 };
 
-/// Failure/replication scenario counters (docs/scenarios.md). Maintained
-/// unconditionally (plain increments); surfaced as metric ids only when
-/// churn is enabled so historical artifacts stay byte-identical.
+/// Failure/replication scenario counters (docs/scenarios.md), reported
+/// as `churn.*` metric ids by every run (zeros without churn).
 struct ChurnStats {
   std::uint64_t failovers = 0;       ///< reads re-driven to another replica
   std::uint64_t aborted_flows = 0;   ///< in-flight flows cut by a failure
@@ -96,8 +95,8 @@ struct ChurnStats {
   std::uint64_t objects_lost = 0;    ///< every replica gone (unreadable)
 };
 
-/// Proactive-rebalancing counters (docs/scenarios.md). Surfaced as
-/// `rebalance.*` metric ids only when rebalancing is enabled.
+/// Proactive-rebalancing counters (docs/scenarios.md), reported as
+/// `rebalance.*` metric ids by every run (zeros without rebalancing).
 struct RebalanceStats {
   std::uint64_t scans = 0;
   std::uint64_t flows_started = 0;
@@ -189,22 +188,12 @@ class Cloud {
   /// (adaptive QoS, section IV-A). No-op for TCP flows.
   void set_flow_priority(net::FlowId id, double priority);
 
-  /// Adaptive QoS (section IV-A): the control loop retunes the flow's
-  /// priority every interval so its allocation tracks `target`.
-  void set_flow_target_rate(net::FlowId id, sim::BitRate target);
-  /// EDF-style deadline: the target rate is remaining bytes / time left.
-  void set_flow_deadline(net::FlowId id, double deadline_s);
-
   /// Like write(), but the resulting upload flow is driven to finish by
   /// `deadline_s` (absolute simulation time) via adaptive priorities.
   bool write_with_deadline(std::size_t client_idx, ContentId id,
                            std::int64_t bytes, double deadline_s,
                            transport::ContentClass content_class =
                                transport::ContentClass::kSemiInteractive);
-
-  [[nodiscard]] TargetRateController& target_rates() noexcept {
-    return target_ctrl_;
-  }
 
   // --- failure injection -----------------------------------------------------
   /// Take a block server down. In-flight flows touching it are aborted
@@ -317,7 +306,7 @@ class Cloud {
   void drain_repair_queue();
   /// Re-check an object's replica count against the target and move the
   /// under-replicated clock (exact event-time integration).
-  void note_replicas_changed(ContentMeta& meta);
+  void note_replicas_changed(const ContentMeta& meta);
   void update_under_replicated_clock();
   /// Abort every in-flight flow whose op touches the failed server.
   void abort_flows_touching_server(std::int32_t idx);
@@ -377,6 +366,11 @@ class Cloud {
   /// Content queued or repairing (deduplicates repair requests).
   std::unordered_set<ContentId> repair_pending_;
   std::int32_t repairs_in_flight_ = 0;
+  /// Durability state, one entry per object that has reached its target
+  /// replica count: true while it is below that target. It lives here, not
+  /// in ContentMeta, because a name-node failover switches which copy of
+  /// the metadata the repair path updates.
+  std::unordered_map<ContentId, bool> below_target_;
   /// Exact integration of object-seconds under-replicated.
   std::int64_t under_replicated_count_ = 0;
   double under_replicated_seconds_ = 0.0;

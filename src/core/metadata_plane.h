@@ -28,9 +28,8 @@
 
 namespace scda::core {
 
-/// Metadata-plane fault-tolerance counters (docs/scenarios.md). Surfaced
-/// as `metadata.*` metric ids only when NNS churn is configured, so
-/// committed churn artifacts stay byte-identical.
+/// Metadata-plane fault-tolerance counters (docs/scenarios.md), reported
+/// as `metadata.*` metric ids by every run (zeros without NNS churn).
 struct MetadataStats {
   std::uint64_t requests_timed_out = 0;  ///< client deadline expiries
   std::uint64_t retries = 0;             ///< re-dispatches (backoff path)

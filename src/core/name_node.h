@@ -29,12 +29,6 @@ struct ContentMeta {
   std::uint64_t writes = 0;
   std::uint64_t reads = 0;
   sim::Time last_access_time{};
-  /// Durability tracking (docs/scenarios.md): set once the object first
-  /// reaches its target replica count; under-replication time only
-  /// accumulates for objects that were fully protected at some point.
-  bool reached_target = false;
-  /// Currently below the target count (maintained by Cloud churn logic).
-  bool under_replicated = false;
 };
 
 class NameNode {
@@ -154,17 +148,13 @@ class FrontEnd {
   explicit FrontEnd(std::vector<NameNode*> nodes)
       : nodes_(std::move(nodes)) {}
 
-  [[nodiscard]] NameNode& dispatch_by_client(std::int64_t client_key) {
-    return *nodes_[mix(static_cast<std::uint64_t>(client_key)) %
-                   nodes_.size()];
-  }
   [[nodiscard]] NameNode& dispatch_by_content(ContentId content) {
     return *nodes_[mix(static_cast<std::uint64_t>(content)) % nodes_.size()];
   }
   /// Shard index a key hashes to — the failover-aware paths in
   /// MetadataPlane need the index (to consult liveness and pick primary vs
-  /// standby), not the node reference. Same hash as dispatch_by_*, so the
-  /// mapping is stable across runs and worker counts.
+  /// standby), not the node reference. Same hash as dispatch_by_content,
+  /// so the mapping is stable across runs and worker counts.
   [[nodiscard]] std::size_t dispatch_index(std::uint64_t key) const {
     return mix(key) % nodes_.size();
   }

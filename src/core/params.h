@@ -39,10 +39,6 @@ struct ScdaParams {
   /// considered dormant-eligible. 0 disables the dormant-server policy.
   sim::BitRate rscale{};
 
-  /// Maximum write/read interleaving gap that still counts as interactive
-  /// (section VII: "maximum interactivity interval of 5 seconds").
-  double interactivity_interval_s = 5.0;
-
   /// Headroom multiplier applied to the receive-window advertisement so the
   /// sender-side cwnd (not rcvw) is normally the binding constraint.
   double rcvw_headroom = 1.2;

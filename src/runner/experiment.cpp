@@ -3,7 +3,6 @@
 #include "sim/simulator.h"
 #include "stats/collector.h"
 #include "stats/metrics_collect.h"
-#include "stats/perf.h"
 #include "stats/throughput.h"
 #include "util/log.h"
 
@@ -73,7 +72,6 @@ stats::RunResult run_once(const ExperimentConfig& cfg,
   r.failed_reads = cloud.failed_reads();
   r.energy_j = cloud.total_energy_j();
   r.flows_completed = collector.count();
-  r.perf = stats::collect_core_perf(sim, cloud.topology().net());
 
   if (cfg.obs.metrics) {
     stats::collect_run_metrics(observ.metrics(), sim, cloud);

@@ -6,9 +6,11 @@
 // gives them stable ids.
 //
 // The full metric catalog is documented in docs/observability.md. Every
-// value is a pure function of the simulation state, so snapshots taken
-// from identical-seed runs are identical — the determinism anchor the
-// observability tests lock down.
+// run reports all of it, so any two runs compare id by id: a feature that
+// is off (fluid mode, churn, NNS failover, rebalancing) reports zeros.
+// Every value is a pure function of the simulation state, so snapshots
+// taken from identical-seed runs are identical — the determinism anchor
+// the observability tests lock down.
 #pragma once
 
 #include "obs/metrics.h"

@@ -9,7 +9,6 @@
 
 #include "obs/metrics.h"
 #include "stats/collector.h"
-#include "stats/perf.h"
 #include "stats/throughput.h"
 
 namespace scda::stats {
@@ -25,7 +24,6 @@ struct RunResult {
   double energy_j = 0;
   std::uint64_t flows_completed = 0;
   std::uint64_t events = 0;
-  CorePerf perf;  ///< event-engine/link counters (docs/perf.md)
   /// Full-stack metric snapshot (docs/observability.md); empty when the
   /// run's ObsConfig disabled metrics collection.
   obs::MetricsSnapshot metrics;

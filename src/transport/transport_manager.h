@@ -67,9 +67,6 @@ class TransportManager {
   /// keep per-packet fidelity (docs/fluid_engine.md). TCP flows are never
   /// fluid — their rate comes from congestion control, not the allocator.
   void set_fluid_config(const FluidConfig& c) noexcept { fluid_config_ = c; }
-  [[nodiscard]] const FluidConfig& fluid_config() const noexcept {
-    return fluid_config_;
-  }
   [[nodiscard]] FluidEngine& fluid() noexcept { return fluid_; }
   [[nodiscard]] const FluidEngine& fluid() const noexcept { return fluid_; }
   /// Flows that fell below the fluid threshold and took the packet path

@@ -309,7 +309,7 @@ TEST(FluidCrossValidation, MatchesPacketModeWithinTolerance) {
   // the 1 MiB default threshold) while keeping packet fidelity for mice.
   EXPECT_GT(fluid.metrics.value("transport.fluid_flows_completed"), 0.0);
   EXPECT_GT(fluid.metrics.value("transport.mode_switches"), 0.0);
-  EXPECT_FALSE(packet.metrics.has("transport.fluid_flows_completed"));
+  EXPECT_EQ(packet.metrics.value("transport.fluid_flows_completed", -1), 0.0);
 
   // Tolerances (documented in docs/fluid_engine.md): fluid flows skip
   // slow-start, queueing and loss recovery, so their FCTs sit slightly

@@ -288,6 +288,35 @@ TEST_F(MetaFtTest, MirrorKeepsStandbyCurrent) {
   EXPECT_GE(cloud_->meta_stats().mirror_updates, 1u);
 }
 
+TEST_F(MetaFtTest, RepairUnderStandbyClearsUnderReplication) {
+  // A replica holder dies, then the shard's primary: the repair lands on
+  // the standby's copy of the metadata. The object is back at its target,
+  // so it must leave the under-replicated count and stop its clock.
+  CloudConfig cfg = failover_only_cfg();
+  cfg.params.replicas = 2;
+  build(cfg);
+  cloud_->write(0, 7, util::megabytes(1));
+  sim_->run_until(sim::secs(10.0));
+  const std::size_t shard = shard_of(7);
+  const ContentMeta* before = cloud_->nns_instance(shard).find(7);
+  ASSERT_NE(before, nullptr);
+  ASSERT_EQ(before->replicas.size(), 2u);
+
+  cloud_->fail_server(static_cast<std::size_t>(before->replicas.front()));
+  EXPECT_EQ(cloud_->under_replicated_objects(), 1);
+  cloud_->fail_nns(shard);
+  sim_->run_until(sim::secs(30.0));
+
+  const ContentMeta* after =
+      cloud_->nns_instance(shard + cloud_->fes().nns_count()).find(7);
+  ASSERT_NE(after, nullptr);
+  EXPECT_EQ(after->replicas.size(), 2u);
+  EXPECT_EQ(cloud_->churn_stats().repair_flows_completed, 1u);
+  EXPECT_EQ(cloud_->under_replicated_objects(), 0);
+  EXPECT_GT(cloud_->under_replicated_seconds(), 0.0);
+  EXPECT_LT(cloud_->under_replicated_seconds(), 5.0);
+}
+
 TEST_F(MetaFtTest, RecoveryResyncsFromPeerBeforeRejoining) {
   build(failover_only_cfg());
   for (int i = 0; i < 8; ++i)

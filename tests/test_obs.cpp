@@ -13,13 +13,16 @@
 #include <string>
 #include <vector>
 
+#include "core/cloud.h"
 #include "obs/metrics.h"
 #include "obs/observability.h"
 #include "obs/trace.h"
 #include "runner/experiment.h"
 #include "sim/simulator.h"
+#include "stats/metrics_collect.h"
 #include "stats/run_result.h"
 #include "util/units.h"
+#include "workload/driver.h"
 #include "workload/generators.h"
 
 // ------------------------------------------- global allocation counter --
@@ -220,6 +223,101 @@ TEST(Obs, MetricsCanBeDisabledPerRun) {
   cfg.obs.metrics = false;
   const stats::RunResult r = run_tiny(cfg);
   EXPECT_TRUE(r.metrics.empty());
+}
+
+// ------------------------------------------------------- one catalog --
+
+/// One Cloud run's metrics snapshot, next to the component counters that
+/// four of its ids copy unchanged.
+struct CatalogRun {
+  obs::MetricsSnapshot snap;
+  sim::EventQueueStats events;
+  std::uint64_t sjf_selects = 0;
+  std::size_t packet_slots = 0;
+};
+
+CatalogRun run_catalog(bool all_features) {
+  core::CloudConfig cc;
+  cc.topology.n_agg = 1;
+  cc.topology.tors_per_agg = 2;
+  cc.topology.servers_per_tor = 3;
+  cc.topology.n_clients = 4;
+  cc.topology.base_bps = util::mbps(100);
+  if (all_features) {
+    cc.fluid.enabled = true;
+    cc.params.replicas = 2;
+    cc.params.rebalance_interval_s = 1.0;
+    cc.churn.enabled = true;
+    cc.churn.horizon_s = 6.0;
+    cc.churn.server_mtbf_s = 4.0;
+    cc.churn.server_mttr_s = 1.0;
+    cc.churn.scripted.push_back(
+        {2.0, sim::ScriptedFailure::Target::kNns, 0, 1.0});
+  }
+  sim::Simulator sim(21);
+  core::Cloud cloud(sim, cc);
+  net::Network& net = cloud.topology().net();
+  if (all_features) {
+    for (std::size_t i = 0; i < net.link_count(); ++i)
+      net.link(net::LinkId::from_index(i))
+          .set_discipline(net::QueueDiscipline::kSjf);
+  }
+  workload::ParetoPoissonConfig w;
+  w.arrival_rate = 20.0;
+  workload::DriverConfig dc;
+  dc.end_time_s = 4.0;
+  workload::WorkloadDriver driver(
+      cloud, std::make_unique<workload::ParetoPoissonWorkload>(w), dc);
+  driver.start();
+  sim.run_until(sim::secs(8.0));
+
+  obs::MetricsRegistry reg;
+  stats::collect_run_metrics(reg, sim, cloud);
+  CatalogRun r{reg.snapshot(), sim.perf()};
+  for (std::size_t i = 0; i < net.link_count(); ++i)
+    r.sjf_selects += net.link(net::LinkId::from_index(i))
+                         .queue_perf()
+                         .sjf_selects;
+  r.packet_slots = net.packet_slots();
+  return r;
+}
+
+std::vector<std::string> ids_of(const obs::MetricsSnapshot& snap) {
+  std::vector<std::string> ids;
+  for (const obs::Metric& m : snap.metrics) ids.push_back(m.id);
+  return ids;
+}
+
+TEST(Obs, EveryRunReportsTheWholeCatalog) {
+  const CatalogRun plain = run_catalog(false);
+  const CatalogRun full = run_catalog(true);
+  // Fluid mode, churn, NNS failover and rebalancing add no ids: a feature
+  // that is off reports zeros, so two runs compare id by id.
+  EXPECT_EQ(ids_of(plain.snap), ids_of(full.snap));
+  EXPECT_EQ(plain.snap.value("transport.fluid_flows_started", -1), 0.0);
+  EXPECT_EQ(plain.snap.value("churn.events_scheduled", -1), 0.0);
+  EXPECT_EQ(plain.snap.value("metadata.mirror_updates", -1), 0.0);
+  EXPECT_EQ(plain.snap.value("rebalance.scans", -1), 0.0);
+  EXPECT_GT(full.snap.value("transport.fluid_flows_started"), 0.0);
+  EXPECT_GT(full.snap.value("churn.events_scheduled"), 0.0);
+  EXPECT_GT(full.snap.value("churn.nns_failures"), 0.0);
+  EXPECT_GT(full.snap.value("metadata.mirror_updates"), 0.0);
+  EXPECT_GT(full.snap.value("rebalance.scans"), 0.0);
+  EXPECT_GT(full.sjf_selects, 0u);
+
+  // Each copied id equals the counter it is read from.
+  for (const CatalogRun* r : {&plain, &full}) {
+    EXPECT_EQ(r->snap.value("sim.events.callbacks_inline", -1),
+              static_cast<double>(r->events.callbacks_inline));
+    EXPECT_EQ(r->snap.value("sim.events.callbacks_heap", -1),
+              static_cast<double>(r->events.callbacks_heap));
+    EXPECT_EQ(r->snap.value("net.link.sjf_selects", -1),
+              static_cast<double>(r->sjf_selects));
+    EXPECT_EQ(r->snap.value("net.packet_slots", -1),
+              static_cast<double>(r->packet_slots));
+    EXPECT_GT(r->events.callbacks_inline, 0u);
+    EXPECT_GT(r->packet_slots, 0u);
+  }
 }
 
 std::string read_file(const std::string& path) {

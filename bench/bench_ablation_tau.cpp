@@ -8,7 +8,6 @@
 #include <cstdio>
 
 #include "harness.h"
-#include "stats/fairness.h"
 #include "util/units.h"
 
 using namespace scda;

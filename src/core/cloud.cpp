@@ -221,13 +221,14 @@ void Cloud::migration_scan() {
   // moved off active servers onto dormant-eligible ones, so those active
   // servers' load shrinks and the dormant pool grows.
   if (cfg_.params.rscale <= sim::BitRate{}) return;
+  constexpr std::int32_t kMaxMigrationsPerScan = 2;  // storm control
   std::int32_t started = 0;
   const sim::Time now = sim_.now();
   for (std::size_t shard = 0; shard < metadata_.shard_count(); ++shard) {
-    if (started >= cfg_.params.max_migrations_per_scan) break;
+    if (started >= kMaxMigrationsPerScan) break;
     NameNode& nns = metadata_.authority(shard);
     for (const ContentId id : nns.content_ids()) {
-      if (started >= cfg_.params.max_migrations_per_scan) break;
+      if (started >= kMaxMigrationsPerScan) break;
       ContentMeta* meta = nns.find(id);
       if (meta == nullptr || meta->replicas.empty()) continue;
       if (meta->content_class == ContentClass::kPassive) continue;
@@ -240,8 +241,8 @@ void Cloud::migration_scan() {
         continue;
 
       const std::int32_t source = meta->replicas.front();
-      const std::int32_t target = selector_->select_replica_target(
-          ContentClass::kPassive, source);
+      const std::int32_t target =
+          selector_->select_replica_target(ContentClass::kPassive, {source});
       if (target < 0 || target == source) continue;
       BlockServer& dst = servers_[static_cast<std::size_t>(target)];
       if (std::find(meta->replicas.begin(), meta->replicas.end(), target) !=
@@ -320,7 +321,10 @@ void Cloud::rebalance_scan() {
   if (up == 0) return;
   const double mean_load = sum_load / static_cast<double>(up);
   const double mean_stored = sum_stored / static_cast<double>(up);
-  const double thr = 1.0 + cfg_.params.rebalance_skew_threshold;
+  // A server is a move source when its load or stored bytes exceed the
+  // fleet mean by this fraction.
+  constexpr double kRebalanceSkewThreshold = 0.5;
+  const double thr = 1.0 + kRebalanceSkewThreshold;
 
   // Visit the most loaded servers first (deterministic tie-break on index).
   std::vector<std::size_t> order(n);
@@ -330,9 +334,10 @@ void Cloud::rebalance_scan() {
     return a < b;
   });
 
+  constexpr std::int32_t kMaxRebalancesPerScan = 2;  // storm control
   std::int32_t started = 0;
   for (const std::size_t s : order) {
-    if (started >= cfg_.params.max_rebalances_per_scan) break;
+    if (started >= kMaxRebalancesPerScan) break;
     if (servers_[s].failed()) continue;
     const bool hot = mean_load > 0 && load[s] > thr * mean_load;
     const bool full = mean_stored > 0 && stored[s] > thr * mean_stored;
@@ -484,8 +489,10 @@ bool Cloud::read(std::size_t client_idx, ContentId id, double priority) {
     BlockServer& bs = servers_[static_cast<std::size_t>(source)];
     double setup = cfg_.params.ctrl_dc_latency_s;
     if (bs.dormant()) {
-      bs.set_dormant(false);  // power-state transition penalty
-      setup += cfg_.dormant_wake_latency_s;
+      // Waking a dormant server costs a power-state transition (VII-C).
+      constexpr double kDormantWakeLatencyS = 0.3;
+      bs.set_dormant(false);
+      setup += kDormantWakeLatencyS;
     }
     meta->last_access_time = sim_.now();
     metadata_.mirror(serving, id);

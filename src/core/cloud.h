@@ -46,9 +46,6 @@ struct CloudConfig {
   /// Replicate each written content once after the initial write
   /// (section VIII-B); both policies replicate so comparisons are fair.
   bool enable_replication = true;
-  /// Latency penalty when a read wakes a dormant server (power-state
-  /// transition, section VII-C).
-  double dormant_wake_latency_s = 0.3;
   /// Power-model heterogeneity: per-server inefficiency factor drawn
   /// uniformly from [1, 1 + power_heterogeneity] (section VII-D).
   double power_heterogeneity = 0.4;

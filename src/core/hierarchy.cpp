@@ -1,141 +1,57 @@
 #include "core/hierarchy.h"
 
-#include <algorithm>
 #include <limits>
 
 namespace scda::core {
 
 Hierarchy::Hierarchy(net::ThreeTierTree& topo, RateAllocator& alloc)
     : topo_(topo), alloc_(alloc) {
-  n_ = static_cast<std::size_t>(topo_.config().n_servers());
-  const std::size_t rows = static_cast<std::size_t>(kMaxLevel + 1) * n_;
-  val_up_.assign(rows, sim::BitRate{});
-  val_down_.assign(rows, sim::BitRate{});
-  rcheck_up_.assign(rows, sim::BitRate{});
-  rcheck_down_.assign(rows, sim::BitRate{});
-  tor_cums_.resize(topo_.tors().size());
+  const auto n = static_cast<std::size_t>(topo_.config().n_servers());
+  rhat0_up_.assign(n, sim::BitRate{});
+  up_.assign(n, sim::BitRate{});
+  down_.assign(n, sim::BitRate{});
+  tor_min_.resize(topo_.tors().size());
 }
 
 void Hierarchy::update() {
-  const sim::BitRate up3 = alloc_.link_rate(topo_.core_uplink());
-  const sim::BitRate dn3 = alloc_.link_rate(topo_.core_downlink());
+  const sim::BitRate core_up = alloc_.link_rate(topo_.core_uplink());
+  const sim::BitRate core_down = alloc_.link_rate(topo_.core_downlink());
 
-  // Hoist the per-ToR part of every chain: all servers under one ToR share
-  // the level-1..3 links, so the cumulative mins up the tree are computed
-  // once per ToR instead of once per server.
-  for (std::size_t t = 0; t < tor_cums_.size(); ++t) {
+  // All servers under one ToR share the level-1..3 links, so their min is
+  // computed once per ToR instead of once per server.
+  for (std::size_t t = 0; t < tor_min_.size(); ++t) {
     const std::size_t agg = topo_.agg_of_tor(t);
-    TorCums& c = tor_cums_[t];
-    c.up1 = alloc_.link_rate(topo_.tor_uplink(t));
-    c.up2 = sim::min(c.up1, alloc_.link_rate(topo_.agg_uplink(agg)));
-    c.up3 = sim::min(c.up2, up3);
-    c.dn1 = alloc_.link_rate(topo_.tor_downlink(t));
-    c.dn2 = sim::min(c.dn1, alloc_.link_rate(topo_.agg_downlink(agg)));
-    c.dn3 = sim::min(c.dn2, dn3);
+    tor_min_[t].up = sim::min(sim::min(alloc_.link_rate(topo_.tor_uplink(t)),
+                                       alloc_.link_rate(topo_.agg_uplink(agg))),
+                              core_up);
+    tor_min_[t].down =
+        sim::min(sim::min(alloc_.link_rate(topo_.tor_downlink(t)),
+                          alloc_.link_rate(topo_.agg_downlink(agg))),
+                 core_down);
   }
 
-  sim::BitRate* const vu = val_up_.data();
-  sim::BitRate* const vd = val_down_.data();
-  sim::BitRate* const cu = rcheck_up_.data();
-  sim::BitRate* const cd = rcheck_down_.data();
-  const std::size_t n = n_;
-  for (std::size_t s = 0; s < n; ++s) {
-    const TorCums& c = tor_cums_[topo_.tor_of_server(s)];
-    const sim::BitRate up0 = alloc_.link_rate(topo_.server_uplink(s));
-    const sim::BitRate dn0 = alloc_.link_rate(topo_.server_downlink(s));
+  for (std::size_t s = 0; s < up_.size(); ++s) {
+    const TorMin& tor = tor_min_[topo_.tor_of_server(s)];
     const sim::BitRate other =
         r_other_ ? r_other_(s)
                  : sim::BitRate{std::numeric_limits<double>::infinity()};
-
-    // Bottom-up R-hat chain: the server's value at level h is the min of
-    // its level-0 value and every link rate on the way up through level h.
-    const sim::BitRate u0 = sim::min(up0, other);
-    vu[s] = u0;
-    vu[n + s] = sim::min(u0, c.up1);
-    vu[2 * n + s] = sim::min(u0, c.up2);
-    vu[3 * n + s] = sim::min(u0, c.up3);
-
-    const sim::BitRate d0 = sim::min(dn0, other);
-    vd[s] = d0;
-    vd[n + s] = sim::min(d0, c.dn1);
-    vd[2 * n + s] = sim::min(d0, c.dn2);
-    vd[3 * n + s] = sim::min(d0, c.dn3);
-
-    // Top-down R-check chain: min of the link rates from level h to the RM
-    // (figure 2, "kept at RM").
-    cu[s] = up0;
-    cu[n + s] = sim::min(up0, c.up1);
-    cu[2 * n + s] = sim::min(up0, c.up2);
-    cu[3 * n + s] = sim::min(up0, c.up3);
-
-    cd[s] = dn0;
-    cd[n + s] = sim::min(dn0, c.dn1);
-    cd[2 * n + s] = sim::min(dn0, c.dn2);
-    cd[3 * n + s] = sim::min(dn0, c.dn3);
+    rhat0_up_[s] = sim::min(alloc_.link_rate(topo_.server_uplink(s)), other);
+    up_[s] = sim::min(rhat0_up_[s], tor.up);
+    down_[s] = sim::min(
+        sim::min(alloc_.link_rate(topo_.server_downlink(s)), other), tor.down);
   }
 }
 
-namespace {
-sim::BitRate metric_value(const sim::BitRate* up_row,
-                          const sim::BitRate* down_row, std::size_t s,
-                          SelectionMetric m) {
-  switch (m) {
-    case SelectionMetric::kDown: return down_row[s];
-    case SelectionMetric::kUp: return up_row[s];
-    case SelectionMetric::kMinUpDown: return sim::min(up_row[s], down_row[s]);
-  }
-  return sim::BitRate{};
-}
-}  // namespace
-
-BestServer Hierarchy::best_server(SelectionMetric m, int level) const {
-  BestServer best;
-  const sim::BitRate* up =
-      val_up_.data() + static_cast<std::size_t>(level) * n_;
-  const sim::BitRate* down =
-      val_down_.data() + static_cast<std::size_t>(level) * n_;
-  for (std::size_t s = 0; s < n_; ++s) {
-    const sim::BitRate v = metric_value(up, down, s, m);
-    if (v > best.value) {
-      best.value = v;
-      best.server = static_cast<std::int32_t>(s);
-    }
-  }
-  return best;
-}
-
-BestServer Hierarchy::best_server_in_rack(std::size_t tor_idx,
-                                          SelectionMetric m) const {
-  BestServer best;
-  const auto per_tor =
-      static_cast<std::size_t>(topo_.config().servers_per_tor);
-  const std::size_t lo = tor_idx * per_tor;
-  const std::size_t hi = std::min(lo + per_tor, n_);
-  const sim::BitRate* up = val_up_.data();  // level-0 row
-  const sim::BitRate* down = val_down_.data();
-  for (std::size_t s = lo; s < hi; ++s) {
-    const sim::BitRate v = metric_value(up, down, s, m);
-    if (v > best.value) {
-      best.value = v;
-      best.server = static_cast<std::int32_t>(s);
-    }
-  }
-  return best;
-}
-
-BestServer Hierarchy::best_server_filtered(
-    SelectionMetric m, int level,
-    const std::function<bool(std::size_t)>& admit,
+BestServer Hierarchy::best_server(
+    SelectionMetric m, const std::function<bool(std::size_t)>& admit,
     const std::function<sim::BitRate(std::size_t, sim::BitRate)>& reweight)
     const {
   BestServer best;
-  const sim::BitRate* up =
-      val_up_.data() + static_cast<std::size_t>(level) * n_;
-  const sim::BitRate* down =
-      val_down_.data() + static_cast<std::size_t>(level) * n_;
-  for (std::size_t s = 0; s < n_; ++s) {
+  for (std::size_t s = 0; s < up_.size(); ++s) {
     if (admit && !admit(s)) continue;
-    sim::BitRate v = metric_value(up, down, s, m);
+    sim::BitRate v = m == SelectionMetric::kDown ? down_[s]
+                     : m == SelectionMetric::kUp ? up_[s]
+                                                 : sim::min(up_[s], down_[s]);
     if (reweight) v = reweight(s, v);
     if (v > best.value) {
       best.value = v;
@@ -147,7 +63,7 @@ BestServer Hierarchy::best_server_filtered(
 
 SlaLevelReport Hierarchy::sla_report() const {
   SlaLevelReport rep;
-  for (std::size_t s = 0; s < n_; ++s) {
+  for (std::size_t s = 0; s < up_.size(); ++s) {
     rep.per_level[0] += alloc_.sla_violations(topo_.server_uplink(s)) +
                         alloc_.sla_violations(topo_.server_downlink(s));
   }

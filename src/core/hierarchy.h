@@ -3,16 +3,15 @@
 //
 // Each block server has a resource monitor (RM) watching its access links;
 // each switch level has a resource allocator (RA). Every control interval
-// the hierarchy runs:
+// the hierarchy aggregates bottom-up:
 //
-//   bottom-up:  R-hat^0 = min(link rate, R_other)          (at each RM)
-//               R-hat^h = min(max over children R-hat^{h-1}, own link rate)
-//               ... carrying the id of the best block server upward, for
-//               the downlink, uplink and min(up,down) metrics;
+//   R-hat^0    = min(access link rate, R_other)          (at each RM)
+//   R-hat^h    = min(R-hat^{h-1}, level-h link rate)     (up to h = hmax)
 //
-//   top-down:   each RM learns the best h-level rates R-check^h = min of the
-//               link rates from level h down to itself, which the NNS uses
-//               to size windows of ongoing flows and to pick replicas.
+// The NNS reads three of those values per server: R-hat^0 on the uplink
+// (checked against R_scale by the dormant policy) and R-hat^hmax in both
+// directions (what the top RA ranks servers by). Ongoing flows are re-rated
+// from RateAllocator::flow_rate, not from this table.
 //
 // The per-link rates themselves come from the RateAllocator; this class is
 // the tree-structured aggregation that the paper distributes across RM/RA
@@ -21,7 +20,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <stdexcept>
 #include <vector>
 
 #include "core/rate_allocator.h"
@@ -69,95 +67,55 @@ class Hierarchy {
     r_other_ = std::move(fn);
   }
 
-  /// Recompute all R-hat / R-check values from the allocator's current
-  /// per-link rates. Call once per control interval, after
-  /// RateAllocator::tick().
+  /// Recompute every R-hat from the allocator's current per-link rates.
+  /// Call once per control interval, after RateAllocator::tick().
   void update();
 
-  // --- bottom-up results (kept at the RAs) ----------------------------------
-  /// Value of server `s` at tree level `h`: min of its R-hat^0 and the link
-  /// rates on its upward path through level h.
-  [[nodiscard]] sim::BitRate server_value_up(std::size_t s, int level) const {
-    return val_up_.at(idx(s, level));
+  /// R-hat^0 at the RM of server `s`: min(access uplink rate, R_other).
+  [[nodiscard]] sim::BitRate rm_rhat_up(std::size_t s) const {
+    return rhat0_up_.at(s);
   }
-  [[nodiscard]] sim::BitRate server_value_down(std::size_t s, int level) const {
-    return val_down_.at(idx(s, level));
+  /// R-hat^hmax of server `s`: the min of its R-hat^0 and every link rate
+  /// on its path to the gateway (uplink = data read out of the server).
+  [[nodiscard]] sim::BitRate server_value_up(std::size_t s) const {
+    return up_.at(s);
+  }
+  [[nodiscard]] sim::BitRate server_value_down(std::size_t s) const {
+    return down_.at(s);
   }
 
-  /// Best block server across the whole datacenter at level `level`
-  /// (the answer the level-hmax RA gives the NNS).
-  [[nodiscard]] BestServer best_server(SelectionMetric m,
-                                       int level = kMaxLevel) const;
-
-  /// Best server restricted to one rack (the level-1 RA's answer).
-  [[nodiscard]] BestServer best_server_in_rack(std::size_t tor_idx,
-                                               SelectionMetric m) const;
-
-  /// Best server satisfying an arbitrary predicate (used by the dormant /
-  /// power-aware policies which filter or re-weight candidates). The
-  /// reweight maps (server, R-hat) to the ranking score; the power-aware
-  /// policy divides by watts, so the score is bps-per-watt reinterpreted
-  /// in rate space — only its ordering is consumed.
-  [[nodiscard]] BestServer best_server_filtered(
-      SelectionMetric m, int level,
-      const std::function<bool(std::size_t)>& admit,
+  /// Best block server across the whole datacenter by R-hat^hmax (the
+  /// answer the top RA gives the NNS), among the servers `admit` accepts.
+  /// `reweight` maps (server, R-hat) to the ranking score; the power-aware
+  /// policy divides by watts, so the score is bps-per-watt reinterpreted in
+  /// rate space — only its ordering is consumed.
+  [[nodiscard]] BestServer best_server(
+      SelectionMetric m,
+      const std::function<bool(std::size_t)>& admit = nullptr,
       const std::function<sim::BitRate(std::size_t, sim::BitRate)>& reweight =
           nullptr) const;
-
-  // --- top-down results (kept at the RMs) ------------------------------------
-  /// R-check: rate from level `h` down to server `s` (downlink direction).
-  [[nodiscard]] sim::BitRate rm_level_rate_down(std::size_t s,
-                                                int level) const {
-    return rcheck_down_.at(idx(s, level));
-  }
-  /// R-check for the uplink direction (server s up through level h).
-  [[nodiscard]] sim::BitRate rm_level_rate_up(std::size_t s, int level) const {
-    return rcheck_up_.at(idx(s, level));
-  }
-
-  /// R-hat^0 at the RM: min(access link rate, R_other).
-  [[nodiscard]] sim::BitRate rm_rhat_up(std::size_t s) const {
-    return val_up_.at(idx(s, 0));
-  }
-  [[nodiscard]] sim::BitRate rm_rhat_down(std::size_t s) const {
-    return val_down_.at(idx(s, 0));
-  }
 
   /// SLA violations attributed to each level of the RM/RA tree.
   [[nodiscard]] SlaLevelReport sla_report() const;
 
-  [[nodiscard]] std::size_t server_count() const noexcept { return n_; }
-  [[nodiscard]] net::ThreeTierTree& topology() noexcept { return topo_; }
-
- private:
-  /// Flat level-major index: level h's values for all servers are the
-  /// contiguous row [h*n_, (h+1)*n_), so best_server scans one cache-friendly
-  /// row instead of striding across per-server vectors.
-  [[nodiscard]] std::size_t idx(std::size_t s, int level) const {
-    if (s >= n_) throw std::out_of_range("Hierarchy: server index");
-    return static_cast<std::size_t>(level) * n_ + s;
+  [[nodiscard]] std::size_t server_count() const noexcept {
+    return up_.size();
   }
 
+ private:
   net::ThreeTierTree& topo_;
   RateAllocator& alloc_;
   std::function<sim::BitRate(std::size_t)> r_other_;
-  std::size_t n_ = 0;  ///< server count (row stride)
 
-  // Level-major (kMaxLevel+1) x n_ tables.
-  // val_*: bottom-up server values (R-hat chain).
-  std::vector<sim::BitRate> val_up_;
-  std::vector<sim::BitRate> val_down_;
-  // rcheck_*: top-down per-RM level rates.
-  std::vector<sim::BitRate> rcheck_up_;
-  std::vector<sim::BitRate> rcheck_down_;
-  // Per-ToR cumulative upward-path mins (levels 1..3), recomputed each
-  // update(); min is associative so hoisting them out of the server loop
-  // yields bit-identical values.
-  struct TorCums {
-    sim::BitRate up1, up2, up3;
-    sim::BitRate dn1, dn2, dn3;
+  std::vector<sim::BitRate> rhat0_up_;
+  std::vector<sim::BitRate> up_;
+  std::vector<sim::BitRate> down_;
+  // Per-ToR min of the link rates from the ToR to the gateway, recomputed
+  // each update(); every server under one ToR shares those links.
+  struct TorMin {
+    sim::BitRate up, down;
   };
-  std::vector<TorCums> tor_cums_;
+  std::vector<TorMin> tor_min_;
 };
 
 }  // namespace scda::core

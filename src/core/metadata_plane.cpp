@@ -107,11 +107,14 @@ void MetadataPlane::retry(std::size_t shard, std::int32_t attempt,
     return;
   }
   ++stats_.retries;
-  // Exponential backoff with jitter from the run's seeded RNG: the draw
-  // happens in event order, so runs stay deterministic per seed.
-  double backoff = params_.metadata_backoff_base_s;
+  // Exponential backoff, doubling per attempt, scaled by 1 + U[0,1) *
+  // jitter from the run's seeded RNG: the draw happens in event order, so
+  // runs stay deterministic per seed.
+  constexpr double kBackoffBaseS = 0.05;
+  constexpr double kBackoffJitter = 0.5;
+  double backoff = kBackoffBaseS;
   for (std::int32_t i = 1; i < attempt; ++i) backoff *= 2.0;
-  backoff *= 1.0 + params_.metadata_backoff_jitter * sim_.rng().uniform();
+  backoff *= 1.0 + kBackoffJitter * sim_.rng().uniform();
   sim_.post_in(sim::secs(backoff), [this, shard, attempt, req] {
     dispatch(shard, attempt + 1, req);
   });

@@ -82,19 +82,12 @@ struct ScdaParams {
   /// cloud scans for content whose *learned* access class is passive and
   /// moves it from active servers to dormant-eligible ones. 0 disables.
   double migration_interval_s = 0.0;
-  /// At most this many migrations are started per scan (storm control).
-  std::int32_t max_migrations_per_scan = 2;
 
   // --- metadata-plane fault tolerance (docs/scenarios.md) --------------------
   /// Client-side deadline for a metadata request (FES hop + NNS queueing +
   /// service). On expiry the client re-dispatches; only active when NNS
   /// churn is configured, so churn-free runs keep the historical paths.
   double metadata_timeout_s = 0.25;
-  /// First retry backoff; doubles per attempt (exponential backoff).
-  double metadata_backoff_base_s = 0.05;
-  /// Jitter fraction: each backoff is scaled by 1 + U[0,1) * jitter drawn
-  /// from the run's seeded RNG (deterministic for a fixed seed).
-  double metadata_backoff_jitter = 0.5;
   /// Total attempts (first try + retries) before the request is dropped
   /// and surfaced as a failed read/write.
   std::int32_t metadata_max_attempts = 5;
@@ -110,11 +103,6 @@ struct ScdaParams {
   /// Priority weight of rebalance flows in the RateAllocator's weighted
   /// max-min (foreground traffic is 1.0).
   double rebalance_priority = 0.3;
-  /// A server is a move source when its load or stored bytes exceed the
-  /// fleet mean by this fraction.
-  double rebalance_skew_threshold = 0.5;
-  /// At most this many rebalance moves are started per scan.
-  std::int32_t max_rebalances_per_scan = 2;
 };
 
 }  // namespace scda::core

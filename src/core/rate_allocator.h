@@ -80,10 +80,6 @@ class RateAllocator {
   [[nodiscard]] sim::BitRate link_rate(net::LinkId l) const {
     return links_.at(l.index()).rate;
   }
-  /// Effective capacity gamma of a link from the last tick.
-  [[nodiscard]] sim::BitRate link_gamma(net::LinkId l) const {
-    return links_.at(l.index()).gamma;
-  }
   /// Sum of flow rates S crossing the link in the last tick.
   [[nodiscard]] sim::BitRate link_rate_sum(net::LinkId l) const {
     return links_.at(l.index()).rate_sum;

@@ -18,32 +18,20 @@ bool ServerSelector::admit_active(std::size_t s) const {
   return true;
 }
 
-std::int32_t ServerSelector::random_server(std::int32_t exclude) {
-  const auto n = static_cast<std::int64_t>(servers_.size());
-  if (n == 0) return -1;
-  if (n == 1) return exclude == 0 ? -1 : 0;
-  for (int attempt = 0; attempt < 64; ++attempt) {
-    const auto s = static_cast<std::int32_t>(rng_.uniform_int(0, n - 1));
-    if (s != exclude && admit(static_cast<std::size_t>(s))) return s;
-  }
-  return -1;
-}
-
 BestServer ServerSelector::pick(
     SelectionMetric m, const std::function<bool(std::size_t)>& ok) const {
   if (params_.power_aware) {
     // Rank by rate-to-power ratio (section VII-D); the reweight keeps the
     // returned value in bps-per-watt space, which only affects ordering.
-    return hier_.best_server_filtered(
-        m, kMaxLevel, ok, [this](std::size_t s, sim::BitRate v) {
-          return v / std::max(servers_[s].power().average_w(), 1.0);
-        });
+    return hier_.best_server(m, ok, [this](std::size_t s, sim::BitRate v) {
+      return v / std::max(servers_[s].power().average_w(), 1.0);
+    });
   }
-  return hier_.best_server_filtered(m, kMaxLevel, ok);
+  return hier_.best_server(m, ok);
 }
 
 std::int32_t ServerSelector::select_write_target(ContentClass content_class) {
-  if (policy_ == PlacementPolicy::kRandom) return random_server();
+  if (policy_ == PlacementPolicy::kRandom) return random_server({});
 
   const auto active_ok = [this](std::size_t s) { return admit_active(s); };
   const auto any_ok = [this](std::size_t s) { return admit(s); };
@@ -78,12 +66,26 @@ std::int32_t ServerSelector::select_write_target(ContentClass content_class) {
   return best.server;
 }
 
-std::int32_t ServerSelector::select_replica_target(ContentClass content_class,
-                                                   std::int32_t exclude) {
+std::int32_t ServerSelector::random_server(
+    const std::vector<std::int32_t>& exclude) {
+  const auto n = static_cast<std::int64_t>(servers_.size());
+  if (n == 0) return -1;
+  for (int attempt = 0; attempt < 64; ++attempt) {
+    const auto s = static_cast<std::int32_t>(rng_.uniform_int(0, n - 1));
+    if (std::find(exclude.begin(), exclude.end(), s) == exclude.end() &&
+        admit(static_cast<std::size_t>(s)))
+      return s;
+  }
+  return -1;
+}
+
+std::int32_t ServerSelector::select_replica_target(
+    ContentClass content_class, const std::vector<std::int32_t>& exclude) {
   if (policy_ == PlacementPolicy::kRandom) return random_server(exclude);
 
-  const auto not_excluded = [exclude](std::size_t s) {
-    return static_cast<std::int32_t>(s) != exclude;
+  const auto not_excluded = [&exclude](std::size_t s) {
+    return std::find(exclude.begin(), exclude.end(),
+                     static_cast<std::int32_t>(s)) == exclude.end();
   };
 
   if (content_class == ContentClass::kPassive &&
@@ -113,51 +115,6 @@ std::int32_t ServerSelector::select_replica_target(ContentClass content_class,
   return b.server;
 }
 
-std::int32_t ServerSelector::random_server(
-    const std::vector<std::int32_t>& exclude) {
-  const auto n = static_cast<std::int64_t>(servers_.size());
-  if (n == 0) return -1;
-  for (int attempt = 0; attempt < 64; ++attempt) {
-    const auto s = static_cast<std::int32_t>(rng_.uniform_int(0, n - 1));
-    if (std::find(exclude.begin(), exclude.end(), s) == exclude.end() &&
-        admit(static_cast<std::size_t>(s)))
-      return s;
-  }
-  return -1;
-}
-
-std::int32_t ServerSelector::select_replica_target(
-    ContentClass content_class, const std::vector<std::int32_t>& exclude) {
-  if (policy_ == PlacementPolicy::kRandom) return random_server(exclude);
-
-  const auto not_excluded = [&exclude](std::size_t s) {
-    return std::find(exclude.begin(), exclude.end(),
-                     static_cast<std::int32_t>(s)) == exclude.end();
-  };
-
-  if (content_class == ContentClass::kPassive &&
-      params_.rscale > sim::BitRate{}) {
-    const auto dormant_ok = [&](std::size_t s) {
-      return not_excluded(s) && admit(s) &&
-             hier_.rm_rhat_up(s) > params_.rscale;
-    };
-    const BestServer b = pick(SelectionMetric::kUp, dormant_ok);
-    if (b.server >= 0) return b.server;
-  }
-
-  const auto active_ok = [&](std::size_t s) {
-    return not_excluded(s) && admit_active(s);
-  };
-  BestServer b = pick(SelectionMetric::kUp, active_ok);
-  if (b.server < 0) {
-    const auto any_ok = [&](std::size_t s) {
-      return not_excluded(s) && admit(s);
-    };
-    b = pick(SelectionMetric::kUp, any_ok);
-  }
-  return b.server;
-}
-
 std::int32_t ServerSelector::select_read_replica(
     const std::vector<std::int32_t>& replicas) {
   if (replicas.empty()) return -1;
@@ -173,8 +130,7 @@ std::int32_t ServerSelector::select_read_replica(
   sim::BitRate best_v{-1};
   for (const std::int32_t s : replicas) {
     if (servers_[static_cast<std::size_t>(s)].failed()) continue;
-    const sim::BitRate v =
-        hier_.server_value_up(static_cast<std::size_t>(s), kMaxLevel);
+    const sim::BitRate v = hier_.server_value_up(static_cast<std::size_t>(s));
     if (v > best_v) {
       best_v = v;
       best = s;

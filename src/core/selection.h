@@ -53,14 +53,10 @@ class ServerSelector {
   [[nodiscard]] std::int32_t select_write_target(
       transport::ContentClass content_class);
 
-  /// Replication target after a write (section VIII-B), excluding the
-  /// server already holding the data.
-  [[nodiscard]] std::int32_t select_replica_target(
-      transport::ContentClass content_class, std::int32_t exclude);
-
-  /// k-way variant: excludes every server already holding a copy (plus the
-  /// repair source). Used by chained replication and background repair
-  /// (docs/scenarios.md).
+  /// Replication target (section VIII-B): the best server outside
+  /// `exclude`, which lists every server already holding a copy (plus the
+  /// repair source). Used by replication, chained replication, background
+  /// repair, migration and rebalancing (docs/scenarios.md).
   [[nodiscard]] std::int32_t select_replica_target(
       transport::ContentClass content_class,
       const std::vector<std::int32_t>& exclude);
@@ -79,7 +75,8 @@ class ServerSelector {
   /// Active content must not use dormant-reserved servers while the dormant
   /// policy is on (R_scale > 0).
   [[nodiscard]] bool admit_active(std::size_t s) const;
-  [[nodiscard]] std::int32_t random_server(std::int32_t exclude = -1);
+  /// Uniform pick among the servers outside `exclude` that pass the
+  /// admission filter; -1 after 64 draws miss.
   [[nodiscard]] std::int32_t random_server(
       const std::vector<std::int32_t>& exclude);
   [[nodiscard]] BestServer pick(SelectionMetric m,

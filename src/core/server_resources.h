@@ -27,7 +27,6 @@ class ServerResources {
     return sim::max(sim::BitRate{}, sim::min(cpu, disk));
   }
 
-  void set_cpu(sim::BitRate v) noexcept { cpu_ = v; }
   void set_disk(sim::BitRate v) noexcept { disk_ = v; }
   /// Fraction [0,1) of the CPU consumed by internal computation.
   void set_cpu_background(double f) noexcept {

@@ -68,7 +68,7 @@ class TargetRateController {
         // Aim to finish a little early: window quantization, control
         // latency and the tick cadence all eat into the budget.
         const double time_left =
-            (g.deadline_s - now.seconds()) * deadline_safety_;
+            (g.deadline_s - now.seconds()) * kDeadlineSafety;
         // Past-deadline flows push as hard as the clamp allows.
         target = sim::BitRate{time_left > 1e-3 ? remaining / time_left
                                                : remaining / 1e-3};
@@ -94,12 +94,9 @@ class TargetRateController {
 
   static constexpr double kMinPriority = 0.05;
   static constexpr double kMaxPriority = 64.0;
-
   /// Fraction of the remaining time budget deadline targets aim for
   /// (finish early rather than exactly on time).
-  void set_deadline_safety(double f) noexcept {
-    deadline_safety_ = std::clamp(f, 0.1, 1.0);
-  }
+  static constexpr double kDeadlineSafety = 0.8;
 
  private:
   struct Goal {
@@ -110,7 +107,6 @@ class TargetRateController {
 
   RateAllocator& alloc_;
   std::unordered_map<net::FlowId, Goal> targets_;
-  double deadline_safety_ = 0.8;
 };
 
 }  // namespace scda::core

@@ -17,11 +17,10 @@
 
 namespace scda::obs {
 
-/// Per-run observability switches (defaults: metrics on, tracing off).
+/// Per-run tracing switches. Every run also collects a MetricsRegistry
+/// snapshot into its RunResult when it ends; that is pull-based, so nothing
+/// is sampled while the simulation executes.
 struct ObsConfig {
-  /// Collect a MetricsRegistry snapshot into the RunResult when the run
-  /// ends. Pull-based: nothing is sampled while the simulation executes.
-  bool metrics = true;
   /// When non-empty, record a flight-recorder trace and write it to this
   /// path as Chrome trace-event JSON when the run ends.
   std::string trace_path;

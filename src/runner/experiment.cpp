@@ -19,13 +19,8 @@ stats::RunResult run_once(const ExperimentConfig& cfg,
   // stack frame: it dies with the run, and the simulator only ever holds a
   // borrowed pointer.
   obs::Observability observ;
-  const bool want_obs = cfg.obs.metrics || !cfg.obs.trace_path.empty();
-  if (want_obs) {
-    if (!cfg.obs.trace_path.empty()) {
-      observ.enable_trace(cfg.obs.trace_capacity);
-    }
-    sim.set_observability(&observ);
-  }
+  if (!cfg.obs.trace_path.empty()) observ.enable_trace(cfg.obs.trace_capacity);
+  sim.set_observability(&observ);
 
   core::CloudConfig cc;
   cc.topology = cfg.topology;
@@ -73,10 +68,8 @@ stats::RunResult run_once(const ExperimentConfig& cfg,
   r.energy_j = cloud.total_energy_j();
   r.flows_completed = collector.count();
 
-  if (cfg.obs.metrics) {
-    stats::collect_run_metrics(observ.metrics(), sim, cloud);
-    r.metrics = observ.metrics().snapshot();
-  }
+  stats::collect_run_metrics(observ.metrics(), sim, cloud);
+  r.metrics = observ.metrics().snapshot();
   if (obs::TraceRecorder* tr = observ.tracer()) {
     if (!tr->write_file(cfg.obs.trace_path))
       SCDA_LOG_ERROR("obs: cannot write trace file %s",

@@ -114,8 +114,7 @@ void apply_param(ExperimentConfig& cfg, const std::string& name,
     cfg.params.rebalance_priority = value;
     return;
   }
-  throw std::invalid_argument("apply_param: unknown parameter '" + name +
-                              "' (use SweepSpec::custom_param)");
+  throw std::invalid_argument("apply_param: unknown parameter '" + name + "'");
 }
 
 namespace {
@@ -183,10 +182,7 @@ std::vector<RunSpec> expand_runs(const SweepSpec& spec) {
 
 ExperimentConfig make_run_config(const SweepSpec& spec, const RunSpec& run) {
   ExperimentConfig cfg = spec.base;
-  for (const auto& [param, value] : run.params) {
-    if (spec.custom_param && spec.custom_param(cfg, param, value)) continue;
-    apply_param(cfg, param, value);
-  }
+  for (const auto& [param, value] : run.params) apply_param(cfg, param, value);
   cfg.seed = run.seed;
   cfg.name = run.name;
   if (!spec.trace_path.empty() && run.index == 0)

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -36,19 +35,12 @@ struct GridAxis {
   std::vector<double> values;
 };
 
-/// Hook for sweeping knobs apply_param() does not know (generator-specific
-/// rates, enum choices, ...). Return true when the parameter was handled;
-/// unhandled parameters fall through to the built-ins.
-using ParamFn = std::function<bool(ExperimentConfig&, const std::string&,
-                                   double)>;
-
 struct SweepSpec {
   ExperimentConfig base;
   AfctBinning binning;
   std::vector<Arm> arms;
   std::vector<GridAxis> grid;   ///< empty = a single cell
   std::uint64_t seeds = 1;      ///< replications per (cell, arm)
-  ParamFn custom_param;         ///< tried before the built-in knobs
   /// When non-empty, run index 0 (first cell, first arm, seed 0 — benches
   /// list the SCDA arm first) records a flight-recorder trace to this path
   /// (docs/observability.md). One run only: a sweep-wide recorder would
@@ -84,7 +76,7 @@ struct ArmSummary {
 
 /// Set `cfg`'s knob `name` to `value`. Covers the common topology, control
 /// plane, and workload knobs; throws std::invalid_argument for unknown
-/// names (extend via SweepSpec::custom_param instead).
+/// names.
 void apply_param(ExperimentConfig& cfg, const std::string& name, double value);
 
 /// Expand spec into runs: cells (first axis slowest) x arms x seeds, seeds

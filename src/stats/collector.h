@@ -10,7 +10,6 @@
 
 #include "core/cloud.h"
 #include "transport/flow.h"
-#include "util/histogram.h"
 
 namespace scda::stats {
 

@@ -94,7 +94,7 @@ net::FlowId TransportManager::start_tcp_flow(net::NodeId src, net::NodeId dst,
   auto recv = std::make_unique<Receiver>(
       net_, rec,
       [this](const FlowRecord& r) { finish_flow(r); },
-      tcp_rcvw_bytes_);
+      kTcpRcvwBytes);
   recv->set_delivered_counter(&total_delivered_bytes_);
   if (tcp_config_.delayed_ack)
     recv->set_delayed_ack(true, tcp_config_.ack_delay_s);

@@ -48,9 +48,6 @@ class TransportManager {
     on_complete_ = std::move(fn);
   }
 
-  /// Default receive window advertised by TCP receivers.
-  void set_tcp_rcvw_bytes(std::int64_t w) noexcept { tcp_rcvw_bytes_ = w; }
-
   /// Baseline TCP tuning applied to subsequently started TCP flows.
   struct TcpConfig {
     int init_cwnd_segments = 2;  ///< RFC 6928 allows up to 10
@@ -58,9 +55,6 @@ class TransportManager {
     double ack_delay_s = 0.04;
   };
   void set_tcp_config(const TcpConfig& c) noexcept { tcp_config_ = c; }
-  [[nodiscard]] const TcpConfig& tcp_config() const noexcept {
-    return tcp_config_;
-  }
 
   /// Enable/tune the hybrid fluid/packet mode for SCDA flows: flows of at
   /// least `threshold_bytes` advance analytically between RA epochs, mice
@@ -148,7 +142,8 @@ class TransportManager {
 
   net::Network& net_;
   FlowCompletionFn on_complete_;
-  std::int64_t tcp_rcvw_bytes_ = std::int64_t{1} << 24;  // 16 MB
+  /// Receive window advertised by TCP receivers.
+  static constexpr std::int64_t kTcpRcvwBytes = std::int64_t{1} << 24;
   TcpConfig tcp_config_;
   FluidEngine fluid_;
   FluidConfig fluid_config_;

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <vector>
+
 #include "net/topology.h"
+#include "sim/rng.h"
 #include "sim/simulator.h"
 
 namespace scda::core {
@@ -34,14 +38,12 @@ class HierarchyTest : public ::testing::Test {
 
 TEST_F(HierarchyTest, IdleNetworkValuesEqualLinkCapacityChainMin) {
   hier_->update();
-  // All idle: server value at level 0 = 100M (access link rate).
-  EXPECT_DOUBLE_EQ(hier_->server_value_up(0, 0).bps(), 100e6);
-  // Level 1 chain: min(100M, ToR uplink 100M) = 100M.
-  EXPECT_DOUBLE_EQ(hier_->server_value_up(0, 1).bps(), 100e6);
-  // Level 2: agg uplink is 200M, min stays 100M.
-  EXPECT_DOUBLE_EQ(hier_->server_value_up(0, 2).bps(), 100e6);
-  // Level 3: core uplink 600M, min stays 100M.
-  EXPECT_DOUBLE_EQ(hier_->server_value_up(0, 3).bps(), 100e6);
+  // All idle: R-hat^0 = 100M (access link rate).
+  EXPECT_DOUBLE_EQ(hier_->rm_rhat_up(0).bps(), 100e6);
+  // R-hat^hmax: ToR uplink 100M, agg uplink 200M and core uplink 600M keep
+  // the min at 100M in both directions.
+  EXPECT_DOUBLE_EQ(hier_->server_value_up(0).bps(), 100e6);
+  EXPECT_DOUBLE_EQ(hier_->server_value_down(0).bps(), 100e6);
 }
 
 TEST_F(HierarchyTest, ROtherCapsServerValue) {
@@ -50,11 +52,10 @@ TEST_F(HierarchyTest, ROtherCapsServerValue) {
     return sim::BitRate{s == 2 ? 30e6 : 1e9};
   });
   hier_->update();
-  EXPECT_DOUBLE_EQ(hier_->server_value_up(2, 0).bps(), 30e6);
-  EXPECT_DOUBLE_EQ(hier_->server_value_up(2, 3).bps(), 30e6);
-  EXPECT_DOUBLE_EQ(hier_->server_value_up(3, 0).bps(), 100e6);
   EXPECT_DOUBLE_EQ(hier_->rm_rhat_up(2).bps(), 30e6);
-  EXPECT_DOUBLE_EQ(hier_->rm_rhat_down(2).bps(), 30e6);
+  EXPECT_DOUBLE_EQ(hier_->server_value_up(2).bps(), 30e6);
+  EXPECT_DOUBLE_EQ(hier_->server_value_down(2).bps(), 30e6);
+  EXPECT_DOUBLE_EQ(hier_->rm_rhat_up(3).bps(), 100e6);
 }
 
 TEST_F(HierarchyTest, BestServerPrefersUnloaded) {
@@ -66,8 +67,7 @@ TEST_F(HierarchyTest, BestServerPrefersUnloaded) {
   hier_->update();
   const BestServer b = hier_->best_server(SelectionMetric::kUp);
   EXPECT_NE(b.server, 0);
-  EXPECT_GT(b.value.bps(),
-            hier_->server_value_up(0, kMaxLevel).bps());
+  EXPECT_GT(b.value.bps(), hier_->server_value_up(0).bps());
 }
 
 TEST_F(HierarchyTest, BestServerMinUpDownUsesWorseDirection) {
@@ -78,58 +78,36 @@ TEST_F(HierarchyTest, BestServerMinUpDownUsesWorseDirection) {
     alloc_->register_flow(f, topo_->clients()[0], topo_->servers()[1]);
   for (int i = 0; i < 50; ++i) alloc_->tick();
   hier_->update();
-  const double min_v = std::min(hier_->server_value_up(1, kMaxLevel).bps(),
-                                hier_->server_value_down(1, kMaxLevel).bps());
+  const double min_v = std::min(hier_->server_value_up(1).bps(),
+                                hier_->server_value_down(1).bps());
   EXPECT_LT(min_v, 100e6);
   const BestServer b = hier_->best_server(SelectionMetric::kMinUpDown);
   EXPECT_NE(b.server, 1);
 }
 
-TEST_F(HierarchyTest, BestServerInRackRestrictsCandidates) {
-  hier_->update();
-  const BestServer b = hier_->best_server_in_rack(1, SelectionMetric::kDown);
-  // Rack 1 holds servers 2 and 3.
-  EXPECT_TRUE(b.server == 2 || b.server == 3);
-}
-
 TEST_F(HierarchyTest, FilteredSelectionHonoursPredicate) {
   hier_->update();
-  const BestServer b = hier_->best_server_filtered(
-      SelectionMetric::kUp, kMaxLevel,
-      [](std::size_t s) { return s >= 6; });
+  const BestServer b = hier_->best_server(
+      SelectionMetric::kUp, [](std::size_t s) { return s >= 6; });
   EXPECT_GE(b.server, 6);
 }
 
 TEST_F(HierarchyTest, FilteredSelectionAllRejectedGivesInvalid) {
   hier_->update();
-  const BestServer b = hier_->best_server_filtered(
-      SelectionMetric::kUp, kMaxLevel, [](std::size_t) { return false; });
+  const BestServer b = hier_->best_server(
+      SelectionMetric::kUp, [](std::size_t) { return false; });
   EXPECT_EQ(b.server, -1);
 }
 
 TEST_F(HierarchyTest, ReweightChangesWinner) {
   hier_->update();
   // Heavily penalize every server except 5.
-  const BestServer b = hier_->best_server_filtered(
-      SelectionMetric::kUp, kMaxLevel, nullptr,
+  const BestServer b = hier_->best_server(
+      SelectionMetric::kUp, nullptr,
       [](std::size_t s, sim::BitRate v) {
         return s == 5 ? v : v / 1000.0;
       });
   EXPECT_EQ(b.server, 5);
-}
-
-TEST_F(HierarchyTest, RmLevelRatesAreMinOfChain) {
-  // Congest the ToR-0 uplink via flows from both rack-0 servers.
-  for (net::FlowId f{1}; f <= net::FlowId{8}; ++f)
-    alloc_->register_flow(f, topo_->servers()[f.index() % 2],
-                          topo_->clients()[0]);
-  for (int i = 0; i < 50; ++i) alloc_->tick();
-  hier_->update();
-  const double l0 = hier_->rm_level_rate_up(0, 0).bps();
-  const double l1 = hier_->rm_level_rate_up(0, 1).bps();
-  const double l3 = hier_->rm_level_rate_up(0, 3).bps();
-  EXPECT_LE(l1, l0);
-  EXPECT_LE(l3, l1);
 }
 
 TEST_F(HierarchyTest, SlaReportAttributesPerLevel) {
@@ -147,6 +125,103 @@ TEST_F(HierarchyTest, SlaReportAttributesPerLevel) {
 
 TEST_F(HierarchyTest, ServerCountMatchesTopology) {
   EXPECT_EQ(hier_->server_count(), 8u);
+}
+
+/// Loads seeded random flows onto a tree, gives every server its own
+/// R_other, and checks the three kept values of every server against the
+/// allocator's link rates along the route to the gateway. Two in five flows
+/// run between a server and a client; the rest run between two servers and
+/// load the ToR and aggregation links without the core, so every level
+/// binds somewhere.
+void expect_values_equal_path_min(const net::TopologyConfig& cfg) {
+  sim::Simulator sim(1);
+  net::ThreeTierTree topo(sim, cfg);
+  const net::Network& net = topo.net();
+  ScdaParams params;
+  RateAllocator alloc(topo.net(), params);
+  Hierarchy hier(topo, alloc);
+  const std::size_t n = topo.servers().size();
+  sim::Rng rng(7);
+
+  const auto last_server = static_cast<std::int64_t>(n) - 1;
+  const auto last_client =
+      static_cast<std::int64_t>(topo.clients().size()) - 1;
+  const auto server = [&] {
+    return topo.servers()[static_cast<std::size_t>(
+        rng.uniform_int(0, last_server))];
+  };
+  for (net::FlowId f{1}; f <= net::FlowId{static_cast<std::int64_t>(2 * n)};
+       ++f) {
+    const net::NodeId s = server();
+    const net::NodeId peer =
+        rng.bernoulli(0.4) ? topo.clients()[static_cast<std::size_t>(
+                                  rng.uniform_int(0, last_client))]
+                            : server();
+    if (peer == s) continue;
+    if (rng.bernoulli(0.5)) {
+      alloc.register_flow(f, s, peer);
+    } else {
+      alloc.register_flow(f, peer, s);
+    }
+  }
+  for (int i = 0; i < 20; ++i) alloc.tick();
+
+  const auto path_min = [&](net::NodeId src, net::NodeId dst,
+                            sim::BitRate init) {
+    for (const net::LinkId l : net.path(src, dst))
+      init = sim::min(init, alloc.link_rate(l));
+    return init;
+  };
+  // R_other spreads around each server's link-only uplink min, so it caps
+  // some servers and leaves the rest to their links.
+  std::vector<sim::BitRate> other(n);
+  for (std::size_t s = 0; s < n; ++s) {
+    const sim::BitRate links = path_min(
+        topo.servers()[s], topo.gateway(),
+        sim::BitRate{std::numeric_limits<double>::infinity()});
+    other[s] = links * rng.uniform(0.5, 1.5);
+  }
+  hier.set_r_other_provider([&other](std::size_t s) { return other[s]; });
+  hier.update();
+
+  std::size_t other_binds = 0;
+  for (std::size_t s = 0; s < n; ++s) {
+    const net::NodeId node = topo.servers()[s];
+    if (hier.server_value_up(s).bps() == other[s].bps()) ++other_binds;
+    EXPECT_EQ(hier.rm_rhat_up(s).bps(),
+              sim::min(other[s], alloc.link_rate(topo.server_uplink(s))).bps())
+        << "server " << s;
+    EXPECT_EQ(hier.server_value_up(s).bps(),
+              path_min(node, topo.gateway(), other[s]).bps())
+        << "server " << s;
+    EXPECT_EQ(hier.server_value_down(s).bps(),
+              path_min(topo.gateway(), node, other[s]).bps())
+        << "server " << s;
+  }
+  // Both kinds of minimum occur: R_other caps some servers, links the rest.
+  EXPECT_GT(other_binds, 0u);
+  EXPECT_LT(other_binds, n);
+}
+
+TEST(HierarchyPathMin, KeptValuesEqualDirectPathMin) {
+  net::TopologyConfig small;  // the 2x2x2 test tree
+  small.n_agg = 2;
+  small.tors_per_agg = 2;
+  small.servers_per_tor = 2;
+  small.n_clients = 2;
+  small.base_bps = sim::BitRate{100e6};
+  small.k_factor = 2.0;
+  expect_values_equal_path_min(small);
+
+  expect_values_equal_path_min(net::TopologyConfig{});  // the paper's 4x5x8
+
+  net::TopologyConfig fluid_scale;  // perfbench's fluid-scale 8x8x16 tree
+  fluid_scale.n_agg = 8;
+  fluid_scale.tors_per_agg = 8;
+  fluid_scale.servers_per_tor = 16;
+  fluid_scale.n_clients = 256;
+  fluid_scale.base_bps = sim::BitRate{10e9};
+  expect_values_equal_path_min(fluid_scale);
 }
 
 }  // namespace

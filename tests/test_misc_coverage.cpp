@@ -49,13 +49,12 @@ TEST(HierarchyLevels, LowerLevelIgnoresCoreCongestion) {
   for (int i = 0; i < 60; ++i) alloc.tick();
   hier.update();
 
-  // At level 3 every server's uplink value is capped by the core link;
-  // at level 0 the access links still advertise their full rate.
-  EXPECT_LT(hier.server_value_up(0, 3).bps(), 40e6);
-  EXPECT_GT(hier.server_value_up(0, 0).bps(), 80e6);
-  const core::BestServer lvl0 =
-      hier.best_server(core::SelectionMetric::kUp, /*level=*/0);
-  EXPECT_GT(lvl0.value.bps(), 80e6);
+  // At hmax every server's uplink value is capped by the core link; at
+  // the RMs (R-hat^0) the access links still advertise their full rate.
+  for (std::size_t s = 0; s < 8; ++s) {
+    EXPECT_LT(hier.server_value_up(s).bps(), 40e6);
+    EXPECT_GT(hier.rm_rhat_up(s).bps(), 80e6);
+  }
 }
 
 // --- cloud append edge cases -------------------------------------------------

@@ -218,13 +218,6 @@ TEST(Obs, MetricsSnapshotIsDeterministicAcrossIdenticalSeeds) {
   EXPECT_GT(a.metrics.value("sim.events.popped"), 0.0);
 }
 
-TEST(Obs, MetricsCanBeDisabledPerRun) {
-  runner::ExperimentConfig cfg = tiny_experiment(11);
-  cfg.obs.metrics = false;
-  const stats::RunResult r = run_tiny(cfg);
-  EXPECT_TRUE(r.metrics.empty());
-}
-
 // ------------------------------------------------------- one catalog --
 
 /// One Cloud run's metrics snapshot, next to the component counters that

@@ -431,21 +431,6 @@ TEST(Sweep, ApplyParamRejectsUnknownNames) {
   runner::ExperimentConfig cfg;
   EXPECT_THROW(runner::apply_param(cfg, "no_such_knob", 1.0),
                std::invalid_argument);
-  // custom_param can extend the vocabulary.
-  runner::SweepSpec spec;
-  spec.base = tiny_experiment(1);
-  spec.arms = {{"A", core::PlacementPolicy::kScda,
-                transport::TransportKind::kScda}};
-  spec.grid = {{"my_rate", {5.0}}};
-  spec.custom_param = [](runner::ExperimentConfig& c, const std::string& name,
-                         double v) {
-    if (name != "my_rate") return false;
-    c.driver.priority = v;
-    return true;
-  };
-  const auto runs = runner::expand_runs(spec);
-  const auto cfg2 = runner::make_run_config(spec, runs[0]);
-  EXPECT_EQ(cfg2.driver.priority, 5.0);
 }
 
 // -------------------------------------------------------------- moments --

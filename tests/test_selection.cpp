@@ -78,12 +78,12 @@ TEST_F(SelectionTest, ReplicaExcludesPrimary) {
   auto sel = make(PlacementPolicy::kScda);
   for (int i = 0; i < 20; ++i) {
     const auto r =
-        sel.select_replica_target(ContentClass::kSemiInteractive, 3);
+        sel.select_replica_target(ContentClass::kSemiInteractive, {3});
     EXPECT_NE(r, 3);
   }
   auto rnd = make(PlacementPolicy::kRandom);
   for (int i = 0; i < 50; ++i)
-    EXPECT_NE(rnd.select_replica_target(ContentClass::kSemiInteractive, 3),
+    EXPECT_NE(rnd.select_replica_target(ContentClass::kSemiInteractive, {3}),
               3);
 }
 
@@ -123,7 +123,7 @@ TEST_F(SelectionTest, DormantServersReservedForPassiveReplicas) {
   EXPECT_NE(active, 7);
   // Passive replicas go *to* the dormant-eligible server.
   const auto passive =
-      sel.select_replica_target(ContentClass::kPassive, active);
+      sel.select_replica_target(ContentClass::kPassive, {active});
   EXPECT_EQ(passive, 7);
 }
 
@@ -155,6 +155,28 @@ TEST_F(SelectionTest, InteractiveUsesMinUpDown) {
   hier_->update();
   auto sel = make(PlacementPolicy::kScda);
   EXPECT_NE(sel.select_write_target(ContentClass::kInteractive), 4);
+}
+
+TEST(SelectionOneServer, RandomPickHonoursTheAdmitFilter) {
+  // A lone server that fails the admission filter (failed, or its disk
+  // full) must not receive a randomly placed write.
+  sim::Simulator sim;
+  net::TopologyConfig cfg;
+  cfg.n_agg = 1;
+  cfg.tors_per_agg = 1;
+  cfg.servers_per_tor = 1;
+  cfg.n_clients = 1;
+  net::ThreeTierTree topo(sim, cfg);
+  ScdaParams params;
+  RateAllocator alloc(topo.net(), params);
+  Hierarchy hier(topo, alloc);
+  std::vector<BlockServer> servers;
+  servers.emplace_back(0, topo.servers()[0]);
+  sim::Rng rng(7);
+  ServerSelector sel(hier, servers, params, rng, PlacementPolicy::kRandom);
+  EXPECT_EQ(sel.select_write_target(ContentClass::kSemiInteractive), 0);
+  sel.set_admit_filter([](std::size_t) { return false; });
+  EXPECT_EQ(sel.select_write_target(ContentClass::kSemiInteractive), -1);
 }
 
 }  // namespace

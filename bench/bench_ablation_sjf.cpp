@@ -27,8 +27,8 @@ struct SjfResult {
 SjfResult run(net::QueueDiscipline d) {
   sim::Simulator sim(17);
   net::Network net(sim);
-  const auto a = net.add_node(net::NodeRole::kClient, "a");
-  const auto b = net.add_node(net::NodeRole::kServer, "b");
+  const auto a = net.add_node(net::NodeRole::kClient);
+  const auto b = net.add_node(net::NodeRole::kServer);
   net.add_duplex(a, b, util::mbps(50), 0.005, 128 * 1500);
   net.build_routes();
   net.link(net.link_between(a, b)).set_discipline(d);

@@ -9,7 +9,9 @@
 #   asan     AddressSanitizer + UndefinedBehaviorSanitizer build — catches
 #            the class of bug the event-pool/packet-pool refactor could
 #            introduce (use-after-free through recycled slots, OOB heap
-#            positions).
+#            positions). -D_GLIBCXX_ASSERTIONS bounds-checks operator[] on
+#            the standard containers and spans (the network's flat node,
+#            link, adjacency and route arrays) as well.
 #   tsan     ThreadSanitizer build of the multithreaded surface — the sweep
 #            runner shards simulation runs across threads, so its worker
 #            pool, the shared logger, and cross-instance Simulator isolation
@@ -56,7 +58,7 @@ want asan && {
   echo "== pass: ASan + UBSan =="
   run_suite build-check-asan \
     -DCMAKE_BUILD_TYPE=Debug \
-    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
+    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -D_GLIBCXX_ASSERTIONS" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 }
 

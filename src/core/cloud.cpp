@@ -33,8 +33,9 @@ Cloud::Cloud(sim::Simulator& sim, CloudConfig cfg)
   }
   active_content_count_.assign(n_servers, 0);
   prev_tx_bytes_.assign(n_servers, 0);
+  server_index_by_node_.assign(topo_.net().node_count(), 0);
   for (std::size_t s = 0; s < n_servers; ++s)
-    server_index_by_node_.emplace(topo_.servers()[s], s);
+    server_index_by_node_[topo_.servers()[s].index()] = s;
 
   // A recovering name node pulls its peer's map as a background flow
   // between the instances' host servers (docs/scenarios.md).

@@ -314,7 +314,7 @@ class Cloud {
 
   /// Server index of a server node id (node ids are not contiguous).
   [[nodiscard]] std::size_t server_index_of(net::NodeId node) const {
-    return server_index_by_node_.at(node);
+    return server_index_by_node_.at(node.index());
   }
 
   sim::Simulator& sim_;
@@ -344,7 +344,8 @@ class Cloud {
   std::unordered_map<net::FlowId, transport::ScdaFlowHandles> active_scda_;
   /// Non-passive content blocks per server (dormancy eligibility).
   std::vector<std::int32_t> active_content_count_;
-  std::unordered_map<net::NodeId, std::size_t> server_index_by_node_;
+  /// Indexed by node id; only server nodes' entries are meaningful.
+  std::vector<std::size_t> server_index_by_node_;
   /// Previous access-link tx bytes per server (power utilization estimate).
   std::vector<std::uint64_t> prev_tx_bytes_;
 

@@ -2,7 +2,6 @@
 
 #include <deque>
 #include <stdexcept>
-#include <string>
 
 namespace scda::net {
 
@@ -13,11 +12,19 @@ FatTree::FatTree(sim::Simulator& sim, const FatTreeConfig& cfg)
   const auto half = static_cast<std::size_t>(cfg.k / 2);
   const auto q = cfg.queue_limit_bytes;
 
-  gateway_ = net_.add_node(NodeRole::kGateway, "gw");
+  const auto n_cores = static_cast<std::size_t>(cfg.cores());
+  const std::size_t n_switches = static_cast<std::size_t>(cfg.k) * half;
+  const auto n_servers = static_cast<std::size_t>(cfg.n_servers());
+  const auto n_clients = static_cast<std::size_t>(cfg.n_clients);
+  // Nodes: gateway, cores, aggs and edges, servers, clients. Duplex links:
+  // core-gateway, agg-core, edge-agg, server, client.
+  net_.reserve(1 + n_cores + 2 * n_switches + n_servers + n_clients,
+               2 * (n_cores + 2 * n_switches * half + n_servers + n_clients));
+
+  gateway_ = net_.add_node(NodeRole::kGateway);
 
   for (std::int32_t c = 0; c < cfg.cores(); ++c) {
-    const NodeId core =
-        net_.add_node(NodeRole::kCoreSwitch, "core" + std::to_string(c));
+    const NodeId core = net_.add_node(NodeRole::kCoreSwitch);
     cores_.push_back(core);
     net_.add_duplex(core, gateway_, cfg.gw_bps, cfg.dc_delay_s, q);
   }
@@ -25,9 +32,7 @@ FatTree::FatTree(sim::Simulator& sim, const FatTreeConfig& cfg)
   for (std::int32_t p = 0; p < cfg.pods(); ++p) {
     // Aggregation switches: agg a connects to cores [a*k/2, (a+1)*k/2).
     for (std::size_t a = 0; a < half; ++a) {
-      const NodeId agg = net_.add_node(
-          NodeRole::kAggSwitch,
-          "agg" + std::to_string(p) + "_" + std::to_string(a));
+      const NodeId agg = net_.add_node(NodeRole::kAggSwitch);
       aggs_.push_back(agg);
       for (std::size_t i = 0; i < half; ++i) {
         const NodeId core = cores_[a * half + i];
@@ -39,9 +44,7 @@ FatTree::FatTree(sim::Simulator& sim, const FatTreeConfig& cfg)
     }
     // Edge switches: each connects to every agg in the pod.
     for (std::size_t e = 0; e < half; ++e) {
-      const NodeId edge = net_.add_node(
-          NodeRole::kTorSwitch,
-          "edge" + std::to_string(p) + "_" + std::to_string(e));
+      const NodeId edge = net_.add_node(NodeRole::kTorSwitch);
       edges_.push_back(edge);
       for (std::size_t a = 0; a < half; ++a) {
         auto [up, down] =
@@ -51,9 +54,7 @@ FatTree::FatTree(sim::Simulator& sim, const FatTreeConfig& cfg)
         agg_edge_down_.push_back(down);
       }
       for (std::size_t s = 0; s < half; ++s) {
-        const std::size_t si = servers_.size();
-        const NodeId srv =
-            net_.add_node(NodeRole::kServer, "bs" + std::to_string(si));
+        const NodeId srv = net_.add_node(NodeRole::kServer);
         servers_.push_back(srv);
         auto [up, down] =
             net_.add_duplex(srv, edge, cfg.link_bps, cfg.dc_delay_s, q);
@@ -64,13 +65,16 @@ FatTree::FatTree(sim::Simulator& sim, const FatTreeConfig& cfg)
   }
 
   for (std::int32_t c = 0; c < cfg.n_clients; ++c) {
-    const NodeId cl =
-        net_.add_node(NodeRole::kClient, "ucl" + std::to_string(c));
+    const NodeId cl = net_.add_node(NodeRole::kClient);
     clients_.push_back(cl);
     net_.add_duplex(cl, gateway_, cfg.link_bps, cfg.wan_delay_s, q);
   }
 
-  if (cfg.build_routes) net_.build_routes();
+  if (cfg.build_routes) {
+    net_.build_routes();
+  } else {
+    net_.finalize();
+  }
 }
 
 namespace {

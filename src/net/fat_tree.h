@@ -29,8 +29,8 @@ struct FatTreeConfig {
 
   /// Build the network's route tables. Packet-mode traffic needs them.
   /// At k=32 they hold ~337k destination runs (~2.7 MB) and take
-  /// ~0.06-0.1 s to build, a BFS over the switches from each of the 1,280
-  /// switches, against ~5-10 ms for the rest of the fabric. Fluid-only
+  /// 64-80 ms to build, a BFS over the switches from each of the 1,280
+  /// switches, against 3-5 ms for the rest of the fabric. Fluid-only
   /// scale runs turn this off and use FatTree::server_path().
   bool build_routes = true;
 

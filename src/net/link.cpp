@@ -7,6 +7,27 @@
 
 namespace scda::net {
 
+Link::Link(Link&& o) noexcept
+    : sim_(o.sim_),
+      pool_(o.pool_),
+      id_(o.id_),
+      from_(o.from_),
+      to_(o.to_),
+      capacity_(o.capacity_),
+      prop_delay_(o.prop_delay_),
+      queue_limit_bytes_(o.queue_limit_bytes_),
+      queue_(std::move(o.queue_)),
+      interval_arrived_bytes_(o.interval_arrived_bytes_),
+      fluid_flows_(o.fluid_flows_),
+      up_(o.up_),
+      deliver_(std::move(o.deliver_)),
+      stats_(o.stats_),
+      loss_probability_(o.loss_probability_),
+      loss_rng_(o.loss_rng_) {
+  assert(!o.transmitting_ && o.inflight_head_ == PacketPool::kNull &&
+         "Link moved with a packet on the wire");
+}
+
 void Link::trace_drop(const Packet& p, const char* reason) {
   if (obs::TraceRecorder* tr = obs::tracer_of(sim_)) {
     tr->instant(sim_.now(), "net", reason, obs::kTrackNet,

@@ -60,6 +60,10 @@ class Link {
 
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
+  /// For the build phase only (a network's link array growing): the link
+  /// must hold no packet, since a queued, transmitting or propagating one
+  /// has a pending event bound to this object.
+  Link(Link&& o) noexcept;
 
   void set_deliver(DeliverFn fn) { deliver_ = std::move(fn); }
 

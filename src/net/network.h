@@ -1,25 +1,33 @@
 // Network: owns nodes and links, computes routes, moves packets.
 //
+// Nodes and links are held by value in two arrays that the fabric builders
+// size once from their shape; finalize() then lays every node's out-links
+// out in one CSR array, and the fabric is fixed from there on. Until then
+// a Node& or Link& is valid only up to the next add_node or add_link that
+// outgrows reserve().
+//
 // Routing is static shortest-path (BFS over hop count), computed once after
 // the topology is built — appropriate for the tree topologies of the paper
 // (unique paths) and deterministic for general graphs (out-links are
 // explored in ascending link id, so the lowest-id link wins ties). The BFS
 // skips leaves: a node whose only out-link and only in-link join it to the
 // same neighbour, its parent (a server under its ToR, a client under the
-// gateway), takes its parent's first hop. A node with one out-link takes
-// its neighbour's routes, so on the datacenter fabrics the BFS runs from
-// and over the switches only. Each node stores its routes as runs of
-// consecutive destination ids that leave through the same out-link; a
-// tree node has about one run per child subtree, so the tables grow with
-// the node count rather than its square.
+// gateway), takes its parent's first hop. A stub — a node with one
+// out-link to a non-leaf plus any leaf children (a ToR, the gateway, a
+// server, a client) — reaches everything through that link except its own
+// leaves, so its row is derived from its neighbour's rather than searched;
+// on the datacenter fabrics the BFS runs from the core and aggregation
+// switches only. Each node stores its routes as runs of consecutive
+// destination ids that leave through the same out-link; a tree node has
+// about one run per child subtree, so the tables grow with the node count
+// rather than its square.
 // A hop looks its link up by binary search over the node's runs. Packets
 // are forwarded hop-by-hop through drop-tail links, whose queued and
 // propagating packets all live in one PacketPool owned by the network.
 #pragma once
 
-#include <memory>
+#include <span>
 #include <stdexcept>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -39,9 +47,16 @@ class Network {
   Network& operator=(const Network&) = delete;
 
   // --- construction -------------------------------------------------------
-  NodeId add_node(NodeRole role, std::string name);
+  /// Size the node and link arrays for a fabric of known shape, so that
+  /// building it allocates each array once.
+  void reserve(std::size_t nodes, std::size_t links);
+
+  NodeId add_node(NodeRole role);
 
   /// Add a unidirectional link from `a` to `b`. Returns its LinkId.
+  /// Throws std::invalid_argument unless the capacity is positive, the
+  /// propagation delay finite and non-negative, and the queue limit
+  /// positive.
   LinkId add_link(NodeId a, NodeId b, sim::BitRate capacity,
                   double prop_delay_s, std::int64_t queue_limit_bytes);
 
@@ -52,8 +67,12 @@ class Network {
                                        double prop_delay_s,
                                        std::int64_t queue_limit_bytes);
 
-  /// Compute the route tables. Must be called after the topology is final
-  /// and before any traffic is injected.
+  /// Fix the fabric and lay out the out-link adjacency; add_node and
+  /// add_link throw from here on. Idempotent.
+  void finalize();
+
+  /// Compute the route tables (finalizing first). Must be called after the
+  /// topology is final and before any traffic is injected.
   void build_routes();
 
   /// Whether the route tables exist. Large fluid-only topologies (k=32
@@ -75,15 +94,13 @@ class Network {
   [[nodiscard]] std::size_t link_count() const noexcept {
     return links_.size();
   }
-  [[nodiscard]] Node& node(NodeId id) { return *nodes_.at(checked(id)); }
+  [[nodiscard]] Node& node(NodeId id) { return nodes_[checked(id)]; }
   [[nodiscard]] const Node& node(NodeId id) const {
-    return *nodes_.at(checked(id));
+    return nodes_[checked(id)];
   }
-  [[nodiscard]] Link& link(LinkId id) {
-    return *links_.at(id.index());
-  }
+  [[nodiscard]] Link& link(LinkId id) { return links_.at(id.index()); }
   [[nodiscard]] const Link& link(LinkId id) const {
-    return *links_.at(id.index());
+    return links_.at(id.index());
   }
 
   /// The link leaving `a` towards neighbour `b`; kInvalidLink if none.
@@ -102,10 +119,14 @@ class Network {
     return pool_.capacity();
   }
 
-  /// Links leaving a node (adjacency view for custom route computation,
-  /// e.g. the widest-path selector of paper section IX).
-  [[nodiscard]] const std::vector<LinkId>& out_links(NodeId n) const {
-    return out_links_.at(checked(n));
+  /// Links leaving a node in ascending link id (adjacency view for custom
+  /// route computation, e.g. the widest-path selector of paper section
+  /// IX). Throws before finalize().
+  [[nodiscard]] std::span<const LinkId> out_links(NodeId n) const {
+    if (!final_) throw std::logic_error("Network::out_links: not finalized");
+    const std::size_t i = checked(n);
+    return std::span<const LinkId>(out_ids_).subspan(
+        out_begin_[i], out_begin_[i + 1] - out_begin_[i]);
   }
 
   // --- per-flow source routing (general topologies, paper section IX) ----
@@ -139,6 +160,16 @@ class Network {
     NodeId first;
     LinkId link;
   };
+  /// A node's runs: runs_[begin, end).
+  struct RowSpan {
+    std::size_t begin = 0;
+    std::size_t end = 0;
+  };
+  /// The part of a link the route build reads, kept apart from the Link.
+  struct LinkEnds {
+    NodeId from;
+    NodeId to;
+  };
 
   /// The link leaving `at` towards `dst` (at != dst); kInvalidLink when
   /// unreachable. Binary search over `at`'s runs.
@@ -147,20 +178,25 @@ class Network {
   void forward(Packet&& p, NodeId at);
 
   sim::Simulator& sim_;
-  std::vector<std::unique_ptr<Node>> nodes_;
+  std::vector<Node> nodes_;
   /// Declared before links_, which refer to it, so it outlives them.
   PacketPool pool_;
-  std::vector<std::unique_ptr<Link>> links_;
-  /// adjacency: out_links_[node] = link ids leaving the node
-  std::vector<std::vector<LinkId>> out_links_;
-  /// Node n's runs are runs_[route_begin_[n] .. route_begin_[n + 1]),
-  /// ascending by first destination, the first one starting at node 0.
-  /// A node's own destination is a don't-care absorbed by a neighbouring
-  /// run.
-  std::vector<std::size_t> route_begin_;
+  /// Links move only while the fabric is built (see Link's move
+  /// constructor); from finalize() on the array never changes size.
+  std::vector<Link> links_;
+  std::vector<LinkEnds> ends_;
+  /// Node n's out-links are out_ids_[out_begin_[n] .. out_begin_[n + 1]),
+  /// in ascending link id (filled by finalize()).
+  std::vector<std::size_t> out_begin_;
+  std::vector<LinkId> out_ids_;
+  /// rows_[n]: node n's runs, ascending by first destination, the first
+  /// one starting at node 0. A node's own destination is a don't-care
+  /// absorbed by a neighbouring run.
+  std::vector<RowSpan> rows_;
   std::vector<RouteRun> runs_;
   /// pinned_[flow][at-node] = outgoing link (source-routed flows)
   std::unordered_map<FlowId, std::unordered_map<NodeId, LinkId>> pinned_;
+  bool final_ = false;
   bool routes_built_ = false;
 };
 

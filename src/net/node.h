@@ -7,7 +7,7 @@
 #pragma once
 
 #include <functional>
-#include <string>
+#include <utility>
 
 #include "net/packet.h"
 
@@ -40,12 +40,10 @@ class Node {
  public:
   using Sink = std::function<void(Packet&&)>;
 
-  Node(NodeId id, NodeRole role, std::string name)
-      : id_(id), role_(role), name_(std::move(name)) {}
+  Node(NodeId id, NodeRole role) : id_(id), role_(role) {}
 
   [[nodiscard]] NodeId id() const noexcept { return id_; }
   [[nodiscard]] NodeRole role() const noexcept { return role_; }
-  [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
   /// Attach the local packet sink (transport demux). A node without a sink
   /// silently discards packets addressed to it.
@@ -61,7 +59,6 @@ class Node {
  private:
   NodeId id_;
   NodeRole role_;
-  std::string name_;
   Sink sink_;
 };
 

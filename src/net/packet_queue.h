@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <set>
 #include <unordered_map>
+#include <utility>
 
 #include "net/packet.h"
 #include "net/packet_pool.h"
@@ -44,6 +45,17 @@ class PacketQueue {
   explicit PacketQueue(PacketPool& pool) : pool_(pool) {}
   PacketQueue(const PacketQueue&) = delete;
   PacketQueue& operator=(const PacketQueue&) = delete;
+  /// For the build phase only (a network's link array growing): the queue
+  /// must be empty, since its packets' slots would stay linked to it.
+  PacketQueue(PacketQueue&& o) noexcept
+      : pool_(o.pool_),
+        arrival_seq_(o.arrival_seq_),
+        discipline_(o.discipline_),
+        flows_(std::move(o.flows_)),
+        sjf_order_(std::move(o.sjf_order_)),
+        perf_(o.perf_) {
+    assert(o.empty() && "PacketQueue moved with packets queued");
+  }
 
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }

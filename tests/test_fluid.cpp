@@ -27,8 +27,8 @@ constexpr double kDelay = 1e-3;
 class FluidEngineTest : public ::testing::Test {
  protected:
   FluidEngineTest() : net_(sim_) {
-    a_ = net_.add_node(net::NodeRole::kServer, "a");
-    b_ = net_.add_node(net::NodeRole::kServer, "b");
+    a_ = net_.add_node(net::NodeRole::kServer);
+    b_ = net_.add_node(net::NodeRole::kServer);
     auto [ab, ba] = net_.add_duplex(a_, b_, kRate, kDelay, 256 * 1500);
     link_ = ab;
     (void)ba;
@@ -123,8 +123,8 @@ TEST_F(FluidEngineTest, CompletionExactlyOnEpochBoundaryFiresOnce) {
   // remaining == 0 and leave the already-armed completion event alone
   // (zero-delay link so both land on the same nanosecond).
   net::Network flat(sim_);
-  const net::NodeId x = flat.add_node(net::NodeRole::kServer, "x");
-  const net::NodeId y = flat.add_node(net::NodeRole::kServer, "y");
+  const net::NodeId x = flat.add_node(net::NodeRole::kServer);
+  const net::NodeId y = flat.add_node(net::NodeRole::kServer);
   auto [xy, yx] = flat.add_duplex(x, y, kRate, 0.0, 256 * 1500);
   (void)yx;
   FluidEngine eng(flat);
@@ -207,8 +207,8 @@ TEST_F(FluidEngineTest, SlotPoolStaysFlatUnderChurn) {
 class FluidTransportTest : public ::testing::Test {
  protected:
   FluidTransportTest() : net_(sim_) {
-    a_ = net_.add_node(net::NodeRole::kServer, "a");
-    b_ = net_.add_node(net::NodeRole::kServer, "b");
+    a_ = net_.add_node(net::NodeRole::kServer);
+    b_ = net_.add_node(net::NodeRole::kServer);
     net_.add_duplex(a_, b_, util::mbps(100), kDelay, 256 * 1500);
     net_.build_routes();
     tm_ = std::make_unique<TransportManager>(net_);

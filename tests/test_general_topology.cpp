@@ -97,8 +97,8 @@ TEST(WidestPath, SrcEqualsDstIsEmpty) {
 TEST(WidestPath, UnreachableReturnsEmpty) {
   sim::Simulator sim;
   net::Network net(sim);
-  const auto a = net.add_node(net::NodeRole::kOther, "a");
-  const auto b = net.add_node(net::NodeRole::kOther, "b");
+  const auto a = net.add_node(net::NodeRole::kOther);
+  const auto b = net.add_node(net::NodeRole::kOther);
   net.build_routes();
   const auto r = widest_path(net, a, b,
                              [](net::LinkId) { return sim::BitRate{1.0}; });
@@ -109,9 +109,9 @@ TEST(WidestPath, UnreachableReturnsEmpty) {
 TEST(WidestPath, PrefersFewerHopsOnTies) {
   sim::Simulator sim;
   net::Network net(sim);
-  const auto a = net.add_node(net::NodeRole::kOther, "a");
-  const auto m = net.add_node(net::NodeRole::kOther, "m");
-  const auto b = net.add_node(net::NodeRole::kOther, "b");
+  const auto a = net.add_node(net::NodeRole::kOther);
+  const auto m = net.add_node(net::NodeRole::kOther);
+  const auto b = net.add_node(net::NodeRole::kOther);
   net.add_duplex(a, b, sim::BitRate{100e6}, 0.001, 1 << 20);   // direct
   net.add_duplex(a, m, sim::BitRate{100e6}, 0.001, 1 << 20);   // detour, same width
   net.add_duplex(m, b, sim::BitRate{100e6}, 0.001, 1 << 20);

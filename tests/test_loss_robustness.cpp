@@ -18,8 +18,8 @@ class LossyPath : public ::testing::TestWithParam<double> {
   void build(double loss) {
     sim_ = std::make_unique<sim::Simulator>(13);
     net_ = std::make_unique<net::Network>(*sim_);
-    a_ = net_->add_node(net::NodeRole::kClient, "a");
-    b_ = net_->add_node(net::NodeRole::kServer, "b");
+    a_ = net_->add_node(net::NodeRole::kClient);
+    b_ = net_->add_node(net::NodeRole::kServer);
     auto [ab, ba] = net_->add_duplex(a_, b_, sim::BitRate{20e6}, 0.005, 1 << 20);
     net_->build_routes();
     // Lossy data direction; ACK path stays clean so the loss signal is
@@ -66,8 +66,8 @@ INSTANTIATE_TEST_SUITE_P(LossRates, LossyPath,
 TEST(BidirectionalLoss, AckLossIsSurvivable) {
   sim::Simulator sim(29);
   net::Network net(sim);
-  const auto a = net.add_node(net::NodeRole::kClient, "a");
-  const auto b = net.add_node(net::NodeRole::kServer, "b");
+  const auto a = net.add_node(net::NodeRole::kClient);
+  const auto b = net.add_node(net::NodeRole::kServer);
   auto [ab, ba] = net.add_duplex(a, b, sim::BitRate{20e6}, 0.005, 1 << 20);
   net.build_routes();
   net.link(ab).set_error_model(0.02, &sim.rng());
@@ -88,8 +88,8 @@ class ReassemblyFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(ReassemblyFuzz, RandomOrderDuplicatesAndOverlaps) {
   sim::Simulator sim(GetParam());
   net::Network net(sim);
-  const auto a = net.add_node(net::NodeRole::kClient, "a");
-  const auto b = net.add_node(net::NodeRole::kServer, "b");
+  const auto a = net.add_node(net::NodeRole::kClient);
+  const auto b = net.add_node(net::NodeRole::kServer);
   net.add_duplex(a, b, sim::BitRate{1e9}, 0.0001, 1 << 24);
   net.build_routes();
 

@@ -132,8 +132,8 @@ TEST(CloudRead, PriorityReadsFinishFasterUnderContention) {
 TEST(SjfWithLoss, FlowsCompleteWithBothFeaturesActive) {
   sim::Simulator sim(5);
   net::Network net(sim);
-  const auto a = net.add_node(net::NodeRole::kClient, "a");
-  const auto b = net.add_node(net::NodeRole::kServer, "b");
+  const auto a = net.add_node(net::NodeRole::kClient);
+  const auto b = net.add_node(net::NodeRole::kServer);
   auto [ab, ba] = net.add_duplex(a, b, sim::BitRate{20e6}, 0.005, 64 * 1500);
   (void)ba;
   net.build_routes();

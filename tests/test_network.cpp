@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <deque>
+#include <limits>
+#include <string>
 
 #include "net/fat_tree.h"
 #include "net/general_topology.h"
@@ -22,8 +24,7 @@ class NetworkTest : public ::testing::Test {
   /// Line topology: n0 - n1 - n2 - n3.
   void build_line() {
     for (int i = 0; i < 4; ++i)
-      ids_.push_back(net_.add_node(NodeRole::kOther,
-                                   std::string("n") + std::to_string(i)));
+      ids_.push_back(net_.add_node(NodeRole::kOther));
     for (int i = 0; i < 3; ++i)
       net_.add_duplex(ids_[i], ids_[i + 1], sim::BitRate{1e6}, 0.001, 1 << 20);
     net_.build_routes();
@@ -35,29 +36,66 @@ class NetworkTest : public ::testing::Test {
 };
 
 TEST_F(NetworkTest, AddNodeAssignsSequentialIds) {
-  EXPECT_EQ(net_.add_node(NodeRole::kClient, "a"), NodeId{0});
-  EXPECT_EQ(net_.add_node(NodeRole::kServer, "b"), NodeId{1});
+  EXPECT_EQ(net_.add_node(NodeRole::kClient), NodeId{0});
+  EXPECT_EQ(net_.add_node(NodeRole::kServer), NodeId{1});
   EXPECT_EQ(net_.node_count(), 2u);
   EXPECT_EQ(net_.node(NodeId{0}).role(), NodeRole::kClient);
-  EXPECT_EQ(net_.node(NodeId{1}).name(), "b");
 }
 
 TEST_F(NetworkTest, SelfLoopRejected) {
-  const auto a = net_.add_node(NodeRole::kOther, "a");
+  const auto a = net_.add_node(NodeRole::kOther);
   EXPECT_THROW(net_.add_link(a, a, sim::BitRate{1e6}, 0.001, 1000),
                std::invalid_argument);
 }
 
 TEST_F(NetworkTest, BadCapacityRejected) {
-  const auto a = net_.add_node(NodeRole::kOther, "a");
-  const auto b = net_.add_node(NodeRole::kOther, "b");
+  const auto a = net_.add_node(NodeRole::kOther);
+  const auto b = net_.add_node(NodeRole::kOther);
   EXPECT_THROW(net_.add_link(a, b, sim::BitRate{0.0}, 0.001, 1000),
                std::invalid_argument);
 }
 
+// Throws from add_link(a, b) with these parameters; returns the message.
+std::string rejected_link(Network& net, NodeId a, NodeId b, double delay_s,
+                          std::int64_t queue_limit_bytes) {
+  try {
+    (void)net.add_link(a, b, sim::BitRate{1e6}, delay_s, queue_limit_bytes);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "accepted delay " << delay_s << " s, queue limit "
+                << queue_limit_bytes << " B";
+  return "";
+}
+
+TEST_F(NetworkTest, BadPropagationDelayRejected) {
+  const auto a = net_.add_node(NodeRole::kOther);
+  const auto b = net_.add_node(NodeRole::kOther);
+  EXPECT_NE(rejected_link(net_, a, b, -0.01, 1000).find("got -0.01"),
+            std::string::npos);
+  EXPECT_NE(rejected_link(net_, a, b, -1e-12, 1000).find("propagation delay"),
+            std::string::npos);
+  rejected_link(net_, a, b, std::numeric_limits<double>::infinity(), 1000);
+  rejected_link(net_, a, b, std::numeric_limits<double>::quiet_NaN(), 1000);
+  EXPECT_EQ(net_.link_count(), 0u);
+  EXPECT_NO_THROW(net_.add_link(a, b, sim::BitRate{1e6}, 0.0, 1000));
+}
+
+TEST_F(NetworkTest, BadQueueLimitRejected) {
+  const auto a = net_.add_node(NodeRole::kOther);
+  const auto b = net_.add_node(NodeRole::kOther);
+  EXPECT_NE(rejected_link(net_, a, b, 0.001, 0).find("queue limit"),
+            std::string::npos);
+  EXPECT_NE(rejected_link(net_, a, b, 0.001, -1500).find("got -1500"),
+            std::string::npos);
+  EXPECT_EQ(net_.link_count(), 0u);
+  // Below one MTU stays legal: small packets still fit.
+  EXPECT_NO_THROW(net_.add_link(a, b, sim::BitRate{1e6}, 0.001, 100));
+}
+
 TEST_F(NetworkTest, DuplexCreatesBothDirections) {
-  const auto a = net_.add_node(NodeRole::kOther, "a");
-  const auto b = net_.add_node(NodeRole::kOther, "b");
+  const auto a = net_.add_node(NodeRole::kOther);
+  const auto b = net_.add_node(NodeRole::kOther);
   auto [ab, ba] = net_.add_duplex(a, b, sim::BitRate{1e6}, 0.001, 1000);
   EXPECT_EQ(net_.link(ab).from(), a);
   EXPECT_EQ(net_.link(ab).to(), b);
@@ -83,9 +121,9 @@ TEST_F(NetworkTest, PathEnumeratesLinksInOrder) {
 }
 
 TEST_F(NetworkTest, UnreachableDestinationThrows) {
-  const auto a = net_.add_node(NodeRole::kOther, "a");
-  const auto b = net_.add_node(NodeRole::kOther, "b");
-  const auto c = net_.add_node(NodeRole::kOther, "c");
+  const auto a = net_.add_node(NodeRole::kOther);
+  const auto b = net_.add_node(NodeRole::kOther);
+  const auto c = net_.add_node(NodeRole::kOther);
   net_.add_duplex(a, b, sim::BitRate{1e6}, 0.001, 1000);
   net_.build_routes();
   EXPECT_THROW((void)net_.path(a, c), std::runtime_error);
@@ -93,7 +131,7 @@ TEST_F(NetworkTest, UnreachableDestinationThrows) {
 
 TEST_F(NetworkTest, MutationAfterRoutesBuiltThrows) {
   build_line();
-  EXPECT_THROW(net_.add_node(NodeRole::kOther, "x"), std::logic_error);
+  EXPECT_THROW(net_.add_node(NodeRole::kOther), std::logic_error);
   EXPECT_THROW(net_.add_link(ids_[0], ids_[2], sim::BitRate{1e6}, 0.001, 1000),
                std::logic_error);
 }
@@ -125,10 +163,10 @@ TEST_F(NetworkTest, PacketToNodeWithoutSinkIsDiscarded) {
 
 TEST_F(NetworkTest, ShortestPathChosenOverLonger) {
   // Diamond: a-b-d and a-c-d plus direct a-d; direct wins.
-  const auto a = net_.add_node(NodeRole::kOther, "a");
-  const auto b = net_.add_node(NodeRole::kOther, "b");
-  const auto c = net_.add_node(NodeRole::kOther, "c");
-  const auto d = net_.add_node(NodeRole::kOther, "d");
+  const auto a = net_.add_node(NodeRole::kOther);
+  const auto b = net_.add_node(NodeRole::kOther);
+  const auto c = net_.add_node(NodeRole::kOther);
+  const auto d = net_.add_node(NodeRole::kOther);
   net_.add_duplex(a, b, sim::BitRate{1e6}, 0.001, 1000);
   net_.add_duplex(b, d, sim::BitRate{1e6}, 0.001, 1000);
   net_.add_duplex(a, c, sim::BitRate{1e6}, 0.001, 1000);
@@ -148,9 +186,9 @@ TEST_F(NetworkTest, LinkBetweenFindsDirectedLink) {
 
 TEST_F(NetworkTest, PacketToUnreachableNodeIsDroppedAndRunContinues) {
   // a <-> b, plus a one-way c -> b: nothing reaches c.
-  const auto a = net_.add_node(NodeRole::kOther, "a");
-  const auto b = net_.add_node(NodeRole::kOther, "b");
-  const auto c = net_.add_node(NodeRole::kOther, "c");
+  const auto a = net_.add_node(NodeRole::kOther);
+  const auto b = net_.add_node(NodeRole::kOther);
+  const auto c = net_.add_node(NodeRole::kOther);
   net_.add_duplex(a, b, sim::BitRate{1e6}, 0.001, 1 << 20);
   net_.add_link(c, b, sim::BitRate{1e6}, 0.001, 1 << 20);
   net_.build_routes();
@@ -184,12 +222,18 @@ TEST_F(NetworkTest, OutOfRangeNodeIdThrows) {
 }
 
 TEST_F(NetworkTest, LookupBeforeRoutesBuiltThrows) {
-  const auto a = net_.add_node(NodeRole::kOther, "a");
-  const auto b = net_.add_node(NodeRole::kOther, "b");
+  const auto a = net_.add_node(NodeRole::kOther);
+  const auto b = net_.add_node(NodeRole::kOther);
   net_.add_duplex(a, b, sim::BitRate{1e6}, 0.001, 1000);
   EXPECT_EQ(net_.route_table_entries(), 0u);
   EXPECT_THROW((void)net_.next_hop(a, b), std::logic_error);
   EXPECT_THROW((void)net_.path(a, b), std::logic_error);
+  // The adjacency exists once the fabric is final, without any routes.
+  EXPECT_THROW((void)net_.out_links(a), std::logic_error);
+  net_.finalize();
+  ASSERT_EQ(net_.out_links(a).size(), 1u);
+  EXPECT_EQ(net_.link(net_.out_links(a)[0]).to(), b);
+  EXPECT_THROW((void)net_.next_hop(a, b), std::logic_error);
 }
 
 // --- shared packet pool ------------------------------------------------------
@@ -197,8 +241,8 @@ TEST_F(NetworkTest, PacketSlotsFollowTheNetworkPeakNotTheSumOfLinkPeaks) {
   // A burst of 8 packets crosses a -> b, then, once it has drained, a
   // burst of 12 crosses b -> a. The second link reuses the slots the first
   // one freed, so the pool ends at the larger burst, not at 8 + 12.
-  const auto a = net_.add_node(NodeRole::kOther, "a");
-  const auto b = net_.add_node(NodeRole::kOther, "b");
+  const auto a = net_.add_node(NodeRole::kOther);
+  const auto b = net_.add_node(NodeRole::kOther);
   const auto [ab, ba] = net_.add_duplex(a, b, sim::BitRate{1e6}, 0.01, 1 << 20);
   net_.build_routes();
   int delivered = 0;
@@ -230,8 +274,8 @@ TEST(NetworkLifetime, DestroyedWithPacketsQueuedAndPropagating) {
   sim::Simulator sim;
   {
     Network net(sim);
-    const auto a = net.add_node(NodeRole::kOther, "a");
-    const auto b = net.add_node(NodeRole::kOther, "b");
+    const auto a = net.add_node(NodeRole::kOther);
+    const auto b = net.add_node(NodeRole::kOther);
     const LinkId ab = net.add_link(a, b, sim::BitRate{1e6}, 0.05, 1 << 20);
     net.build_routes();
     int delivered = 0;
@@ -365,10 +409,16 @@ TEST(RouteOracle, RandomGraphs) {
   // single-out-link nodes are leaves (one duplex link and nothing else),
   // leaves whose parent's one out-link leads back to them, and near-leaves
   // the leaf rule must not take: two in-links, an in-link from another
-  // node, or parallel links down from the parent.
+  // node, or parallel links down from the parent. Among the stubs (one
+  // out-link to a non-leaf, the rest to their own leaves), whose rows are
+  // derived from their neighbour's, are stubs with leaves, stubs whose
+  // neighbour does not reach every node, chains of stubs and cycles of
+  // stubs.
   int sinks = 0, single = 0, single_to_single = 0, parallel = 0;
   int leaves = 0, leaf_parent_single = 0;
   int near_two_in = 0, near_foreign_in = 0, near_parallel_in = 0;
+  int stubs_with_leaves = 0, stubs_unreached = 0, stub_chains = 0;
+  int stub_cycles = 0;
   std::size_t unreachable = 0;
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     sim::Simulator sim;
@@ -376,7 +426,7 @@ TEST(RouteOracle, RandomGraphs) {
     sim::Rng rng(seed);
     const auto n = rng.uniform_int(1, 24);
     for (std::int64_t i = 0; i < n; ++i)
-      (void)net.add_node(NodeRole::kOther, "n");
+      (void)net.add_node(NodeRole::kOther);
     const auto pick = [&] {
       return NodeId{static_cast<std::int32_t>(rng.uniform_int(0, n - 1))};
     };
@@ -393,12 +443,14 @@ TEST(RouteOracle, RandomGraphs) {
       }
     }
     net.build_routes();
-    std::vector<std::vector<NodeId>> in_from(net.node_count());
+    const std::size_t nodes = net.node_count();
+    std::vector<std::vector<NodeId>> in_from(nodes);
     for (std::size_t l = 0; l < net.link_count(); ++l) {
       const Link& link = net.link(LinkId::from_index(l));
       in_from[link.to().index()].push_back(link.from());
     }
-    for (std::size_t i = 0; i < net.node_count(); ++i) {
+    std::vector<bool> leaf(nodes);
+    for (std::size_t i = 0; i < nodes; ++i) {
       const auto& out = net.out_links(NodeId::from_index(i));
       sinks += out.empty();
       if (out.size() != 1) continue;
@@ -412,6 +464,7 @@ TEST(RouteOracle, RandomGraphs) {
       if (in.size() == 1 && from_up == 1) {
         ++leaves;
         leaf_parent_single += up_single;
+        leaf[i] = true;
       } else if (in.size() == 1) {
         ++near_foreign_in;
       } else if (in.size() >= 2 && from_up == in.size()) {
@@ -419,6 +472,35 @@ TEST(RouteOracle, RandomGraphs) {
       } else if (in.size() >= 2) {
         ++near_two_in;
       }
+    }
+    // A stub's one neighbour that is not its own leaf; invalid otherwise.
+    const auto stub_up = [&](NodeId v) {
+      NodeId up = kInvalidNode;
+      int arcs = 0;
+      for (const LinkId lid : net.out_links(v)) {
+        const NodeId w = net.link(lid).to();
+        if (!leaf[w.index()]) {
+          up = w;
+          ++arcs;
+        }
+      }
+      return arcs == 1 ? up : kInvalidNode;
+    };
+    for (std::size_t i = 0; i < nodes; ++i) {
+      const auto v = NodeId::from_index(i);
+      const NodeId up = stub_up(v);
+      if (!up.valid()) continue;
+      const bool with_leaves = net.out_links(v).size() > 1;
+      stubs_with_leaves += with_leaves;
+      bool up_reaches_all = true;
+      for (std::size_t d = 0; d < nodes; ++d)
+        up_reaches_all &= net.next_hop(up, NodeId::from_index(d)).valid();
+      stubs_unreached += with_leaves && !up_reaches_all;
+      stub_chains += stub_up(up).valid();
+      NodeId w = up;
+      for (std::size_t step = 0; step < nodes && w.valid() && w != v; ++step)
+        w = stub_up(w);
+      stub_cycles += w == v;
     }
     SCOPED_TRACE("seed " + std::to_string(seed));
     unreachable += expect_routes_match_dense_oracle(net);
@@ -433,6 +515,10 @@ TEST(RouteOracle, RandomGraphs) {
   EXPECT_GT(near_two_in, 0);
   EXPECT_GT(near_foreign_in, 0);
   EXPECT_GT(near_parallel_in, 0);
+  EXPECT_GT(stubs_with_leaves, 0);
+  EXPECT_GT(stubs_unreached, 0);
+  EXPECT_GT(stub_chains, 0);
+  EXPECT_GT(stub_cycles, 0);
 }
 
 TEST(RouteTables, RunCountsPinnedOnEveryShape) {

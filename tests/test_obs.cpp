@@ -2,7 +2,9 @@
 // stability, the TraceRecorder flight-recorder ring, the run-level
 // determinism contracts (identical seeds -> identical metrics snapshot and
 // byte-identical trace files), and the zero-overhead contract (metrics
-// disabled -> zero heap allocations on the event hot path).
+// disabled -> zero heap allocations on the event hot path). The same
+// allocation counter checks that building a Cloud allocates as often on a
+// large tree as on a small one.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -27,8 +29,9 @@
 
 // ------------------------------------------- global allocation counter --
 // Counts every route through the (replaced) global operator new. The
-// zero-allocation test samples it around a warmed-up event loop; everything
-// else ignores it. Replacement operators must have external linkage, so
+// zero-allocation test samples it around a warmed-up event loop, the
+// footprint test around a Cloud's construction; everything else ignores
+// it. Replacement operators must have external linkage, so
 // only the counter itself is file-static.
 namespace {
 std::atomic<std::uint64_t> g_alloc_count{0};
@@ -388,6 +391,30 @@ TEST(Obs, DisabledHotPathDoesNotAllocate) {
       g_alloc_count.load(std::memory_order_relaxed) - before;
   EXPECT_EQ(during, 0u)
       << "event hot path allocated with observability disabled";
+}
+
+TEST(Footprint, CloudConstructionAllocationsDoNotGrowWithTheTree) {
+  // Each fabric sizes its node and link arrays once, and the route build
+  // sizes its scratch from the node and link counts, so a Cloud on 1,354
+  // nodes allocates exactly as often as one on 18. Per-node or per-link
+  // allocations (a heap Node or Link, an out-link vector per node) made
+  // 214 / 1,422 / 6,996 here.
+  const auto allocations = [](std::int32_t aggs, std::int32_t tors,
+                              std::int32_t servers, std::int32_t clients) {
+    scda::sim::Simulator sim;
+    scda::core::CloudConfig cfg;
+    cfg.topology.n_agg = aggs;
+    cfg.topology.tors_per_agg = tors;
+    cfg.topology.servers_per_tor = servers;
+    cfg.topology.n_clients = clients;
+    const std::uint64_t before =
+        g_alloc_count.load(std::memory_order_relaxed);
+    const scda::core::Cloud cloud(sim, cfg);
+    return g_alloc_count.load(std::memory_order_relaxed) - before;
+  };
+  const std::uint64_t small = allocations(2, 2, 2, 4);
+  EXPECT_EQ(allocations(4, 5, 8, 64), small);     // the paper's tree
+  EXPECT_EQ(allocations(8, 8, 16, 256), small);   // perfbench fluid-scale
 }
 
 }  // namespace

@@ -16,9 +16,9 @@ namespace {
 class RateAllocatorTest : public ::testing::Test {
  protected:
   RateAllocatorTest() : net_(sim_) {
-    a_ = net_.add_node(net::NodeRole::kClient, "a");
-    m_ = net_.add_node(net::NodeRole::kOther, "m");
-    b_ = net_.add_node(net::NodeRole::kServer, "b");
+    a_ = net_.add_node(net::NodeRole::kClient);
+    m_ = net_.add_node(net::NodeRole::kOther);
+    b_ = net_.add_node(net::NodeRole::kServer);
     auto [am, ma] = net_.add_duplex(a_, m_, sim::BitRate{100e6}, 0.001, 1 << 20);
     auto [mb, bm] = net_.add_duplex(m_, b_, sim::BitRate{50e6}, 0.001, 1 << 20);
     am_ = am;
@@ -340,8 +340,8 @@ class MetricKindSweep : public ::testing::TestWithParam<RateMetricKind> {};
 TEST_P(MetricKindSweep, SingleFlowGetsFullRateOnIdleNetwork) {
   sim::Simulator sim;
   net::Network net(sim);
-  const auto a = net.add_node(net::NodeRole::kClient, "a");
-  const auto b = net.add_node(net::NodeRole::kServer, "b");
+  const auto a = net.add_node(net::NodeRole::kClient);
+  const auto b = net.add_node(net::NodeRole::kServer);
   net.add_duplex(a, b, sim::BitRate{100e6}, 0.001, 1 << 20);
   net.build_routes();
   ScdaParams p;

@@ -23,8 +23,8 @@ class SenderTest : public ::testing::Test {
   void build(std::int64_t queue_limit) {
     sim_ = std::make_unique<sim::Simulator>(1);
     net_ = std::make_unique<net::Network>(*sim_);
-    a_ = net_->add_node(net::NodeRole::kClient, "a");
-    b_ = net_->add_node(net::NodeRole::kServer, "b");
+    a_ = net_->add_node(net::NodeRole::kClient);
+    b_ = net_->add_node(net::NodeRole::kServer);
     net_->add_duplex(a_, b_, kCap, kDelay, queue_limit);
     net_->build_routes();
     tm_ = std::make_unique<TransportManager>(*net_);

@@ -78,8 +78,8 @@ TEST(SjfEndToEnd, ShortTcpFlowFinishesFasterUnderSjf) {
   const auto run = [](QueueDiscipline d) {
     sim::Simulator sim(3);
     Network net(sim);
-    const auto a = net.add_node(NodeRole::kClient, "a");
-    const auto b = net.add_node(NodeRole::kServer, "b");
+    const auto a = net.add_node(NodeRole::kClient);
+    const auto b = net.add_node(NodeRole::kServer);
     net.add_duplex(a, b, sim::BitRate{20e6}, 0.005, 64 * 1500);
     net.build_routes();
     net.link(net.link_between(a, b)).set_discipline(d);

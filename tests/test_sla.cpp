@@ -10,8 +10,8 @@ namespace {
 class SlaTest : public ::testing::Test {
  protected:
   SlaTest() : net_(sim_) {
-    a_ = net_.add_node(net::NodeRole::kOther, "a");
-    b_ = net_.add_node(net::NodeRole::kOther, "b");
+    a_ = net_.add_node(net::NodeRole::kOther);
+    b_ = net_.add_node(net::NodeRole::kOther);
     auto [ab, ba] = net_.add_duplex(a_, b_, sim::BitRate{100e6}, 0.001, 1 << 20);
     link_ = ab;
     (void)ba;

@@ -141,8 +141,8 @@ TEST_F(CollectorTest, EmptySummaryIsZero) {
 TEST(ThroughputSampler, SamplesDeltas) {
   sim::Simulator sim(2);
   net::Network net(sim);
-  const auto a = net.add_node(net::NodeRole::kClient, "a");
-  const auto b = net.add_node(net::NodeRole::kServer, "b");
+  const auto a = net.add_node(net::NodeRole::kClient);
+  const auto b = net.add_node(net::NodeRole::kServer);
   net.add_duplex(a, b, sim::BitRate{100e6}, 0.001, 1 << 22);
   net.build_routes();
   transport::TransportManager tm(net);

@@ -16,8 +16,8 @@ namespace {
 class TargetRateTest : public ::testing::Test {
  protected:
   TargetRateTest() : net_(sim_) {
-    a_ = net_.add_node(net::NodeRole::kClient, "a");
-    b_ = net_.add_node(net::NodeRole::kServer, "b");
+    a_ = net_.add_node(net::NodeRole::kClient);
+    b_ = net_.add_node(net::NodeRole::kServer);
     net_.add_duplex(a_, b_, sim::BitRate{100e6}, 0.001, 1 << 20);
     net_.build_routes();
     params_.alpha = 1.0;

@@ -15,8 +15,8 @@ struct Rig {
   Rig() {
     sim_ = std::make_unique<sim::Simulator>(1);
     net_ = std::make_unique<net::Network>(*sim_);
-    a_ = net_->add_node(net::NodeRole::kClient, "a");
-    b_ = net_->add_node(net::NodeRole::kServer, "b");
+    a_ = net_->add_node(net::NodeRole::kClient);
+    b_ = net_->add_node(net::NodeRole::kServer);
     auto [ab, ba] = net_->add_duplex(a_, b_, sim::BitRate{10e6}, 0.005, 1 << 20);
     ab_ = ab;
     ba_ = ba;

@@ -17,8 +17,8 @@ struct Rig {
                std::int64_t qlim = 1 << 20) {
     sim = std::make_unique<sim::Simulator>(1);
     net = std::make_unique<net::Network>(*sim);
-    a = net->add_node(net::NodeRole::kClient, "a");
-    b = net->add_node(net::NodeRole::kServer, "b");
+    a = net->add_node(net::NodeRole::kClient);
+    b = net->add_node(net::NodeRole::kServer);
     auto [f, r] = net->add_duplex(a, b, sim::BitRate{cap}, delay, qlim);
     ab = f;
     ba = r;

@@ -113,9 +113,9 @@ TEST(WaterFill, EmptyPathUnconstrained) {
 TEST(WaterFillVsAllocator, ReservationScenarioMatches) {
   sim::Simulator sim(1);
   net::Network net(sim);
-  const auto a = net.add_node(net::NodeRole::kClient, "a");
-  const auto m = net.add_node(net::NodeRole::kOther, "m");
-  const auto b = net.add_node(net::NodeRole::kServer, "b");
+  const auto a = net.add_node(net::NodeRole::kClient);
+  const auto m = net.add_node(net::NodeRole::kOther);
+  const auto b = net.add_node(net::NodeRole::kServer);
   net.add_duplex(a, m, sim::BitRate{100e6}, 0.001, 1 << 20);
   net.add_duplex(m, b, sim::BitRate{60e6}, 0.001, 1 << 20);
   net.build_routes();

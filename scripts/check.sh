@@ -11,7 +11,10 @@
 #            introduce (use-after-free through recycled slots, OOB heap
 #            positions). -D_GLIBCXX_ASSERTIONS bounds-checks operator[] on
 #            the standard containers and spans (the network's flat node,
-#            link, adjacency and route arrays) as well.
+#            link, adjacency and route arrays) as well. The same flags
+#            then build perfbench/ and run its tiny-workload test, which
+#            drives all four workloads (churn included) through the
+#            public Cloud API and the links' lazily created ports.
 #   tsan     ThreadSanitizer build of the multithreaded surface — the sweep
 #            runner shards simulation runs across threads, so its worker
 #            pool, the shared logger, and cross-instance Simulator isolation
@@ -26,8 +29,9 @@
 #                                    run locally with no env for the full
 #                                    sequence.
 #
-# Builds live in build-check/, build-check-asan/ and build-check-tsan/ so
-# they never disturb an existing build/ tree.
+# Builds live in build-check/, build-check-asan/,
+# build-check-asan-perfbench/ and build-check-tsan/ so they never disturb
+# an existing build/ tree.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -56,10 +60,17 @@ want release && {
 
 want asan && {
   echo "== pass: ASan + UBSan =="
-  run_suite build-check-asan \
-    -DCMAKE_BUILD_TYPE=Debug \
-    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -D_GLIBCXX_ASSERTIONS" \
+  asan_flags=(
+    -DCMAKE_BUILD_TYPE=Debug
+    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -D_GLIBCXX_ASSERTIONS"
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
+  )
+  run_suite build-check-asan "${asan_flags[@]}"
+  echo "== pass: ASan + UBSan (perfbench tiny workloads) =="
+  cmake -B build-check-asan-perfbench -S perfbench "${asan_flags[@]}" \
+    > /dev/null
+  cmake --build build-check-asan-perfbench -j "$JOBS"
+  ctest --test-dir build-check-asan-perfbench --output-on-failure
 }
 
 want tsan && {

@@ -6,6 +6,16 @@
 // instantaneous queue length Q(t) and the bytes that arrived during the
 // current control interval L(t). Resource monitors/allocators sample both.
 //
+// A Link keeps inline only what the control, fluid and packet paths read
+// on every link: its ends, capacity, delays and queue limit, Q(t), L(t),
+// the fluid-flow count, the up flag, the byte counters and a delivery
+// hook. The packet engine (queue, in-flight FIFO, packet and drop
+// counters) is a Port allocated when the link is first offered a packet
+// or switched to SJF, whose index the queue allocates in turn; the NS2
+// error model and a standalone delivery callback sit in a Cold record
+// allocated by their setters. A link that only carries fluid flows holds
+// neither.
+//
 // A packet occupies one slot of the network's shared PacketPool from the
 // moment the link accepts it until the far end takes it for delivery. The
 // queue (FIFO or OpenFlow-SJF service) and the propagation stage are lists
@@ -18,7 +28,7 @@
 #include <cassert>
 #include <cstdint>
 #include <functional>
-#include <utility>
+#include <memory>
 
 #include "net/packet.h"
 #include "net/packet_pool.h"
@@ -42,47 +52,50 @@ class Link {
  public:
   /// `deliver` is invoked at the downstream node after propagation.
   using DeliverFn = std::function<void(Packet&&)>;
+  /// Delivery without a std::function: called with `hook_ctx`, the packet
+  /// and the link's far end. A Network passes its forwarding step.
+  using DeliverHook = void (*)(void* ctx, Packet&& p, NodeId at);
 
   /// `pool` holds the link's queued and propagating packets; it is shared
   /// with the other links of the network and must outlive the link.
   Link(sim::Simulator& sim, PacketPool& pool, LinkId id, NodeId from,
        NodeId to, sim::BitRate capacity, double prop_delay_s,
-       std::int64_t queue_limit_bytes)
-      : sim_(sim),
-        pool_(pool),
+       std::int64_t queue_limit_bytes, DeliverHook hook = nullptr,
+       void* hook_ctx = nullptr)
+      : capacity_(capacity),
+        prop_delay_(sim::secs(prop_delay_s)),
+        queue_limit_bytes_(queue_limit_bytes),
         id_(id),
         from_(from),
         to_(to),
-        capacity_(capacity),
-        prop_delay_(sim::secs(prop_delay_s)),
-        queue_limit_bytes_(queue_limit_bytes),
-        queue_(pool) {}
+        sim_(sim),
+        pool_(pool),
+        hook_(hook),
+        hook_ctx_(hook_ctx) {}
 
   Link(const Link&) = delete;
   Link& operator=(const Link&) = delete;
   /// For the build phase only (a network's link array growing): the link
-  /// must hold no packet, since a queued, transmitting or propagating one
-  /// has a pending event bound to this object.
+  /// must hold no packet, since a transmitting or propagating one has a
+  /// pending event bound to this object.
   Link(Link&& o) noexcept;
 
-  void set_deliver(DeliverFn fn) { deliver_ = std::move(fn); }
+  /// Deliver through `fn` instead of the hook given at construction.
+  void set_deliver(DeliverFn fn);
 
   /// Select the queueing discipline. Safe to call at any time; kSjf starts
   /// counting flow packets from the moment it is enabled.
-  void set_discipline(QueueDiscipline d) { queue_.set_discipline(d); }
+  void set_discipline(QueueDiscipline d);
   [[nodiscard]] QueueDiscipline discipline() const noexcept {
-    return queue_.discipline();
+    return port_ ? port_->queue.discipline() : QueueDiscipline::kFifo;
   }
 
   /// NS2-style error model: drop each offered packet with probability `p`
   /// (in addition to drop-tail losses). Pass the simulation RNG so runs
   /// stay reproducible.
-  void set_error_model(double p, sim::Rng* rng) {
-    loss_probability_ = p;
-    loss_rng_ = rng;
-  }
+  void set_error_model(double p, sim::Rng* rng);
   [[nodiscard]] double loss_probability() const noexcept {
-    return loss_probability_;
+    return cold_ ? cold_->loss_probability : 0.0;
   }
 
   /// Offer a packet to the link. Drop-tail if the queue is full.
@@ -146,8 +159,8 @@ class Link {
   // construction.
   /// Charge `bytes` of analytically-advanced fluid traffic to the link.
   void add_fluid_bytes(std::int64_t bytes) noexcept {
-    stats_.fluid_bytes += static_cast<std::uint64_t>(bytes);
-    stats_.tx_bytes += static_cast<std::uint64_t>(bytes);
+    fluid_bytes_ += static_cast<std::uint64_t>(bytes);
+    tx_bytes_ += static_cast<std::uint64_t>(bytes);
     interval_arrived_bytes_ += bytes;
   }
   /// A fluid flow starts/stops crossing the link (no queue entry).
@@ -161,16 +174,28 @@ class Link {
     return fluid_flows_;
   }
 
-  [[nodiscard]] const LinkStats& stats() const noexcept { return stats_; }
+  /// Counters; the packet ones read zero on a link never offered a packet.
+  [[nodiscard]] LinkStats stats() const noexcept {
+    LinkStats s;
+    s.tx_bytes = tx_bytes_;
+    s.fluid_bytes = fluid_bytes_;
+    if (port_) {
+      s.tx_packets = port_->tx_packets;
+      s.dropped_packets = port_->dropped_packets;
+      s.dropped_bytes = port_->dropped_bytes;
+      s.enqueued_packets = port_->enqueued_packets;
+    }
+    return s;
+  }
   /// Queue-structure perf counters (queue depth peak, SJF index use).
-  [[nodiscard]] const PacketQueue::Perf& queue_perf() const noexcept {
-    return queue_.perf();
+  [[nodiscard]] PacketQueue::Perf queue_perf() const noexcept {
+    return port_ ? port_->queue.perf() : PacketQueue::Perf{};
   }
 
   /// Long-run utilization in [0,1]: transmitted bits / (capacity * elapsed).
   [[nodiscard]] double utilization(double elapsed_s) const noexcept {
     if (elapsed_s <= 0) return 0;
-    return static_cast<double>(stats_.tx_bytes) * 8.0 /
+    return static_cast<double>(tx_bytes_) * 8.0 /
            (capacity_.bps() * elapsed_s);
   }
 
@@ -185,43 +210,65 @@ class Link {
   }
 
  private:
-  void start_transmission();
+  /// The packet engine of a link that carries packets.
+  struct Port {
+    explicit Port(PacketPool& pool) : queue(pool) {}
+    PacketQueue queue;
+    /// Slot selected for the transmission in progress (queued until the
+    /// tx-complete event detaches it).
+    PacketPool::Index cur_slot = PacketPool::kNull;
+    /// Slots transmitted and propagating, linked through Slot::next and
+    /// keyed by their delivery deadline. FIFO because the propagation
+    /// delay is constant, so one timer (for the head) suffices and the
+    /// per-packet closure never captures the packet itself. The timer is
+    /// armed exactly while the list is non-empty.
+    PacketPool::Index inflight_head = PacketPool::kNull;
+    PacketPool::Index inflight_tail = PacketPool::kNull;
+    bool transmitting = false;
+    std::uint64_t tx_packets = 0;
+    std::uint64_t dropped_packets = 0;
+    std::uint64_t dropped_bytes = 0;
+    std::uint64_t enqueued_packets = 0;
+  };
+  /// Per-link settings that few links use.
+  struct Cold {
+    double loss_probability = 0.0;
+    sim::Rng* loss_rng = nullptr;
+    DeliverFn deliver;
+  };
+
+  /// The port or cold record, allocated on first use.
+  Port& ensure_port();
+  Cold& ensure_cold();
+  void start_transmission(Port& port);
   void on_tx_complete();
   void deliver_head();
-  /// Flight-recorder instant for a dropped packet (no-op when the
-  /// simulator carries no trace recorder).
-  void trace_drop(const Packet& p, const char* reason);
+  /// Count a refused packet and leave a flight-recorder instant for it
+  /// (no-op when the simulator carries no trace recorder).
+  void drop(Port& port, const Packet& p, const char* reason);
 
-  sim::Simulator& sim_;
-  PacketPool& pool_;
+  // What the rate allocator's and fluid engine's per-tick passes read
+  // comes first, in the first 64 bytes.
+  sim::BitRate capacity_;
+  std::int64_t queued_bytes_ = 0;
+  std::int64_t interval_arrived_bytes_ = 0;
+  std::uint64_t tx_bytes_ = 0;
+  std::uint64_t fluid_bytes_ = 0;
+  sim::Time prop_delay_;
+  std::int64_t queue_limit_bytes_;
+  std::int32_t fluid_flows_ = 0;
+  bool up_ = true;
   LinkId id_;
   NodeId from_;
   NodeId to_;
-  sim::BitRate capacity_;
-  sim::Time prop_delay_;
-  std::int64_t queue_limit_bytes_;
-
-  PacketQueue queue_;
-  /// Slot selected for the transmission in progress (queued until the
-  /// tx-complete event detaches it).
-  PacketPool::Index cur_slot_ = PacketPool::kNull;
-  /// Slots transmitted and propagating, linked through Slot::next and
-  /// keyed by their delivery deadline. FIFO because the propagation delay
-  /// is constant, so one timer (for the head) suffices and the per-packet
-  /// closure never captures the packet itself. The timer is armed exactly
-  /// while the list is non-empty.
-  PacketPool::Index inflight_head_ = PacketPool::kNull;
-  PacketPool::Index inflight_tail_ = PacketPool::kNull;
-  std::int64_t queued_bytes_ = 0;
-  std::int64_t interval_arrived_bytes_ = 0;
-  std::int32_t fluid_flows_ = 0;
-  bool transmitting_ = false;
-  bool up_ = true;
-
-  DeliverFn deliver_;
-  LinkStats stats_;
-  double loss_probability_ = 0.0;
-  sim::Rng* loss_rng_ = nullptr;
+  sim::Simulator& sim_;
+  PacketPool& pool_;
+  DeliverHook hook_;
+  void* hook_ctx_;
+  std::unique_ptr<Port> port_;
+  std::unique_ptr<Cold> cold_;
 };
+// The allocator's per-tick passes walk every link: keep it two cache lines.
+static_assert(sizeof(Link) <= 128, "Link outgrew its hot state");
 
 }  // namespace scda::net

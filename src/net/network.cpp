@@ -47,9 +47,8 @@ LinkId Network::add_link(NodeId a, NodeId b, sim::BitRate capacity,
     reject_link("queue limit must be > 0 bytes",
                 static_cast<double>(queue_limit_bytes));
   const auto id = LinkId::from_index(links_.size());
-  Link& link = links_.emplace_back(sim_, pool_, id, a, b, capacity,
-                                   prop_delay_s, queue_limit_bytes);
-  link.set_deliver([this, to = b](Packet&& p) { forward(std::move(p), to); });
+  links_.emplace_back(sim_, pool_, id, a, b, capacity, prop_delay_s,
+                      queue_limit_bytes, &Network::arrive, this);
   ends_.push_back({a, b});
   return id;
 }
@@ -246,6 +245,14 @@ void Network::build_routes() {
   for (const std::size_t s : order) {
     const Arc up = arcs[arcs_begin[s]];
     const std::size_t nb = up.to.index();
+    // A leaf has no leaves of its own: when its parent reaches everything,
+    // the emitter below would merge its runs into this one.
+    if (parent[s] != kNoParent && reaches_all[nb]) {
+      rows_[s] = {runs_.size(), runs_.size() + 1};
+      runs_.push_back({NodeId{0}, up.link});
+      reaches_all[s] = true;
+      continue;
+    }
     queue.assign(1, nb);
     for (const LinkId lid : out_links(NodeId::from_index(s))) {
       const std::size_t v = ends_[lid.index()].to.index();

@@ -176,6 +176,10 @@ class Network {
   [[nodiscard]] LinkId route(NodeId at, NodeId dst) const;
 
   void forward(Packet&& p, NodeId at);
+  /// Every link's delivery hook: `at` took `p` off a link of `net`.
+  static void arrive(void* net, Packet&& p, NodeId at) {
+    static_cast<Network*>(net)->forward(std::move(p), at);
+  }
 
   sim::Simulator& sim_;
   std::vector<Node> nodes_;

@@ -32,8 +32,8 @@ class PacketPool {
     Index next = kNull;       ///< queue, in-flight FIFO or free list
     Index flow_next = kNull;  ///< queue: per-flow chain (SJF)
     bool live = false;        ///< acquired and not yet taken (debug only)
-    /// The arrival sequence number while queued; the delivery deadline in
-    /// nanoseconds while propagating.
+    /// The arrival sequence number while queued on an SJF link; the
+    /// delivery deadline in nanoseconds while propagating.
     std::uint64_t key = 0;
   };
   // The liveness flag sits in the padding before `key`: it costs no space.

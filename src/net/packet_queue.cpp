@@ -1,5 +1,6 @@
 #include "net/packet_queue.h"
 
+#include <cassert>
 #include <utility>
 
 namespace scda::net {
@@ -8,16 +9,16 @@ void PacketQueue::set_discipline(QueueDiscipline d) {
   if (d == discipline_) return;
   discipline_ = d;
   if (d == QueueDiscipline::kSjf) {
+    if (!sjf_) sjf_ = std::make_unique<Sjf>();
     rebuild_sjf_state();
   } else {
-    sjf_order_.clear();  // chains are rebuilt on the next switch to SJF
+    sjf_->order.clear();  // chains are rebuilt on the next switch to SJF
   }
 }
 
 void PacketQueue::push(Packet&& p) {
   const Index n = pool_.acquire(std::move(p));
   PacketPool::Slot& slot = pool_.at(n);
-  slot.key = ++arrival_seq_;
   slot.prev = tail_;
   slot.next = kNull;
   slot.flow_next = kNull;
@@ -28,10 +29,11 @@ void PacketQueue::push(Packet&& p) {
   }
   tail_ = n;
   ++size_;
-  if (size_ > perf_.pool_hwm) perf_.pool_hwm = size_;
+  if (size_ > pool_hwm_) pool_hwm_ = size_;
 
   if (discipline_ == QueueDiscipline::kSjf) {
-    FlowState& st = flows_[slot.pkt.flow];
+    slot.key = ++sjf_->arrival_seq;
+    FlowState& st = sjf_->sjf_flows[slot.pkt.flow];
     if (st.queued == 0) {
       st.head = st.tail = n;
       st.queued = 1;
@@ -48,19 +50,19 @@ void PacketQueue::push(Packet&& p) {
 PacketQueue::Index PacketQueue::select_next() {
   assert(size_ > 0);
   if (discipline_ != QueueDiscipline::kSjf || size_ == 1) return head_;
-  assert(!sjf_order_.empty());
-  ++perf_.sjf_selects;
-  const FlowId flow = sjf_order_.begin()->flow;
-  const auto it = flows_.find(flow);
-  assert(it != flows_.end() && it->second.head != kNull);
+  assert(!sjf_->order.empty());
+  ++sjf_->selects;
+  const FlowId flow = sjf_->order.begin()->flow;
+  const auto it = sjf_->sjf_flows.find(flow);
+  assert(it != sjf_->sjf_flows.end() && it->second.head != kNull);
   return it->second.head;
 }
 
 void PacketQueue::detach(Index n) {
   const PacketPool::Slot& slot = pool_.at(n);
   if (discipline_ == QueueDiscipline::kSjf) {
-    const auto it = flows_.find(slot.pkt.flow);
-    assert(it != flows_.end());
+    const auto it = sjf_->sjf_flows.find(slot.pkt.flow);
+    assert(it != sjf_->sjf_flows.end());
     FlowState& st = it->second;
     // Service is always the flow's oldest packet, so unlinking the chain
     // head is O(1).
@@ -77,7 +79,7 @@ void PacketQueue::detach(Index n) {
 
 void PacketQueue::note_transmitted(FlowId flow) {
   if (discipline_ != QueueDiscipline::kSjf) return;
-  FlowState& st = flows_[flow];
+  FlowState& st = sjf_->sjf_flows[flow];
   if (st.queued > 0) index_erase(flow, st);
   ++st.tx_count;
   if (st.queued > 0) index_insert(flow, st);
@@ -99,27 +101,29 @@ void PacketQueue::unlink_global(Index n) noexcept {
 
 void PacketQueue::index_insert(FlowId flow, const FlowState& st) {
   assert(st.queued > 0 || st.head != kNull);
-  sjf_order_.insert(SjfKey{st.tx_count, pool_.at(st.head).key, flow});
+  sjf_->order.insert(SjfKey{st.tx_count, pool_.at(st.head).key, flow});
 }
 
 void PacketQueue::index_erase(FlowId flow, const FlowState& st) {
   const auto it =
-      sjf_order_.find(SjfKey{st.tx_count, pool_.at(st.head).key, flow});
-  assert(it != sjf_order_.end());
-  sjf_order_.erase(it);
+      sjf_->order.find(SjfKey{st.tx_count, pool_.at(st.head).key, flow});
+  assert(it != sjf_->order.end());
+  sjf_->order.erase(it);
 }
 
 void PacketQueue::rebuild_sjf_state() {
-  sjf_order_.clear();
-  for (auto& [flow, st] : flows_) {
+  sjf_->order.clear();
+  for (auto& [flow, st] : sjf_->sjf_flows) {
     st.head = st.tail = kNull;
     st.queued = 0;
   }
-  // Walk the arrival-order list so per-flow chains stay FIFO.
+  // Walk the arrival-order list so per-flow chains stay FIFO, numbering
+  // the queued packets in arrival order.
   for (Index n = head_; n != kNull; n = pool_.at(n).next) {
     PacketPool::Slot& slot = pool_.at(n);
+    slot.key = ++sjf_->arrival_seq;
     slot.flow_next = kNull;
-    FlowState& st = flows_[slot.pkt.flow];
+    FlowState& st = sjf_->sjf_flows[slot.pkt.flow];
     if (st.queued == 0) {
       st.head = st.tail = n;
       st.queued = 1;
@@ -129,7 +133,7 @@ void PacketQueue::rebuild_sjf_state() {
       ++st.queued;
     }
   }
-  for (const auto& [flow, st] : flows_) {
+  for (const auto& [flow, st] : sjf_->sjf_flows) {
     if (st.queued > 0) index_insert(flow, st);
   }
 }

@@ -1,23 +1,24 @@
 // PacketQueue: a link queue over shared PacketPool slots, with O(1) FIFO
 // service and O(log F) SJF service (F = flows currently queued).
 //
-// Queued packets sit in pool slots threaded onto two lists: a global
-// doubly-linked arrival-order list (FIFO service, middle removal for SJF)
-// and a per-flow singly-linked chain. The SJF discipline (paper section
-// IV-B: serve the queued packet whose flow has transmitted the fewest
-// packets on this link) keeps an ordered index of queued flows keyed by
-// (tx-count, arrival of the flow's oldest packet), replacing the seed's
-// O(n) whole-queue scan per transmitted packet. Ties on tx-count go to
-// the flow that has waited longest, and within a flow service is strictly
-// FIFO — so SJF can no longer reorder packets of the same flow, which the
-// seed's swap-to-front scan could.
+// Queued packets sit in pool slots threaded onto a global doubly-linked
+// arrival-order list (FIFO service, middle removal for SJF). The SJF
+// discipline (paper section IV-B: serve the queued packet whose flow has
+// transmitted the fewest packets on this link) also threads each flow's
+// packets onto a singly-linked chain and keeps an ordered index of queued
+// flows keyed by (tx-count, arrival of the flow's oldest packet), replacing
+// the seed's O(n) whole-queue scan per transmitted packet. Ties on
+// tx-count go to the flow that has waited longest, and within a flow
+// service is strictly FIFO — so SJF can no longer reorder packets of the
+// same flow, which the seed's swap-to-front scan could. That bookkeeping
+// is allocated the first time SJF is enabled, so a FIFO queue is its list
+// ends and two counters.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
+#include <memory>
 #include <set>
 #include <unordered_map>
-#include <utility>
 
 #include "net/packet.h"
 #include "net/packet_pool.h"
@@ -45,28 +46,20 @@ class PacketQueue {
   explicit PacketQueue(PacketPool& pool) : pool_(pool) {}
   PacketQueue(const PacketQueue&) = delete;
   PacketQueue& operator=(const PacketQueue&) = delete;
-  /// For the build phase only (a network's link array growing): the queue
-  /// must be empty, since its packets' slots would stay linked to it.
-  PacketQueue(PacketQueue&& o) noexcept
-      : pool_(o.pool_),
-        arrival_seq_(o.arrival_seq_),
-        discipline_(o.discipline_),
-        flows_(std::move(o.flows_)),
-        sjf_order_(std::move(o.sjf_order_)),
-        perf_(o.perf_) {
-    assert(o.empty() && "PacketQueue moved with packets queued");
-  }
 
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  [[nodiscard]] const Perf& perf() const noexcept { return perf_; }
+  [[nodiscard]] Perf perf() const noexcept {
+    return {pool_hwm_, sjf_ ? sjf_->selects : 0};
+  }
 
   [[nodiscard]] QueueDiscipline discipline() const noexcept {
     return discipline_;
   }
   /// Switch discipline; safe with packets queued (the SJF index is rebuilt
   /// from the arrival-order list). Flow tx-counts persist across switches
-  /// and start from zero the first time SJF is enabled.
+  /// and start from zero the first time SJF is enabled, which allocates
+  /// the SJF bookkeeping.
   void set_discipline(QueueDiscipline d);
 
   /// Append a packet (arrival order). O(1) for FIFO; O(log F) when the
@@ -94,8 +87,9 @@ class PacketQueue {
 
   /// Peak tx-count bookkeeping, exposed for tests.
   [[nodiscard]] std::uint64_t tx_count(FlowId flow) const {
-    const auto it = flows_.find(flow);
-    return it == flows_.end() ? 0 : it->second.tx_count;
+    if (!sjf_) return 0;
+    const auto it = sjf_->sjf_flows.find(flow);
+    return it == sjf_->sjf_flows.end() ? 0 : it->second.tx_count;
   }
 
  private:
@@ -118,6 +112,23 @@ class PacketQueue {
     }
   };
 
+  /// SJF bookkeeping, allocated the first time SJF is enabled. While SJF
+  /// is active a queued slot's key is its arrival number: the index
+  /// compares keys only among queued packets, so a switch to SJF numbers
+  /// the queued ones afresh in list order, which is their arrival order.
+  struct Sjf {
+    /// Per-flow state; chains/index only maintained while SJF is active.
+    std::unordered_map<FlowId, FlowState> sjf_flows;
+    /// SJF needs min-remaining-size selection with arbitrary removal; an
+    /// ordered index is the data structure, and it is only populated
+    /// while the SJF discipline is active (see `sjf_selects` in
+    /// docs/perf.md).
+    // scda-lint: allow(map-hot-path)
+    std::set<SjfKey> order;
+    std::uint64_t arrival_seq = 0;
+    std::uint64_t selects = 0;
+  };
+
   void unlink_global(Index n) noexcept;
   void index_insert(FlowId flow, const FlowState& st);
   void index_erase(FlowId flow, const FlowState& st);
@@ -127,18 +138,9 @@ class PacketQueue {
   Index head_ = kNull;  ///< global arrival-order list
   Index tail_ = kNull;
   std::size_t size_ = 0;
-  std::uint64_t arrival_seq_ = 0;
-
+  std::uint64_t pool_hwm_ = 0;
   QueueDiscipline discipline_ = QueueDiscipline::kFifo;
-  /// Per-flow state; chains/index only maintained while SJF is active.
-  std::unordered_map<FlowId, FlowState> flows_;
-  /// SJF needs min-remaining-size selection with arbitrary removal; an
-  /// ordered index is the data structure, and it is only populated while
-  /// the SJF discipline is active (see `sjf_selects` in docs/perf.md).
-  // scda-lint: allow(map-hot-path)
-  std::set<SjfKey> sjf_order_;
-
-  Perf perf_;
+  std::unique_ptr<Sjf> sjf_;
 };
 
 }  // namespace scda::net

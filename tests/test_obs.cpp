@@ -4,7 +4,8 @@
 // byte-identical trace files), and the zero-overhead contract (metrics
 // disabled -> zero heap allocations on the event hot path). The same
 // allocation counter checks that building a Cloud allocates as often on a
-// large tree as on a small one.
+// large tree as on a small one, and that links carrying only fluid flows
+// allocate nothing per link.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "core/cloud.h"
+#include "net/network.h"
 #include "obs/metrics.h"
 #include "obs/observability.h"
 #include "obs/trace.h"
@@ -415,6 +417,43 @@ TEST(Footprint, CloudConstructionAllocationsDoNotGrowWithTheTree) {
   const std::uint64_t small = allocations(2, 2, 2, 4);
   EXPECT_EQ(allocations(4, 5, 8, 64), small);     // the paper's tree
   EXPECT_EQ(allocations(8, 8, 16, 256), small);   // perfbench fluid-scale
+}
+
+TEST(Footprint, FluidOnlyLinksAllocateNothingPerLink) {
+  // A link's packet engine and cold settings are allocated when it is
+  // first offered a packet or given a discipline, error model or delivery
+  // callback. A star whose links only see fluid charges, joins, leaves,
+  // cuts and counter reads therefore allocates as often at 10,000 links as
+  // at 10.
+  const auto allocations = [](std::size_t leaves) {
+    const std::uint64_t before =
+        g_alloc_count.load(std::memory_order_relaxed);
+    {
+      scda::sim::Simulator sim;
+      scda::net::Network net(sim);
+      net.reserve(leaves + 1, 2 * leaves);
+      const auto hub = net.add_node(scda::net::NodeRole::kTorSwitch);
+      for (std::size_t i = 0; i < leaves; ++i)
+        net.add_duplex(hub, net.add_node(scda::net::NodeRole::kServer),
+                       scda::sim::BitRate{1e9}, 1e-6, 1 << 20);
+      net.build_routes();
+      std::uint64_t seen = 0;
+      for (std::size_t i = 0; i < net.link_count(); ++i) {
+        scda::net::Link& l = net.link(scda::net::LinkId::from_index(i));
+        l.fluid_flow_join();
+        l.add_fluid_bytes(1500);
+        l.set_up(false);
+        l.set_up(true);
+        seen += static_cast<std::uint64_t>(l.take_interval_arrived_bytes()) +
+                l.stats().tx_bytes + l.stats().tx_packets +
+                l.queue_perf().pool_hwm;
+        l.fluid_flow_leave();
+      }
+      EXPECT_EQ(seen, 3000u * net.link_count());
+    }
+    return g_alloc_count.load(std::memory_order_relaxed) - before;
+  };
+  EXPECT_EQ(allocations(5'000), allocations(5));
 }
 
 }  // namespace

@@ -291,6 +291,7 @@ void Network::build_routes() {
 LinkId Network::route(NodeId at, NodeId dst) const {
   const std::size_t a = checked(at);
   checked(dst);
+  if (route_hook_) return route_hook_(route_ctx_, at, dst);
   const RouteRun* first = runs_.data() + rows_[a].begin;
   const RouteRun* last = runs_.data() + rows_[a].end;
   const auto before = [](NodeId d, const RouteRun& r) { return d < r.first; };
@@ -299,7 +300,7 @@ LinkId Network::route(NodeId at, NodeId dst) const {
 }
 
 NodeId Network::next_hop(NodeId at, NodeId dst) const {
-  if (!routes_built_)
+  if (!has_routes())
     throw std::logic_error("Network::next_hop: routes not built");
   if (checked(at) == checked(dst)) return at;
   const LinkId lid = route(at, dst);
@@ -314,7 +315,8 @@ LinkId Network::link_between(NodeId a, NodeId b) const {
 }
 
 std::vector<LinkId> Network::path(NodeId src, NodeId dst) const {
-  if (!routes_built_) throw std::logic_error("Network::path: routes not built");
+  if (!has_routes())
+    throw std::logic_error("Network::path: routes not built");
   std::vector<LinkId> out;
   NodeId at = src;
   while (at != dst) {
@@ -345,7 +347,8 @@ void Network::pin_flow_route(FlowId flow, const std::vector<LinkId>& path) {
 void Network::unpin_flow_route(FlowId flow) { pinned_.erase(flow); }
 
 void Network::send(Packet&& p) {
-  if (!routes_built_) throw std::logic_error("Network::send: routes not built");
+  if (!has_routes())
+    throw std::logic_error("Network::send: routes not built");
   forward(std::move(p), p.src);
 }
 

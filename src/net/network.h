@@ -6,24 +6,27 @@
 // a Node& or Link& is valid only up to the next add_node or add_link that
 // outgrows reserve().
 //
-// Routing is static shortest-path (BFS over hop count), computed once after
-// the topology is built — appropriate for the tree topologies of the paper
-// (unique paths) and deterministic for general graphs (out-links are
-// explored in ascending link id, so the lowest-id link wins ties). The BFS
-// skips leaves: a node whose only out-link and only in-link join it to the
-// same neighbour, its parent (a server under its ToR, a client under the
-// gateway), takes its parent's first hop. A stub — a node with one
-// out-link to a non-leaf plus any leaf children (a ToR, the gateway, a
-// server, a client) — reaches everything through that link except its own
-// leaves, so its row is derived from its neighbour's rather than searched;
-// on the datacenter fabrics the BFS runs from the core and aggregation
-// switches only. Each node stores its routes as runs of consecutive
-// destination ids that leave through the same out-link; a tree node has
-// about one run per child subtree, so the tables grow with the node count
-// rather than its square.
-// A hop looks its link up by binary search over the node's runs. Packets
-// are forwarded hop-by-hop through drop-tail links, whose queued and
-// propagating packets all live in one PacketPool owned by the network.
+// Routing is static shortest-path, answered one of two ways. A fabric
+// that knows its shape sets a route hook and answers every lookup from it
+// with no tables: ThreeTierTree, whose paths are unique, walks its
+// preorder ids up or down. Otherwise build_routes() runs a BFS over hop
+// count once after the topology is built — exact on trees and
+// deterministic on general graphs (out-links are explored in ascending
+// link id, so the lowest-id link wins ties). The BFS skips leaves: a node
+// whose only out-link and only in-link join it to the same neighbour, its
+// parent (a server under its ToR, a client under the gateway), takes its
+// parent's first hop. A stub — a node with one out-link to a non-leaf plus
+// any leaf children (a ToR, the gateway, a server, a client) — reaches
+// everything through that link except its own leaves, so its row is
+// derived from its neighbour's rather than searched; on the datacenter
+// fabrics the BFS runs from the core and aggregation switches only. Each
+// node stores its routes as runs of consecutive destination ids that
+// leave through the same out-link; a tree node has about one run per
+// child subtree, so the tables grow with the node count rather than its
+// square, and a hop looks its link up by binary search over the node's
+// runs. Packets are forwarded hop-by-hop through drop-tail links, whose
+// queued and propagating packets all live in one PacketPool owned by the
+// network.
 #pragma once
 
 #include <span>
@@ -75,14 +78,27 @@ class Network {
   /// topology is final and before any traffic is injected.
   void build_routes();
 
-  /// Whether the route tables exist. Large fluid-only topologies (k=32
-  /// fat-tree) skip build_routes(), whose BFS from every switch still
-  /// takes most of their construction, and compute paths analytically
-  /// instead.
-  [[nodiscard]] bool routes_built() const noexcept { return routes_built_; }
-  /// Total destination runs over all nodes (0 when routes were never
-  /// built). The scale guard tests assert this stays 0 for analytic-route
-  /// topologies and linear in the node count for trees.
+  /// Answers a route from the fabric's own shape: the link leaving `at`
+  /// towards `dst` (at != dst, both in range), kInvalidLink when `dst` is
+  /// unreachable. Called with the context given to set_route_hook.
+  using RouteHook = LinkId (*)(const void* ctx, NodeId at, NodeId dst);
+  /// Answer every route through `hook` instead of route tables, which are
+  /// then never read. Set by a fabric after finalize(), for its lifetime.
+  void set_route_hook(RouteHook hook, const void* ctx) noexcept {
+    route_hook_ = hook;
+    route_ctx_ = ctx;
+  }
+
+  /// Whether routes can be answered: build_routes() ran or a route hook is
+  /// set. Large fluid-only topologies (k=32 fat-tree) have neither, since
+  /// the BFS from every switch would take most of their construction, and
+  /// compute paths analytically instead.
+  [[nodiscard]] bool has_routes() const noexcept {
+    return routes_built_ || route_hook_ != nullptr;
+  }
+  /// Total destination runs over all nodes (0 when no tables were built).
+  /// The scale guard tests assert this stays 0 for analytic-route
+  /// topologies and linear in the node count for tables.
   [[nodiscard]] std::size_t route_table_entries() const noexcept {
     return runs_.size();
   }
@@ -172,7 +188,8 @@ class Network {
   };
 
   /// The link leaving `at` towards `dst` (at != dst); kInvalidLink when
-  /// unreachable. Binary search over `at`'s runs.
+  /// unreachable. The route hook's answer, or a binary search over `at`'s
+  /// runs.
   [[nodiscard]] LinkId route(NodeId at, NodeId dst) const;
 
   void forward(Packet&& p, NodeId at);
@@ -200,6 +217,8 @@ class Network {
   std::vector<RouteRun> runs_;
   /// pinned_[flow][at-node] = outgoing link (source-routed flows)
   std::unordered_map<FlowId, std::unordered_map<NodeId, LinkId>> pinned_;
+  RouteHook route_hook_ = nullptr;
+  const void* route_ctx_ = nullptr;
   bool final_ = false;
   bool routes_built_ = false;
 };

@@ -2,8 +2,9 @@
 //
 // A node forwards packets that are not addressed to it (switch behaviour)
 // and hands packets addressed to it to the attached sink (transport demux).
-// Forwarding uses the Network's precomputed route tables, which map each
-// destination to the out-link of its shortest path.
+// Forwarding asks the Network for the out-link of the shortest path to
+// the destination: the fabric's route hook answers it from the fabric's
+// shape (a three-tier tree), or else the precomputed route tables do.
 #pragma once
 
 #include <functional>

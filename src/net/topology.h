@@ -54,9 +54,19 @@ struct TopologyConfig {
 
 /// A built three-tier tree plus the level metadata the SCDA control plane
 /// (RM/RA hierarchy) attaches to.
+///
+/// Node ids are in preorder from the gateway: the core's subtree (each
+/// aggregation switch followed by its ToRs, each ToR by its servers), then
+/// the clients. Every path in the tree is unique, so the tree answers its
+/// network's routes from that shape through a route hook, and builds no
+/// route tables.
 class ThreeTierTree {
  public:
   ThreeTierTree(sim::Simulator& sim, const TopologyConfig& cfg);
+
+  /// The network's route hook refers to the tree.
+  ThreeTierTree(const ThreeTierTree&) = delete;
+  ThreeTierTree& operator=(const ThreeTierTree&) = delete;
 
   [[nodiscard]] Network& net() noexcept { return net_; }
   [[nodiscard]] const Network& net() const noexcept { return net_; }
@@ -82,27 +92,35 @@ class ThreeTierTree {
   //   uplink   = server -> ToR (data read out of the server)
   //   downlink = ToR -> server (data written into the server)
   [[nodiscard]] LinkId server_uplink(std::size_t s) const {
-    return server_up_.at(s);
+    return place(servers_.at(s)).up;
   }
   [[nodiscard]] LinkId server_downlink(std::size_t s) const {
-    return server_down_.at(s);
+    return place(servers_.at(s)).down;
   }
 
   // level-1 links: per ToR index (up = ToR->Agg, down = Agg->ToR)
-  [[nodiscard]] LinkId tor_uplink(std::size_t t) const { return tor_up_.at(t); }
+  [[nodiscard]] LinkId tor_uplink(std::size_t t) const {
+    return place(tors_.at(t)).up;
+  }
   [[nodiscard]] LinkId tor_downlink(std::size_t t) const {
-    return tor_down_.at(t);
+    return place(tors_.at(t)).down;
   }
 
   // level-2 links: per Agg index (up = Agg->Core, down = Core->Agg)
-  [[nodiscard]] LinkId agg_uplink(std::size_t a) const { return agg_up_.at(a); }
+  [[nodiscard]] LinkId agg_uplink(std::size_t a) const {
+    return place(aggs_.at(a)).up;
+  }
   [[nodiscard]] LinkId agg_downlink(std::size_t a) const {
-    return agg_down_.at(a);
+    return place(aggs_.at(a)).down;
   }
 
   // level-3 links (up = Core->Gateway, down = Gateway->Core)
-  [[nodiscard]] LinkId core_uplink() const noexcept { return core_up_; }
-  [[nodiscard]] LinkId core_downlink() const noexcept { return core_down_; }
+  [[nodiscard]] LinkId core_uplink() const noexcept {
+    return place(core_).up;
+  }
+  [[nodiscard]] LinkId core_downlink() const noexcept {
+    return place(core_).down;
+  }
 
   // structure
   [[nodiscard]] std::size_t tor_of_server(std::size_t s) const {
@@ -113,6 +131,21 @@ class ThreeTierTree {
   }
 
  private:
+  /// A node's place in the tree: its parent, the end of its subtree (which
+  /// is [node, end) in preorder ids) and its links to and from the parent.
+  /// The gateway has no parent and no links.
+  struct Place {
+    NodeId parent = kInvalidNode;
+    NodeId end;
+    LinkId up = kInvalidLink;
+    LinkId down = kInvalidLink;
+  };
+  [[nodiscard]] const Place& place(NodeId n) const noexcept {
+    return places_[n.index()];
+  }
+  /// The network's route hook: up the tree unless `dst` lies below `at`.
+  static LinkId route(const void* tree, NodeId at, NodeId dst);
+
   TopologyConfig cfg_;
   Network net_;
   NodeId gateway_ = kInvalidNode;
@@ -121,11 +154,8 @@ class ThreeTierTree {
   std::vector<NodeId> tors_;
   std::vector<NodeId> servers_;
   std::vector<NodeId> clients_;
-  std::vector<LinkId> server_up_, server_down_;
-  std::vector<LinkId> tor_up_, tor_down_;
-  std::vector<LinkId> agg_up_, agg_down_;
-  LinkId core_up_ = kInvalidLink;
-  LinkId core_down_ = kInvalidLink;
+  /// places_[n]: node n's place, for every node.
+  std::vector<Place> places_;
 };
 
 }  // namespace scda::net

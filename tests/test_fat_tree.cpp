@@ -132,7 +132,7 @@ TEST(FatTreeScale, K16CountsWithoutRouteTables) {
   EXPECT_EQ(ft.net().node_count(), 1u + 64u + 256u + 1024u);
   // duplex: (k/2)^2 core-gw + 3*(k^3/4) fabric/server = 3136 -> x2
   EXPECT_EQ(ft.net().link_count(), 6272u);
-  EXPECT_FALSE(ft.net().routes_built());
+  EXPECT_FALSE(ft.net().has_routes());
   EXPECT_EQ(ft.net().route_table_entries(), 0u);
 }
 

@@ -350,25 +350,64 @@ std::size_t expect_routes_match_dense_oracle(const Network& net) {
   return unreachable;
 }
 
-TEST(RouteOracle, PaperTree) {
-  sim::Simulator sim;
-  ThreeTierTree t(sim, TopologyConfig{});
-  EXPECT_EQ(expect_routes_match_dense_oracle(t.net()), 0u);
-}
-
-TopologyConfig tree_1024_servers() {
+TopologyConfig tree(std::int32_t aggs, std::int32_t tors,
+                    std::int32_t servers, std::int32_t clients) {
   TopologyConfig cfg;
-  cfg.n_agg = 8;
-  cfg.tors_per_agg = 8;
-  cfg.servers_per_tor = 16;
-  cfg.n_clients = 256;
+  cfg.n_agg = aggs;
+  cfg.tors_per_agg = tors;
+  cfg.servers_per_tor = servers;
+  cfg.n_clients = clients;
   return cfg;
 }
 
-TEST(RouteOracle, Tree1024Servers) {
+TopologyConfig tree_1024_servers() { return tree(8, 8, 16, 256); }
+
+/// The tree's nodes and links, with the same ids, in a plain Network with
+/// BFS route tables: what any other fabric of this shape holds.
+void build_tables_like(const Network& shape, Network& out) {
+  out.reserve(shape.node_count(), shape.link_count());
+  for (std::size_t i = 0; i < shape.node_count(); ++i)
+    (void)out.add_node(shape.node(NodeId::from_index(i)).role());
+  for (std::size_t l = 0; l < shape.link_count(); ++l) {
+    const Link& link = shape.link(LinkId::from_index(l));
+    (void)out.add_link(link.from(), link.to(), link.capacity(),
+                       link.prop_delay_s(), link.queue_limit_bytes());
+  }
+  out.build_routes();
+}
+
+/// The tree answers from its preorder shape and holds no tables; BFS
+/// tables built for the same links must agree with the same oracle.
+void expect_tree_routes_match_dense_oracle(const TopologyConfig& cfg) {
   sim::Simulator sim;
-  ThreeTierTree t(sim, tree_1024_servers());
+  ThreeTierTree t(sim, cfg);
+  EXPECT_TRUE(t.net().has_routes());
+  EXPECT_EQ(t.net().route_table_entries(), 0u);
   EXPECT_EQ(expect_routes_match_dense_oracle(t.net()), 0u);
+  Network tables(sim);
+  build_tables_like(t.net(), tables);
+  EXPECT_EQ(expect_routes_match_dense_oracle(tables), 0u);
+}
+
+TEST(RouteOracle, PaperTree) {
+  expect_tree_routes_match_dense_oracle(TopologyConfig{});
+}
+
+TEST(RouteOracle, Tree1024Servers) {
+  expect_tree_routes_match_dense_oracle(tree_1024_servers());
+}
+
+TEST(RouteOracle, SmallAndDegenerateTrees) {
+  const std::pair<const char*, TopologyConfig> shapes[] = {
+      {"2x2x2", tree(2, 2, 2, 4)},
+      {"1x1x3", tree(1, 1, 3, 2)},
+      {"3x1x1, no clients", tree(3, 1, 1, 0)},
+      {"1x4x1", tree(1, 4, 1, 1)},
+  };
+  for (const auto& [name, cfg] : shapes) {
+    SCOPED_TRACE(name);
+    expect_tree_routes_match_dense_oracle(cfg);
+  }
 }
 
 TEST(RouteOracle, FatTreeK4) {
@@ -523,13 +562,16 @@ TEST(RouteOracle, RandomGraphs) {
 
 TEST(RouteTables, RunCountsPinnedOnEveryShape) {
   // Every route can stay right while a row splits into more runs; these
-  // counts catch that. k=32 is the full 9,481-node table.
+  // counts catch that. k=32 is the full 9,481-node table. The trees route
+  // from their shape, so their links are built into plain networks.
   sim::Simulator sim;
-  EXPECT_EQ(ThreeTierTree(sim, TopologyConfig{}).net().route_table_entries(),
-            523u);
-  EXPECT_EQ(
-      ThreeTierTree(sim, tree_1024_servers()).net().route_table_entries(),
-      2779u);
+  const std::pair<TopologyConfig, std::size_t> trees[] = {
+      {TopologyConfig{}, 523}, {tree_1024_servers(), 2779}};
+  for (const auto& [cfg, runs] : trees) {
+    Network tables(sim);
+    build_tables_like(ThreeTierTree(sim, cfg).net(), tables);
+    EXPECT_EQ(tables.route_table_entries(), runs);
+  }
   const std::pair<std::int32_t, std::size_t> fat_trees[] = {
       {4, 246}, {8, 2284}, {16, 25992}, {32, 337408}};
   for (const auto& [k, runs] : fat_trees) {
@@ -545,9 +587,10 @@ TEST(RouteTables, RunCountsPinnedOnEveryShape) {
 TEST(RouteTables, LinearInNodeCountOn1024ServerTree) {
   // The dense matrix this replaced held node_count()^2 = 1.83M entries.
   sim::Simulator sim;
-  ThreeTierTree t(sim, tree_1024_servers());
-  EXPECT_EQ(t.net().node_count(), 1354u);
-  EXPECT_LT(t.net().route_table_entries(), 4 * t.net().node_count());
+  Network tables(sim);
+  build_tables_like(ThreeTierTree(sim, tree_1024_servers()).net(), tables);
+  EXPECT_EQ(tables.node_count(), 1354u);
+  EXPECT_LT(tables.route_table_entries(), 4 * tables.node_count());
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "net/fat_tree.h"
 #include "net/general_topology.h"
@@ -26,11 +27,24 @@ void header(const char* name, const net::Network& net) {
   std::printf("fabric: %s\n", name);
   std::printf("nodes: %zu, unidirectional links: %zu\n", net.node_count(),
               net.link_count());
-  std::printf("route runs: %zu\n", net.route_table_entries());
+  if (net.route_table_entries() != 0)
+    std::printf("route runs: %zu\n", net.route_table_entries());
+  else
+    std::puts("routes: from the fabric's shape, no route tables");
+}
+
+/// Node `i` of `group`; kInvalidNode when the group is smaller.
+net::NodeId nth(const std::vector<net::NodeId>& group, std::size_t i) {
+  return i < group.size() ? group[i] : net::kInvalidNode;
 }
 
 void paths_between(const net::Network& net, const char* what, net::NodeId a,
                    net::NodeId b) {
+  if (!a.valid() || !b.valid() || a == b) {
+    std::printf("%-28s %s\n", what,
+                a.valid() && b.valid() ? "same node" : "no such node");
+    return;
+  }
   const auto paths = net::all_shortest_paths(net, a, b);
   if (paths.empty()) {
     std::printf("%-28s unreachable\n", what);
@@ -68,12 +82,13 @@ int run_tree(const util::ArgParser& args) {
               cfg.base_bps.bps() / 1e6, cfg.base_bps.bps() / 1e6,
               cfg.k_factor * cfg.base_bps.bps() / 1e6, cfg.k_factor,
               cfg.core_gw_mult * cfg.base_bps.bps() / 1e6);
-  paths_between(t.net(), "client -> server:", t.clients()[0],
-                t.servers()[0]);
-  paths_between(t.net(), "server -> server (rack):", t.servers()[0],
-                t.servers()[1]);
-  paths_between(t.net(), "server -> server (x-agg):", t.servers()[0],
-                t.servers()[static_cast<std::size_t>(cfg.n_servers()) - 1]);
+  const auto& servers = t.servers();
+  paths_between(t.net(), "client -> server:", nth(t.clients(), 0),
+                nth(servers, 0));
+  paths_between(t.net(), "server -> server (rack):", nth(servers, 0),
+                nth(servers, 1));
+  paths_between(t.net(), "server -> server (x-agg):", nth(servers, 0),
+                nth(servers, servers.size() - 1));
   return 0;
 }
 
@@ -92,12 +107,13 @@ int run_leafspine(const util::ArgParser& args) {
   header("leaf-spine (paper section IX)", t.net());
   std::printf("servers: %d  leaves: %d  spines: %d  clients: %d\n",
               cfg.n_servers(), cfg.n_leaves, cfg.n_spines, cfg.n_clients);
-  paths_between(t.net(), "server -> server (leaf):", t.servers()[0],
-                t.servers()[1]);
-  paths_between(t.net(), "server -> server (x-leaf):", t.servers()[0],
-                t.servers()[static_cast<std::size_t>(cfg.n_servers()) - 1]);
-  paths_between(t.net(), "client -> server:", t.clients()[0],
-                t.servers()[0]);
+  const auto& servers = t.servers();
+  paths_between(t.net(), "server -> server (leaf):", nth(servers, 0),
+                nth(servers, 1));
+  paths_between(t.net(), "server -> server (x-leaf):", nth(servers, 0),
+                nth(servers, servers.size() - 1));
+  paths_between(t.net(), "client -> server:", nth(t.clients(), 0),
+                nth(servers, 0));
   return 0;
 }
 
@@ -113,13 +129,15 @@ int run_fattree(const util::ArgParser& args) {
   std::printf("k=%d: pods: %d  cores: %d  servers: %d  clients: %d\n",
               cfg.k, cfg.pods(), cfg.cores(), cfg.n_servers(),
               cfg.n_clients);
-  paths_between(t.net(), "server -> server (edge):", t.servers()[0],
-                t.servers()[1]);
+  const auto& servers = t.servers();
+  paths_between(t.net(), "server -> server (edge):", nth(servers, 0),
+                nth(servers, 1));
   // The first server of the pod's second edge switch.
-  paths_between(t.net(), "server -> server (pod):", t.servers()[0],
-                t.servers()[static_cast<std::size_t>(cfg.servers_per_edge())]);
-  paths_between(t.net(), "server -> server (x-pod):", t.servers()[0],
-                t.servers()[static_cast<std::size_t>(cfg.n_servers()) - 1]);
+  paths_between(t.net(), "server -> server (pod):", nth(servers, 0),
+                nth(servers,
+                    static_cast<std::size_t>(cfg.servers_per_edge())));
+  paths_between(t.net(), "server -> server (x-pod):", nth(servers, 0),
+                nth(servers, servers.size() - 1));
   return 0;
 }
 

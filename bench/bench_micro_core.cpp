@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of the simulator
 // and the SCDA control plane: event queue churn, rate-metric math, a full
 // allocator tick, the hierarchy max-min pass, FES dispatch, packet
-// forwarding and topology construction.
+// forwarding, topology construction and the churn schedule build.
 #include <benchmark/benchmark.h>
 
 #include "core/hierarchy.h"
@@ -13,6 +13,7 @@
 #include "core/rate_allocator.h"
 #include "core/rate_metric.h"
 #include "net/topology.h"
+#include "sim/failure_schedule.h"
 #include "sim/simulator.h"
 
 using namespace scda;
@@ -356,6 +357,29 @@ void BM_TopologyBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TopologyBuild);
+
+// build_failure_schedule at churn-storage's churn (perfbench/workloads.cpp:
+// server MTBF 100 s, MTTR 5 s, 15 s horizon, three scripted NNS outages)
+// over n servers. Nearly all of it is starting each server's stream.
+void BM_FailureSchedule(benchmark::State& state) {
+  using Target = sim::ScriptedFailure::Target;
+  sim::ChurnConfig cfg;
+  cfg.enabled = true;
+  cfg.server_mtbf_s = 100.0;
+  cfg.server_mttr_s = 5.0;
+  cfg.horizon_s = 15.0;
+  cfg.scripted = {{2.0, Target::kNns, 0, 4.0},
+                  {4.0, Target::kNns, 5, 5.0},
+                  {6.0, Target::kNns, 1, 1.5}};
+  const auto n = static_cast<std::int32_t>(state.range(0));
+  const sim::ChurnShape shape{n, n / 8, n / 4, 8};
+  std::uint64_t seed = 61;
+  benchmark::DoNotOptimize(seed);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(sim::build_failure_schedule(cfg, shape, seed));
+  state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_FailureSchedule)->Arg(160)->Arg(1024)->Arg(8192);
 
 }  // namespace
 

@@ -11,10 +11,12 @@
 #            introduce (use-after-free through recycled slots, OOB heap
 #            positions). -D_GLIBCXX_ASSERTIONS bounds-checks operator[] on
 #            the standard containers and spans (the network's flat node,
-#            link, adjacency and route arrays) as well. The same flags
-#            then build perfbench/ and run its tiny-workload test, which
-#            drives all four workloads (churn included) through the
-#            public Cloud API and the links' lazily created ports.
+#            link, adjacency and route arrays) as well. A Debug build, so
+#            asserts stay on, at -O1, the level ASan documents for usable
+#            speed: at -O0 the longest replay nearly filled its timeout.
+#            The same flags then build perfbench/ and run its tiny-workload
+#            test, which drives all four workloads (churn included) through
+#            the public Cloud API and the links' lazily created ports.
 #   tsan     ThreadSanitizer build of the multithreaded surface — the sweep
 #            runner shards simulation runs across threads, so its worker
 #            pool, the shared logger, and cross-instance Simulator isolation
@@ -62,7 +64,7 @@ want asan && {
   echo "== pass: ASan + UBSan =="
   asan_flags=(
     -DCMAKE_BUILD_TYPE=Debug
-    -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all -D_GLIBCXX_ASSERTIONS"
+    -DCMAKE_CXX_FLAGS="-O1 -fsanitize=address,undefined -fno-sanitize-recover=all -D_GLIBCXX_ASSERTIONS"
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
   )
   run_suite build-check-asan "${asan_flags[@]}"

@@ -12,7 +12,7 @@ ChurnInjector::ChurnInjector(Cloud& cloud, const sim::ChurnConfig& cfg)
   shape.n_links = topo.n_tors();
   shape.servers_per_pod = topo.tors_per_agg * topo.servers_per_tor;
   shape.n_nns = static_cast<std::int32_t>(cloud_.nns_instance_count());
-  sim::validate_scripted(cfg.scripted, shape);
+  sim::validate_churn(cfg, shape);
 
   schedule_ = sim::build_failure_schedule(cfg, shape, cloud_.sim().seed());
   stats_.scheduled = schedule_.size();

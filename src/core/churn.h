@@ -2,10 +2,10 @@
 //
 // The schedule (sim/failure_schedule.h) is a pure function of (config,
 // topology shape, run seed), computed once at construction, after the
-// scripted entries pass validate_scripted() against the Cloud's census (an
-// out-of-range index throws std::invalid_argument). The injector posts
-// each transition through the simulator and translates it into the
-// Cloud's failure API:
+// config passes validate_churn() against the Cloud's census (a non-finite
+// value or an out-of-range index throws std::invalid_argument). The
+// injector posts each transition through the simulator and translates it
+// into the Cloud's failure API:
 //
 //   server down/up -> Cloud::fail_server / recover_server
 //   link   down/up -> Cloud::set_link_up on the ToR's duplex trunk pair

@@ -22,7 +22,10 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -140,27 +143,39 @@ struct ChurnShape {
 
 namespace detail {
 
-/// Append one entity's alternating up/down renewal process over [0, horizon).
-inline void append_renewal(std::vector<FailureEvent>& out, std::uint64_t seed,
-                           std::uint64_t tag, std::int32_t index,
-                           double mtbf_s, double mttr_s, double horizon_s,
-                           FailureKind down, FailureKind up) {
+/// Append the alternating up/down renewal processes of entities
+/// [0, count) of one class over [0, horizon). Entity i draws from the
+/// stream of churn_mix(seed ^ churn_mix((tag << 32) | i)); the streams of
+/// each block of Mt64Prefix::kLanes entities are seeded in lockstep.
+inline void append_renewals(std::vector<FailureEvent>& out,
+                            std::uint64_t seed, std::uint64_t tag,
+                            std::int32_t count, double mtbf_s, double mttr_s,
+                            double horizon_s, FailureKind down,
+                            FailureKind up) {
   if (mtbf_s <= 0.0 || horizon_s <= 0.0) return;
-  const std::uint64_t key =
-      (tag << 32) |
-      static_cast<std::uint64_t>(static_cast<std::uint32_t>(index));
-  Mt64Prefix eng(churn_mix(seed ^ churn_mix(key)));
-  // Rng::exponential's draw; both means are > 0 here.
-  const auto exponential = [&eng](double mean) {
-    return std::exponential_distribution<double>(1.0 / mean)(eng);
-  };
-  double t = exponential(mtbf_s);
-  while (t < horizon_s) {
-    out.push_back({secs(t), down, index});
-    t += mttr_s > 0.0 ? exponential(mttr_s) : 0.0;
-    if (t >= horizon_s) break;
-    out.push_back({secs(t), up, index});
-    t += exponential(mtbf_s);
+  constexpr auto kLanes = static_cast<std::int32_t>(Mt64Prefix::kLanes);
+  std::array<Mt64Prefix::Seeded, Mt64Prefix::kLanes> block;
+  for (std::int32_t first = 0; first < count; first += kLanes) {
+    const auto n = static_cast<std::size_t>(std::min(kLanes, count - first));
+    for (std::size_t l = 0; l < n; ++l)
+      block[l].seed = churn_mix(seed ^ churn_mix((tag << 32) | (first + l)));
+    Mt64Prefix::seed_lockstep({block.data(), n});
+    for (std::size_t l = 0; l < n; ++l) {
+      const auto index = static_cast<std::int32_t>(first + l);
+      Mt64Prefix eng(block[l]);
+      // Rng::exponential's draw; both means are > 0 here.
+      const auto exponential = [&eng](double mean) {
+        return std::exponential_distribution<double>(1.0 / mean)(eng);
+      };
+      double t = exponential(mtbf_s);
+      while (t < horizon_s) {
+        out.push_back({secs(t), down, index});
+        t += mttr_s > 0.0 ? exponential(mttr_s) : 0.0;
+        if (t >= horizon_s) break;
+        out.push_back({secs(t), up, index});
+        t += exponential(mtbf_s);
+      }
+    }
   }
 }
 
@@ -174,18 +189,15 @@ inline void append_renewal(std::vector<FailureEvent>& out, std::uint64_t seed,
   std::vector<FailureEvent> out;
   if (!cfg.enabled) return out;
 
-  for (std::int32_t s = 0; s < shape.n_servers; ++s)
-    detail::append_renewal(out, seed, /*tag=*/1, s, cfg.server_mtbf_s,
-                           cfg.server_mttr_s, cfg.horizon_s,
-                           FailureKind::kServerDown, FailureKind::kServerUp);
-  for (std::int32_t l = 0; l < shape.n_links; ++l)
-    detail::append_renewal(out, seed, /*tag=*/2, l, cfg.link_mtbf_s,
-                           cfg.link_mttr_s, cfg.horizon_s,
-                           FailureKind::kLinkDown, FailureKind::kLinkUp);
-  for (std::int32_t m = 0; m < shape.n_nns; ++m)
-    detail::append_renewal(out, seed, /*tag=*/3, m, cfg.nns_mtbf_s,
-                           cfg.nns_mttr_s, cfg.horizon_s,
-                           FailureKind::kNnsDown, FailureKind::kNnsUp);
+  detail::append_renewals(out, seed, /*tag=*/1, shape.n_servers,
+                          cfg.server_mtbf_s, cfg.server_mttr_s, cfg.horizon_s,
+                          FailureKind::kServerDown, FailureKind::kServerUp);
+  detail::append_renewals(out, seed, /*tag=*/2, shape.n_links,
+                          cfg.link_mtbf_s, cfg.link_mttr_s, cfg.horizon_s,
+                          FailureKind::kLinkDown, FailureKind::kLinkUp);
+  detail::append_renewals(out, seed, /*tag=*/3, shape.n_nns, cfg.nns_mtbf_s,
+                          cfg.nns_mttr_s, cfg.horizon_s,
+                          FailureKind::kNnsDown, FailureKind::kNnsUp);
 
   const auto push_pair = [&out](double at_s, double duration_s,
                                 FailureKind down, FailureKind up,
@@ -237,7 +249,8 @@ inline void append_renewal(std::vector<FailureEvent>& out, std::uint64_t seed,
 namespace detail {
 
 /// Strict non-negative number parse for kill specs: the whole token must
-/// be consumed, so "3x" or "" fail loudly instead of silently truncating.
+/// be consumed, so "3x" or "" fail loudly instead of silently truncating,
+/// and "inf" or "nan" are not numbers a spec can use.
 [[nodiscard]] inline double parse_kill_number(const std::string& token,
                                               const std::string& spec,
                                               const char* what) {
@@ -252,6 +265,9 @@ namespace detail {
   if (pos != token.size())
     throw std::invalid_argument(std::string("--kill: trailing junk after ") +
                                 what + " in '" + spec + "'");
+  if (!std::isfinite(v))
+    throw std::invalid_argument(std::string("--kill: ") + what +
+                                " must be finite in '" + spec + "'");
   if (v < 0.0)
     throw std::invalid_argument(std::string("--kill: ") + what +
                                 " must be >= 0 in '" + spec + "'");
@@ -263,8 +279,9 @@ namespace detail {
 /// Parse "server:3@30+5,pod:0@30+20,nns:1@10" into scripted failures.
 /// The duration suffix is optional; without it the outage is permanent.
 /// Malformed specs (unknown target, non-numeric index/time, trailing
-/// junk, negative values) throw std::invalid_argument with the offending
-/// spec named — never an out-of-range index deep inside the run.
+/// junk, negative or non-finite values, an index past int32, an outage
+/// ending past SimTime's range) throw std::invalid_argument with the
+/// offending spec named — never an out-of-range index deep inside the run.
 [[nodiscard]] inline std::vector<ScriptedFailure> parse_kill_specs(
     const std::string& specs) {
   std::vector<ScriptedFailure> out;
@@ -298,9 +315,12 @@ namespace detail {
     }
     const double idx = detail::parse_kill_number(
         spec.substr(colon + 1, at - colon - 1), spec, "index");
-    if (idx != static_cast<double>(static_cast<std::int32_t>(idx)))
-      throw std::invalid_argument("--kill: index must be an integer in '" +
-                                  spec + "'");
+    // Range first: casting a double past int32 is undefined.
+    if (idx > std::numeric_limits<std::int32_t>::max() ||
+        idx != std::floor(idx))
+      throw std::invalid_argument(
+          "--kill: index must be an integer in [0, 2147483647] in '" + spec +
+          "'");
     f.index = static_cast<std::int32_t>(idx);
     const std::string when = spec.substr(at + 1);
     const std::size_t plus = when.find('+');
@@ -308,25 +328,57 @@ namespace detail {
     if (plus != std::string::npos)
       f.duration_s =
           detail::parse_kill_number(when.substr(plus + 1), spec, "duration");
+    if (!SimTime::representable(f.at_s + f.duration_s))
+      throw std::invalid_argument(
+          "--kill: outage ends past the simulated time range (~292 years) "
+          "in '" + spec + "'");
     out.push_back(f);
   }
   return out;
 }
 
-/// Range-check scripted entries against the run's entity census, so an
+/// Check a churn configuration, from the CLI or built in code, before any
+/// event is built from it. Every MTBF, MTTR, the horizon and each scripted
+/// time and duration must be finite: an infinite horizon alone would make
+/// a renewal process emit events without end. A scripted outage that is
+/// posted (at_s >= 0; earlier ones are dropped) must end inside SimTime's
+/// range, and its index must name an entity of the run's census, so an
 /// out-of-range index is a clear error instead of a silently dropped
 /// schedule row. ChurnInjector runs it on every Cloud's census. Throws
-/// std::invalid_argument naming the bad entry.
-inline void validate_scripted(const std::vector<ScriptedFailure>& scripted,
-                              const ChurnShape& shape) {
-  const auto check = [](const ScriptedFailure& f, std::int32_t limit) {
-    if (f.index >= 0 && f.index < limit) return;
-    throw std::invalid_argument(
-        "--kill: " + std::string(to_string(f.target)) + " index " +
-        std::to_string(f.index) + " out of range (have " +
-        std::to_string(limit) + ")");
+/// std::invalid_argument naming the bad value or entry.
+inline void validate_churn(const ChurnConfig& cfg, const ChurnShape& shape) {
+  const auto finite = [](double v, const char* what) {
+    if (!std::isfinite(v))
+      throw std::invalid_argument(std::string("churn: ") + what +
+                                  " must be finite, got " +
+                                  std::to_string(v));
   };
-  for (const ScriptedFailure& f : scripted) {
+  finite(cfg.server_mtbf_s, "server MTBF");
+  finite(cfg.server_mttr_s, "server MTTR");
+  finite(cfg.link_mtbf_s, "link MTBF");
+  finite(cfg.link_mttr_s, "link MTTR");
+  finite(cfg.nns_mtbf_s, "NNS MTBF");
+  finite(cfg.nns_mttr_s, "NNS MTTR");
+  finite(cfg.horizon_s, "horizon");
+  if (cfg.horizon_s > 0.0 && !SimTime::representable(cfg.horizon_s))
+    throw std::invalid_argument(
+        "churn: horizon is past the simulated time range (~292 years)");
+
+  const auto check = [](const ScriptedFailure& f, std::int32_t limit) {
+    const auto fail = [&f](const std::string& why) {
+      throw std::invalid_argument("--kill: " +
+                                  std::string(to_string(f.target)) +
+                                  " index " + std::to_string(f.index) + why);
+    };
+    if (!std::isfinite(f.at_s) || !std::isfinite(f.duration_s))
+      fail(": time and duration must be finite");
+    if (f.at_s >= 0.0 &&
+        !SimTime::representable(f.at_s + std::max(f.duration_s, 0.0)))
+      fail(": outage ends past the simulated time range (~292 years)");
+    if (f.index < 0 || f.index >= limit)
+      fail(" out of range (have " + std::to_string(limit) + ")");
+  };
+  for (const ScriptedFailure& f : cfg.scripted) {
     switch (f.target) {
       case ScriptedFailure::Target::kServer:
         check(f, shape.n_servers);

@@ -6,12 +6,14 @@
 // lognormal, and discrete empirical sampling.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <random>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -25,11 +27,14 @@ namespace scda::sim {
 /// Output j < 156 (state_size - shift_size) is the tempered word
 /// x[j + 156] ^ twist(x[j], x[j + 1]). The first twist pass computes word
 /// j < 156 from words j, j + 1 and j + 156 before it rewrites any of them,
-/// so all three are still the seeded words. Draw j therefore extends the
-/// seed recurrence up to word j + 156 and no further: 157 words for the
-/// first draw. From draw 156 on, outputs read twisted words, and the engine
-/// hands over to a real std::mt19937_64(seed) advanced past the 156 outputs
-/// already returned.
+/// so all three are still the seeded words. The engine therefore keeps two
+/// cursors into the seed recurrence, word j and word j + 156, and moves
+/// each one step per draw; no other seeded word is ever read. Starting the
+/// high cursor costs 156 recurrence steps, a chain of dependent multiplies,
+/// so seed_lockstep() runs the chains of a block of seeds side by side.
+/// From draw 156 on, outputs read twisted words, and the engine hands over
+/// to a real std::mt19937_64(seed) advanced past the 156 outputs already
+/// returned.
 class Mt64Prefix {
   using Mt = std::mt19937_64;
 
@@ -39,34 +44,67 @@ class Mt64Prefix {
   static constexpr result_type min() noexcept { return Mt::min(); }
   static constexpr result_type max() noexcept { return Mt::max(); }
 
-  explicit Mt64Prefix(result_type seed) noexcept : x_{seed} {}
+  /// Seed recurrences seed_lockstep() interleaves. Eight chains kept the
+  /// multiplier busier than four and as busy as sixteen (docs/perf.md).
+  static constexpr std::size_t kLanes = 8;
+
+  /// A seed and word 156 of its seed recurrence, where the high cursor
+  /// starts.
+  struct Seeded {
+    result_type seed = 0;
+    result_type high = 0;
+  };
+
+  /// Sets each entry's `high` from its `seed`, kLanes entries at a time.
+  static void seed_lockstep(std::span<Seeded> block) noexcept {
+    for (std::size_t first = 0; first < block.size(); first += kLanes) {
+      const std::size_t n = std::min(kLanes, block.size() - first);
+      std::array<result_type, kLanes> x{};  // lanes past n run on 0, unread
+      for (std::size_t l = 0; l < n; ++l) x[l] = block[first + l].seed;
+      for (result_type i = 1; i <= Mt::shift_size; ++i)
+        for (result_type& w : x) w = next_word(w, i);
+      for (std::size_t l = 0; l < n; ++l) block[first + l].high = x[l];
+    }
+  }
+
+  explicit Mt64Prefix(result_type seed) noexcept
+      : Mt64Prefix(seeded(seed)) {}
+  /// The engine of s.seed, whose high word seed_lockstep() computed.
+  explicit Mt64Prefix(const Seeded& s) noexcept
+      : seed_(s.seed), low_(s.seed), high_(s.high) {}
 
   result_type operator()() {
     if (drawn_ < kPrefix) {
-      const std::size_t j = drawn_++;
-      seed_through(j + Mt::shift_size);
-      return temper(x_[j + Mt::shift_size] ^ twist(x_[j], x_[j + 1]));
+      const result_type j = drawn_++;
+      const result_type lo = low_;
+      low_ = next_word(lo, j + 1);
+      const result_type z = high_ ^ twist(lo, low_);
+      high_ = next_word(high_, j + 1 + Mt::shift_size);
+      return temper(z);
     }
     if (!tail_) {
-      tail_.emplace(x_[0]);  // the seed
+      tail_.emplace(seed_);
       tail_->discard(kPrefix);
     }
     return (*tail_)();
   }
 
  private:
-  static constexpr std::size_t kPrefix = Mt::state_size - Mt::shift_size;
+  static constexpr result_type kPrefix = Mt::state_size - Mt::shift_size;
   static constexpr result_type kLowerMask =
       (result_type{1} << Mt::mask_bits) - 1;
 
+  static Seeded seeded(result_type seed) noexcept {
+    Seeded s{seed};
+    seed_lockstep({&s, 1});
+    return s;
+  }
+
   /// Seed recurrence x[i] = f * (x[i-1] ^ (x[i-1] >> (w-2))) + i.
-  void seed_through(std::size_t last) noexcept {
-    for (; seeded_ <= last; ++seeded_) {
-      const result_type prev = x_[seeded_ - 1];
-      x_[seeded_] = Mt::initialization_multiplier *
-                        (prev ^ (prev >> (Mt::word_size - 2))) +
-                    seeded_;
-    }
+  static result_type next_word(result_type prev, result_type i) noexcept {
+    return Mt::initialization_multiplier *
+               (prev ^ (prev >> (Mt::word_size - 2))) +
+           i;
   }
 
   static result_type twist(result_type lo, result_type hi) noexcept {
@@ -81,9 +119,10 @@ class Mt64Prefix {
     return z ^ (z >> Mt::tempering_l);
   }
 
-  std::size_t drawn_ = 0;
-  std::size_t seeded_ = 1;
-  std::array<result_type, Mt::state_size> x_;
+  result_type seed_;
+  result_type low_;   ///< word j, j = draws so far
+  result_type high_;  ///< word j + 156
+  result_type drawn_ = 0;
   std::optional<Mt> tail_;
 };
 

@@ -130,6 +130,12 @@ class SimTime {
   [[nodiscard]] static constexpr SimTime from_seconds(double s) noexcept {
     return SimTime{round_to_ns(s * static_cast<double>(kNanosPerSecond))};
   }
+  /// Whether from_seconds(s) is defined: its rounded nanosecond count fits
+  /// rep_type (about +-292 years). False for NaN and the infinities.
+  [[nodiscard]] static constexpr bool representable(double s) noexcept {
+    const double x = s * static_cast<double>(kNanosPerSecond);
+    return x + 0.5 < 0x1p63 && -x + 0.5 < 0x1p63;
+  }
 
   /// Underlying exact nanosecond count.
   [[nodiscard]] constexpr rep_type nanos() const noexcept { return ns_; }

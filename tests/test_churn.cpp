@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -137,9 +139,9 @@ TEST(FailureSchedule, PermanentAndOutOfRangeScripts) {
 // schedule oracle: build_failure_schedule against the full-engine renewal
 // ---------------------------------------------------------------------------
 
-/// Reference copy of append_renewal drawing through sim::Rng, a fully
-/// seeded std::mt19937_64, as it did before Mt64Prefix. Returns the number
-/// of draws the entity made.
+/// Reference renewal of one entity, drawing through sim::Rng, a fully
+/// seeded std::mt19937_64, as the schedule did before Mt64Prefix. Returns
+/// the number of draws the entity made.
 int reference_renewal(std::vector<sim::FailureEvent>& out, std::uint64_t seed,
                       std::uint64_t tag, std::int32_t index, double mtbf_s,
                       double mttr_s, double horizon_s, sim::FailureKind down,
@@ -269,6 +271,121 @@ TEST(FailureScheduleOracle, MatchesFullEngineOnSeededConfigs) {
   EXPECT_GT(max_draws, 312);
 }
 
+/// churn-storage's churn (perfbench/workloads.cpp): server MTBF 100 s,
+/// MTTR 5 s, a 15 s horizon and three scripted NNS outages.
+sim::ChurnConfig churn_storage_cfg() {
+  sim::ChurnConfig cfg;
+  cfg.enabled = true;
+  cfg.server_mtbf_s = 100.0;
+  cfg.server_mttr_s = 5.0;
+  cfg.horizon_s = 15.0;
+  using Target = sim::ScriptedFailure::Target;
+  cfg.scripted = {{2.0, Target::kNns, 0, 4.0},
+                  {4.0, Target::kNns, 5, 5.0},
+                  {6.0, Target::kNns, 1, 1.5}};
+  return cfg;
+}
+
+TEST(FailureScheduleOracle, MatchesFullEngineOnBenchmarkCensuses) {
+  // churn-storage's census: the paper's tree (160 servers under 20 ToRs,
+  // 40 per pod) and 8 NNS instances.
+  const sim::ChurnConfig storage = churn_storage_cfg();
+  // fluid-scale's 1,024-server tree (64 ToRs, 128 servers per pod), with
+  // trunk and NNS churn on as well, so every class is seeded in blocks.
+  sim::ChurnConfig large = churn_storage_cfg();
+  large.link_mtbf_s = 40.0;
+  large.link_mttr_s = 2.0;
+  large.nns_mtbf_s = 30.0;
+  large.nns_mttr_s = 3.0;
+  const std::pair<sim::ChurnConfig, sim::ChurnShape> censuses[] = {
+      {storage, {160, 20, 40, 8}}, {large, {1024, 64, 128, 8}}};
+  int pair = 0;
+  for (const auto& [cfg, shape] : censuses) {
+    for (std::uint64_t seed = 1; seed <= 20; ++seed, ++pair) {
+      const auto want = reference_schedule(cfg, shape, seed).first;
+      // More than the scripted outages' six events: the renewals drew.
+      ASSERT_GT(want.size(), 6u) << "census " << shape.n_servers;
+      expect_same_schedule(sim::build_failure_schedule(cfg, shape, seed),
+                           want, pair);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// churn input validation
+// ---------------------------------------------------------------------------
+
+/// The message parse_kill_specs throws for `specs`, or "" if it parses.
+std::string kill_error(const std::string& specs) {
+  try {
+    (void)sim::parse_kill_specs(specs);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(FailureSchedule, KillSpecsRejectNonFiniteAndOutOfRange) {
+  // Each rejection names its spec, also when it follows a good one.
+  for (const char* bad :
+       {"server:1@inf", "server:1@nan", "server:1@-inf", "server:1@1e300",
+        "server:1@1+nan", "server:1@1+inf", "server:1@9e9+9e9",
+        "server:3e10@1", "server:2147483648@1", "nns:nan@1", "pod:inf@1"}) {
+    const std::string error = kill_error(std::string("server:0@1,") + bad);
+    EXPECT_NE(error.find(std::string("'") + bad + "'"), std::string::npos)
+        << bad << ": " << error;
+  }
+  EXPECT_NE(kill_error("server:1@nan").find("finite"), std::string::npos);
+  EXPECT_NE(kill_error("server:3e10@1").find("integer"), std::string::npos);
+  // Large but representable: ~285 years, and the largest index.
+  EXPECT_EQ(kill_error("server:2147483647@9e9+1e6"), "");
+}
+
+TEST(FailureSchedule, ValidationRejectsNonFiniteConfigs) {
+  const sim::ChurnShape shape{16, 4, 8, 8};
+  EXPECT_NO_THROW(sim::validate_churn(churn_storage_cfg(), shape));
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
+  using Field = double sim::ChurnConfig::*;
+  for (const Field field :
+       {&sim::ChurnConfig::server_mtbf_s, &sim::ChurnConfig::server_mttr_s,
+        &sim::ChurnConfig::link_mtbf_s, &sim::ChurnConfig::link_mttr_s,
+        &sim::ChurnConfig::nns_mtbf_s, &sim::ChurnConfig::nns_mttr_s,
+        &sim::ChurnConfig::horizon_s}) {
+    for (const double bad : {kInf, -kInf, kNan}) {
+      // Validated only: with an MTBF > 0, building the schedule over an
+      // infinite horizon would never end.
+      sim::ChurnConfig cfg = churn_storage_cfg();
+      cfg.*field = bad;
+      EXPECT_THROW(sim::validate_churn(cfg, shape), std::invalid_argument);
+    }
+  }
+  sim::ChurnConfig cfg = churn_storage_cfg();
+  cfg.horizon_s = 1e300;
+  EXPECT_THROW(sim::validate_churn(cfg, shape), std::invalid_argument);
+
+  using Target = sim::ScriptedFailure::Target;
+  const auto scripted = [&shape](double at_s, double duration_s) {
+    sim::ChurnConfig c = churn_storage_cfg();
+    c.scripted.push_back({at_s, Target::kServer, 3, duration_s});
+    sim::validate_churn(c, shape);
+  };
+  EXPECT_THROW(scripted(kNan, 1.0), std::invalid_argument);
+  EXPECT_THROW(scripted(kInf, 1.0), std::invalid_argument);
+  EXPECT_THROW(scripted(1.0, kNan), std::invalid_argument);
+  EXPECT_THROW(scripted(1.0, kInf), std::invalid_argument);
+  EXPECT_THROW(scripted(1.0, -kInf), std::invalid_argument);
+  EXPECT_THROW(scripted(1e300, 0.0), std::invalid_argument);
+  EXPECT_THROW(scripted(9e9, 9e9), std::invalid_argument);
+  EXPECT_NO_THROW(scripted(9e9, -1e300));  // permanent: only at_s converts
+  // A negative time is still dropped, not rejected, however far back.
+  EXPECT_NO_THROW(scripted(-1e300, 5.0));
+  sim::ChurnConfig dropped;
+  dropped.enabled = true;
+  dropped.scripted.push_back({-1e300, Target::kServer, 3, 5.0});
+  EXPECT_TRUE(sim::build_failure_schedule(dropped, shape, 1).empty());
+}
+
 // ---------------------------------------------------------------------------
 // cloud-level churn
 // ---------------------------------------------------------------------------
@@ -332,6 +449,23 @@ TEST_F(ChurnTest, OutOfRangeScriptedServerRejectsTheCloud) {
   cfg.churn.scripted.back().index = 15;
   build(cfg);
   EXPECT_EQ(cloud_->churn()->schedule().size(), 2u);
+}
+
+TEST_F(ChurnTest, NonFiniteChurnRejectsTheCloud) {
+  // A NaN duration would make the outage silently permanent, and a NaN
+  // MTTR every repair silently instant: the Cloud refuses both before it
+  // posts any event.
+  CloudConfig cfg;
+  cfg.churn.enabled = true;
+  cfg.churn.scripted.push_back(
+      {1.0, sim::ScriptedFailure::Target::kServer, 2,
+       std::numeric_limits<double>::quiet_NaN()});
+  EXPECT_THROW(build(cfg), std::invalid_argument);
+  cfg.churn.scripted.clear();
+  cfg.churn.server_mtbf_s = 5.0;
+  cfg.churn.server_mttr_s = std::numeric_limits<double>::quiet_NaN();
+  cfg.churn.horizon_s = 10.0;
+  EXPECT_THROW(build(cfg), std::invalid_argument);
 }
 
 TEST_F(ChurnTest, NestedOutagesNeverDoubleFailOrEarlyRecover) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <tuple>
 
 #include "core/churn.h"
@@ -123,25 +124,30 @@ TEST(ParseKillSpecs, RejectsMalformedSpecsAtParseTime) {
 
 TEST(ParseKillSpecs, ValidateScriptedRangeChecks) {
   const sim::ChurnShape shape{16, 4, 8, 8};  // 2 pods, 8 NNS instances
-  auto ok = sim::parse_kill_specs("server:15@1,link:3@1,pod:1@1,nns:7@1");
-  EXPECT_NO_THROW(sim::validate_scripted(ok, shape));
-  EXPECT_THROW(
-      sim::validate_scripted(sim::parse_kill_specs("nns:8@1"), shape),
-      std::invalid_argument);
-  EXPECT_THROW(
-      sim::validate_scripted(sim::parse_kill_specs("server:16@1"), shape),
-      std::invalid_argument);
-  EXPECT_THROW(
-      sim::validate_scripted(sim::parse_kill_specs("pod:2@1"), shape),
-      std::invalid_argument);
+  const auto scripted = [](const std::string& specs) {
+    sim::ChurnConfig cfg;
+    cfg.enabled = true;
+    cfg.scripted = sim::parse_kill_specs(specs);
+    return cfg;
+  };
+  EXPECT_NO_THROW(sim::validate_churn(
+      scripted("server:15@1,link:3@1,pod:1@1,nns:7@1"), shape));
+  EXPECT_THROW(sim::validate_churn(scripted("nns:8@1"), shape),
+               std::invalid_argument);
+  EXPECT_THROW(sim::validate_churn(scripted("server:16@1"), shape),
+               std::invalid_argument);
+  EXPECT_THROW(sim::validate_churn(scripted("pod:2@1"), shape),
+               std::invalid_argument);
   // parse_kill_specs rejects a negative index, but a scripted row built
-  // in code reaches validate_scripted (through ChurnInjector) as is.
+  // in code reaches validate_churn (through ChurnInjector) as is.
   using Target = sim::ScriptedFailure::Target;
   for (const Target target :
-       {Target::kServer, Target::kLink, Target::kPod, Target::kNns})
-    EXPECT_THROW(sim::validate_scripted({{1.0, target, -1, 0.0}}, shape),
-                 std::invalid_argument)
+       {Target::kServer, Target::kLink, Target::kPod, Target::kNns}) {
+    sim::ChurnConfig cfg;
+    cfg.scripted = {{1.0, target, -1, 0.0}};
+    EXPECT_THROW(sim::validate_churn(cfg, shape), std::invalid_argument)
         << sim::to_string(target);
+  }
 }
 
 // ---------------------------------------------------------------------------

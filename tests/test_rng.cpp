@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
+#include <sstream>
 #include <vector>
 
 #include "sim/failure_schedule.h"
@@ -150,7 +152,7 @@ INSTANTIATE_TEST_SUITE_P(Shapes, ParetoShapeSweep,
 
 // Mt64Prefix against std::mt19937_64 itself. The seeds are the churn
 // streams' own (churn_mix(run_seed ^ churn_mix((tag << 32) | index)), as in
-// append_renewal) plus the edge words. 700 draws cross the hand-over to the
+// append_renewals) plus the edge words. 700 draws cross the hand-over to the
 // real engine at draw 156 and that engine's second twist at draw 312.
 std::vector<std::uint64_t> churn_stream_seeds() {
   std::vector<std::uint64_t> seeds{0, 1, 5489, ~std::uint64_t{0}};
@@ -169,6 +171,46 @@ TEST(Mt64Prefix, MatchesStdEngineOnChurnSeeds) {
     Mt64Prefix eng(seed);
     for (int draw = 0; draw < 700; ++draw)
       ASSERT_EQ(eng(), ref()) << "seed " << seed << " draw " << draw;
+  }
+}
+
+// Word 156 of std::mt19937_64(seed)'s seeded state, where Mt64Prefix's
+// high cursor starts. An engine's textual form begins with its state words
+// in order, and a freshly seeded engine's are the seeded ones.
+std::uint64_t seeded_word_156(std::uint64_t seed) {
+  std::stringstream text;
+  text << std::mt19937_64(seed);
+  std::uint64_t word = 0;
+  for (int i = 0; i <= 156; ++i) text >> word;
+  return word;
+}
+
+TEST(Mt64Prefix, LockstepSeedingMatchesSingleStream) {
+  const std::vector<std::uint64_t> seeds = churn_stream_seeds();
+  // Every block length through two full blocks and one more (each lane
+  // remainder, full blocks before it), then all the seeds in one call.
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 2 * Mt64Prefix::kLanes + 1; ++n)
+    lengths.push_back(n);
+  lengths.push_back(seeds.size());
+  constexpr std::uint64_t kUntouched = 0x5cda;
+  for (const std::size_t n : lengths) {
+    // Entries past the span must keep their high word.
+    std::vector<Mt64Prefix::Seeded> block(n + Mt64Prefix::kLanes,
+                                          {0, kUntouched});
+    for (std::size_t i = 0; i < n; ++i) block[i].seed = seeds[i];
+    Mt64Prefix::seed_lockstep({block.data(), n});
+    for (std::size_t i = n; i < block.size(); ++i)
+      ASSERT_EQ(block[i].high, kUntouched) << "n " << n << " entry " << i;
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(block[i].high, seeded_word_156(seeds[i]))
+          << "n " << n << " lane " << i;
+      std::mt19937_64 ref(seeds[i]);
+      Mt64Prefix eng(block[i]);
+      for (int draw = 0; draw < 700; ++draw)
+        ASSERT_EQ(eng(), ref()) << "n " << n << " lane " << i << " draw "
+                                << draw;
+    }
   }
 }
 

@@ -1,7 +1,7 @@
 // bench_scale — the fluid-engine scale benchmark behind BENCH_scale.json.
 //
-// Builds a k-ary fat-tree (default k=32: 8192 servers) with the route
-// tables OFF (analytic FatTree::server_path), drives Poisson
+// Builds a k-ary fat-tree (default k=32: 8192 servers), routes each flow
+// over the analytic FatTree::server_path, drives Poisson
 // server-to-server elephants through the RateAllocator + FluidEngine pair,
 // and reports completed flows, events and wall-clock as one JSON object on
 // stdout. No TransportManager, no per-flow heap records: the bench issues
@@ -76,7 +76,6 @@ int main(int argc, char** argv) {
     net::FatTreeConfig tc;
     tc.k = k;
     tc.n_clients = 0;
-    tc.build_routes = false;  // analytic server_path; no per-switch BFS
     net::FatTree ft(sim, tc);
 
     core::ScdaParams params;

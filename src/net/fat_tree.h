@@ -7,7 +7,10 @@
 //
 // Between any two servers in different pods there are (k/2)^2 equal-cost
 // paths — the multipath fabric ECMP/VLB randomize over and SCDA's
-// widest-path selection routes deliberately (sections IX and XI).
+// widest-path selection routes deliberately (sections IX and XI). The
+// network's default routes come from the fabric's shape through a route
+// hook, with no route tables; server_path() and ecmp_path() hash over the
+// equal-cost choices per flow.
 #pragma once
 
 #include <cstdint>
@@ -27,13 +30,6 @@ struct FatTreeConfig {
   double wan_delay_s = 50e-3;
   std::int64_t queue_limit_bytes = 256 * 1500;
 
-  /// Build the network's route tables. Packet-mode traffic needs them.
-  /// At k=32 they hold ~337k destination runs (~2.7 MB) and take
-  /// 64-80 ms to build, a BFS over the switches from each of the 1,280
-  /// switches, against 3-5 ms for the rest of the fabric. Fluid-only
-  /// scale runs turn this off and use FatTree::server_path().
-  bool build_routes = true;
-
   [[nodiscard]] std::int32_t pods() const noexcept { return k; }
   [[nodiscard]] std::int32_t edge_per_pod() const noexcept { return k / 2; }
   [[nodiscard]] std::int32_t agg_per_pod() const noexcept { return k / 2; }
@@ -48,9 +44,18 @@ struct FatTreeConfig {
   }
 };
 
+/// A built fat-tree. Node ids follow the build order: the gateway, the
+/// cores, then pod by pod its aggregation switches and each edge switch
+/// followed by its servers, then the clients.
 class FatTree {
  public:
+  /// Throws std::invalid_argument unless k is even and >= 2 and n_clients
+  /// is not negative.
   FatTree(sim::Simulator& sim, const FatTreeConfig& cfg);
+
+  /// The network's route hook refers to the fabric.
+  FatTree(const FatTree&) = delete;
+  FatTree& operator=(const FatTree&) = delete;
 
   [[nodiscard]] Network& net() noexcept { return net_; }
   [[nodiscard]] const FatTreeConfig& config() const noexcept { return cfg_; }
@@ -84,15 +89,15 @@ class FatTree {
   }
 
   [[nodiscard]] LinkId server_uplink(std::size_t s) const {
-    return server_up_.at(s);
+    return place(servers_.at(s)).up;
   }
   [[nodiscard]] LinkId server_downlink(std::size_t s) const {
-    return server_down_.at(s);
+    return place(servers_.at(s)).down;
   }
 
   /// Analytic server-to-server path (ordered link ids), independent of the
-  /// network's route tables: the regular fat-tree wiring makes every shortest
-  /// path enumerable in O(1) from the stored link arrays. Among the
+  /// network's default routes: the regular fat-tree wiring makes every
+  /// shortest path enumerable in O(1) from the stored link arrays. Among the
   /// equal-cost choices the aggregation/core hop is picked by splitmix64 of
   /// the flow id — the same ECMP hash ecmp_path() uses — so paths are
   /// deterministic per flow. src == dst returns an empty path.
@@ -101,11 +106,30 @@ class FatTree {
                                                 FlowId flow) const;
 
  private:
+  /// A node's place in the fabric: its role; its pod (aggregation and edge
+  /// switches, servers); its index (core c, an aggregation or edge switch's
+  /// within its pod, a server's edge switch's); and, for a core, server or
+  /// client, its links to and from the one switch above it.
+  struct Place {
+    NodeRole role = NodeRole::kGateway;
+    std::uint32_t pod = 0;
+    std::uint32_t index = 0;
+    LinkId up = kInvalidLink;
+    LinkId down = kInvalidLink;
+  };
+  [[nodiscard]] const Place& place(NodeId n) const noexcept {
+    return places_[n.index()];
+  }
+  /// The network's route hook: the lowest-id link among the equal-cost
+  /// next hops, from `at`'s role and `dst`'s place.
+  static LinkId route(const void* fabric, NodeId at, NodeId dst);
+
   FatTreeConfig cfg_;
   Network net_;
   NodeId gateway_ = kInvalidNode;
   std::vector<NodeId> cores_, aggs_, edges_, servers_, clients_;
-  std::vector<LinkId> server_up_, server_down_;
+  /// places_[n]: node n's place, for every node.
+  std::vector<Place> places_;
   /// Fabric links indexed for analytic routing:
   ///   edge_agg_up_[(p*half + e)*half + a]   edge e of pod p -> agg a
   ///   agg_edge_down_[(p*half + e)*half + a] agg a -> edge e of pod p

@@ -10,7 +10,9 @@
 // Every leaf connects to every spine, so server-to-server and
 // client-to-server traffic has one path choice per spine. Combined with
 // Network::pin_flow_route and the widest-path selector
-// (core/path_selector.h) this exercises SCDA's cross-layer routing.
+// (core/path_selector.h) this exercises SCDA's cross-layer routing. The
+// network's default routes come from the fabric's shape through a route
+// hook, with no route tables.
 #pragma once
 
 #include <cstdint>
@@ -40,9 +42,18 @@ struct LeafSpineConfig {
   }
 };
 
+/// A built leaf-spine fabric. Node ids follow the build order: the
+/// gateway, the spines, each leaf followed by its servers, then the
+/// clients.
 class LeafSpine {
  public:
+  /// Throws std::invalid_argument unless there is at least one spine and
+  /// no count is negative.
   LeafSpine(sim::Simulator& sim, const LeafSpineConfig& cfg);
+
+  /// The network's route hook refers to the fabric.
+  LeafSpine(const LeafSpine&) = delete;
+  LeafSpine& operator=(const LeafSpine&) = delete;
 
   [[nodiscard]] Network& net() noexcept { return net_; }
   [[nodiscard]] const LeafSpineConfig& config() const noexcept {
@@ -69,10 +80,10 @@ class LeafSpine {
 
   // access links per server index
   [[nodiscard]] LinkId server_uplink(std::size_t s) const {
-    return server_up_.at(s);
+    return place(servers_.at(s)).up;
   }
   [[nodiscard]] LinkId server_downlink(std::size_t s) const {
-    return server_down_.at(s);
+    return place(servers_.at(s)).down;
   }
   // fabric links: leaf <-> spine
   [[nodiscard]] LinkId leaf_to_spine(std::size_t leaf,
@@ -87,12 +98,29 @@ class LeafSpine {
   }
 
  private:
+  /// A node's place in the fabric: its role; its group (a spine's index, a
+  /// leaf's, a server's leaf's); and, for a spine, server or client, its
+  /// links to and from the one switch above it.
+  struct Place {
+    NodeRole role = NodeRole::kGateway;
+    std::uint32_t group = 0;
+    LinkId up = kInvalidLink;
+    LinkId down = kInvalidLink;
+  };
+  [[nodiscard]] const Place& place(NodeId n) const noexcept {
+    return places_[n.index()];
+  }
+  /// The network's route hook: the lowest-id link among the equal-cost
+  /// next hops, from `at`'s role and `dst`'s place.
+  static LinkId route(const void* fabric, NodeId at, NodeId dst);
+
   LeafSpineConfig cfg_;
   Network net_;
   NodeId gateway_ = kInvalidNode;
   std::vector<NodeId> spines_, leaves_, servers_, clients_;
-  std::vector<LinkId> server_up_, server_down_;
   std::vector<LinkId> leaf_up_, leaf_down_;  // indexed leaf * n_spines + spine
+  /// places_[n]: node n's place, for every node.
+  std::vector<Place> places_;
 };
 
 }  // namespace scda::net

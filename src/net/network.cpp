@@ -85,218 +85,34 @@ void Network::finalize() {
 
 void Network::build_routes() {
   finalize();
+  // A BFS from every node over its out-links in ascending link id: hop[v]
+  // is the link leaving the source towards v, the lowest-id link to the
+  // first hop of the first shortest path found.
   const std::size_t n = nodes_.size();
-  // A leaf is a node whose only out-link and only in-link both join it to
-  // the same neighbour, its parent: a server under its ToR, a client under
-  // the gateway. A BFS reaches a leaf only from its parent, which is then
-  // already visited, so the leaf discovers nothing: dropping the arcs into
-  // leaves changes no other node's first hop. A leaf destination leaves
-  // the source through the source's own link to it (down[], the leaf's one
-  // in-link) when the source is its parent, and through the parent's hop
-  // otherwise.
-  constexpr std::size_t kNoParent = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> in_degree(n, 0);
-  std::vector<LinkId> down(n, kInvalidLink);
-  for (std::size_t l = 0; l < ends_.size(); ++l) {
-    const std::size_t v = ends_[l].to.index();
-    if (in_degree[v]++ == 0) down[v] = LinkId::from_index(l);
-  }
-  std::vector<std::size_t> parent(n, kNoParent);
-  for (std::size_t v = 0; v < n; ++v) {
-    const auto out = out_links(NodeId::from_index(v));
-    if (out.size() != 1 || in_degree[v] != 1) continue;
-    const NodeId up = ends_[out[0].index()].to;
-    if (ends_[down[v].index()].from == up) parent[v] = up.index();
-  }
-  // Out-links to non-leaves, flat, in ascending link id per node.
-  struct Arc {
-    NodeId to;
-    LinkId link;
-  };
-  std::vector<Arc> arcs;
-  arcs.reserve(links_.size());
-  std::vector<std::size_t> arcs_begin(n + 1);
-  for (std::size_t u = 0; u < n; ++u) {
-    arcs_begin[u] = arcs.size();
-    for (const LinkId lid : out_links(NodeId::from_index(u))) {
-      const NodeId v = ends_[lid.index()].to;
-      if (parent[v.index()] == kNoParent) arcs.push_back({v, lid});
-    }
-  }
-  arcs_begin[n] = arcs.size();
-  // Destination segments: a run of consecutive non-leaves, or of
-  // consecutive leaves of one parent, which all share that parent's hop.
-  struct Segment {
-    std::size_t first;
-    std::size_t parent;
-  };
-  std::vector<Segment> segments;
-  segments.reserve(n);
-  for (std::size_t d = 0; d < n; ++d) {
-    if (segments.empty() || segments.back().parent != parent[d])
-      segments.push_back({d, parent[d]});
-  }
-
-  // A stub has exactly one arc; its other out-links lead to its own
-  // leaves. Everything else it reaches, it reaches through that arc, so its
-  // row is derived from its neighbour's. Every other node is a BFS source,
-  // and so is one stub of each cycle of stubs. `order` lists the stubs
-  // each after its neighbour: from each stub not yet placed, walk the
-  // neighbour chain to a BFS source or a placed stub, then place the walk
-  // back to front.
-  enum class Kind : std::uint8_t { kSearch, kStub, kWalked, kPlaced };
-  std::vector<Kind> kind(n);
-  for (std::size_t v = 0; v < n; ++v)
-    kind[v] = arcs_begin[v + 1] - arcs_begin[v] == 1 ? Kind::kStub
-                                                     : Kind::kSearch;
-  std::vector<std::size_t> order;
-  order.reserve(n);
-  std::vector<std::size_t> queue;  // scratch: a walk, a BFS, a stub's own
+  hops_.assign(n * n, kInvalidLink);
+  std::vector<std::size_t> queue;
   queue.reserve(n);
   for (std::size_t s = 0; s < n; ++s) {
-    queue.clear();
-    std::size_t v = s;
-    for (; kind[v] == Kind::kStub; v = arcs[arcs_begin[v]].to.index()) {
-      kind[v] = Kind::kWalked;
-      queue.push_back(v);
-    }
-    if (kind[v] == Kind::kWalked) kind[v] = Kind::kSearch;  // a cycle
-    for (auto it = queue.rbegin(); it != queue.rend(); ++it) {
-      if (kind[*it] != Kind::kWalked) continue;
-      kind[*it] = Kind::kPlaced;
-      order.push_back(*it);
-    }
-  }
-
-  // Appends node `self`'s runs for ascending destinations. Its own
-  // destination is a don't-care: a run that would start there starts one
-  // later, so the preceding run absorbs it.
-  struct Row {
-    std::vector<RouteRun>& runs;
-    std::size_t self;
-    std::size_t begin = runs.size();
-    /// Destinations [first, last) leave through `link`.
-    void add(std::size_t first, std::size_t last, LinkId link) {
-      if (first == self) ++first;
-      if (first >= last) return;
-      if (runs.size() > begin && runs.back().link == link) return;
-      runs.push_back({NodeId::from_index(first), link});
-    }
-    /// The row's first run covers destination 0.
-    void close() {
-      if (runs.size() == begin) runs.push_back({NodeId{0}, kInvalidLink});
-      runs[begin].first = NodeId{0};
-    }
-  };
-  // reaches_all[s]: s's row has no unreachable run.
-  std::vector<bool> reaches_all(n);
-  rows_.assign(n, RowSpan{});
-  runs_.clear();
-  // Trees hold about two runs per node; other fabrics grow the array.
-  runs_.reserve(links_.size() + n);
-  const auto finish = [&](const Row& row) {
-    rows_[row.self] = {row.begin, runs_.size()};
-    reaches_all[row.self] = std::all_of(
-        runs_.begin() + static_cast<std::ptrdiff_t>(row.begin), runs_.end(),
-        [](const RouteRun& r) { return r.link.valid(); });
-  };
-
-  // BFS over the arcs from every source. For tree topologies this is
-  // exact; for general graphs it yields deterministic shortest hop-count
-  // paths. hop[d] is the link leaving the source towards d: arcs are
-  // explored in ascending link id, so it is the lowest-id link to the BFS
-  // first hop. Only the entries the previous BFS set are reset.
-  std::vector<LinkId> hop(n, kInvalidLink);
-  queue.clear();
-  for (std::size_t s = 0; s < n; ++s) {
-    if (kind[s] != Kind::kSearch) continue;
-    for (const std::size_t u : queue) hop[u] = kInvalidLink;
+    LinkId* const hop = hops_.data() + s * n;
     queue.assign(1, s);
     for (std::size_t head = 0; head < queue.size(); ++head) {
       const std::size_t u = queue[head];
-      for (std::size_t a = arcs_begin[u]; a < arcs_begin[u + 1]; ++a) {
-        const std::size_t v = arcs[a].to.index();
+      for (const LinkId lid : out_links(NodeId::from_index(u))) {
+        const std::size_t v = ends_[lid.index()].to.index();
         if (v == s || hop[v].valid()) continue;
-        hop[v] = (u == s) ? arcs[a].link : hop[u];
+        hop[v] = u == s ? lid : hop[u];
         queue.push_back(v);
       }
     }
-    Row row{runs_, s};
-    for (std::size_t g = 0; g < segments.size(); ++g) {
-      const std::size_t first = segments[g].first;
-      const std::size_t last =
-          g + 1 < segments.size() ? segments[g + 1].first : n;
-      const std::size_t p = segments[g].parent;
-      if (p == kNoParent) {
-        for (std::size_t d = first; d < last; ++d) row.add(d, d + 1, hop[d]);
-      } else if (p == s) {
-        for (std::size_t d = first; d < last; ++d) row.add(d, d + 1, down[d]);
-      } else {
-        row.add(first, last, hop[p]);
-      }
-    }
-    row.close();
-    finish(row);
-  }
-
-  // Each stub's row: its neighbour's, with every reachable run pointed at
-  // the stub's arc, the neighbour itself reached through that arc too, and
-  // the stub's own leaves through their down-links.
-  for (const std::size_t s : order) {
-    const Arc up = arcs[arcs_begin[s]];
-    const std::size_t nb = up.to.index();
-    // A leaf has no leaves of its own: when its parent reaches everything,
-    // the emitter below would merge its runs into this one.
-    if (parent[s] != kNoParent && reaches_all[nb]) {
-      rows_[s] = {runs_.size(), runs_.size() + 1};
-      runs_.push_back({NodeId{0}, up.link});
-      reaches_all[s] = true;
-      continue;
-    }
-    queue.assign(1, nb);
-    for (const LinkId lid : out_links(NodeId::from_index(s))) {
-      const std::size_t v = ends_[lid.index()].to.index();
-      if (parent[v] == s) queue.push_back(v);
-    }
-    std::sort(queue.begin(), queue.end());
-    Row row{runs_, s};
-    std::size_t k = 0;
-    // Destinations [first, last), which the neighbour reaches or not.
-    const auto emit = [&](std::size_t first, std::size_t last, bool reached) {
-      const LinkId via = reached ? up.link : kInvalidLink;
-      for (; k < queue.size() && queue[k] < last; ++k) {
-        const std::size_t own = queue[k];
-        row.add(first, own, via);
-        row.add(own, own + 1, own == nb ? up.link : down[own]);
-        first = own + 1;
-      }
-      row.add(first, last, via);
-    };
-    if (reaches_all[nb]) {
-      emit(0, n, true);
-    } else {
-      const RowSpan from = rows_[nb];
-      for (std::size_t r = from.begin; r < from.end; ++r) {
-        const std::size_t last =
-            r + 1 < from.end ? runs_[r + 1].first.index() : n;
-        emit(runs_[r].first.index(), last, runs_[r].link.valid());
-      }
-    }
-    row.close();
-    finish(row);
   }
   routes_built_ = true;
 }
 
 LinkId Network::route(NodeId at, NodeId dst) const {
   const std::size_t a = checked(at);
-  checked(dst);
+  const std::size_t d = checked(dst);
   if (route_hook_) return route_hook_(route_ctx_, at, dst);
-  const RouteRun* first = runs_.data() + rows_[a].begin;
-  const RouteRun* last = runs_.data() + rows_[a].end;
-  const auto before = [](NodeId d, const RouteRun& r) { return d < r.first; };
-  // The last run starting at or before dst; the first run starts at 0.
-  return (std::upper_bound(first, last, dst, before) - 1)->link;
+  return hops_[a * nodes_.size() + d];
 }
 
 NodeId Network::next_hop(NodeId at, NodeId dst) const {

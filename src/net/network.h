@@ -6,27 +6,19 @@
 // a Node& or Link& is valid only up to the next add_node or add_link that
 // outgrows reserve().
 //
-// Routing is static shortest-path, answered one of two ways. A fabric
-// that knows its shape sets a route hook and answers every lookup from it
-// with no tables: ThreeTierTree, whose paths are unique, walks its
-// preorder ids up or down. Otherwise build_routes() runs a BFS over hop
-// count once after the topology is built — exact on trees and
-// deterministic on general graphs (out-links are explored in ascending
-// link id, so the lowest-id link wins ties). The BFS skips leaves: a node
-// whose only out-link and only in-link join it to the same neighbour, its
-// parent (a server under its ToR, a client under the gateway), takes its
-// parent's first hop. A stub — a node with one out-link to a non-leaf plus
-// any leaf children (a ToR, the gateway, a server, a client) — reaches
-// everything through that link except its own leaves, so its row is
-// derived from its neighbour's rather than searched; on the datacenter
-// fabrics the BFS runs from the core and aggregation switches only. Each
-// node stores its routes as runs of consecutive destination ids that
-// leave through the same out-link; a tree node has about one run per
-// child subtree, so the tables grow with the node count rather than its
-// square, and a hop looks its link up by binary search over the node's
-// runs. Packets are forwarded hop-by-hop through drop-tail links, whose
-// queued and propagating packets all live in one PacketPool owned by the
-// network.
+// Routing is static shortest-path. A fabric builder knows its shape and
+// sets a route hook that answers every lookup from it, with no tables:
+// ThreeTierTree walks its preorder ids up or down its unique paths, while
+// FatTree and LeafSpine pick, from the node's role and the destination's
+// pod or leaf, the lowest-id link among the equal-cost next hops. A
+// hand-built network calls build_routes() instead, which runs a BFS over
+// hop count from every node into a dense node-by-node next-hop array:
+// exact on trees and deterministic on general graphs (out-links are
+// explored in ascending link id, so the lowest-id link wins ties, the
+// choice the hooks make too). Its time and memory grow with the square of
+// the node count, so it suits small networks. Packets are forwarded
+// hop-by-hop through drop-tail links, whose queued and propagating packets
+// all live in one PacketPool owned by the network.
 #pragma once
 
 #include <span>
@@ -74,33 +66,33 @@ class Network {
   /// add_link throw from here on. Idempotent.
   void finalize();
 
-  /// Compute the route tables (finalizing first). Must be called after the
-  /// topology is final and before any traffic is injected.
+  /// Compute the next-hop table by a BFS from every node (finalizing
+  /// first), for a network without a route hook. Must be called after the
+  /// topology is final and before any traffic is injected. Quadratic in the
+  /// node count.
   void build_routes();
 
   /// Answers a route from the fabric's own shape: the link leaving `at`
   /// towards `dst` (at != dst, both in range), kInvalidLink when `dst` is
   /// unreachable. Called with the context given to set_route_hook.
   using RouteHook = LinkId (*)(const void* ctx, NodeId at, NodeId dst);
-  /// Answer every route through `hook` instead of route tables, which are
-  /// then never read. Set by a fabric after finalize(), for its lifetime.
+  /// Answer every route through `hook` instead of a next-hop table, which
+  /// is then never read. Set by a fabric after finalize(), for its
+  /// lifetime.
   void set_route_hook(RouteHook hook, const void* ctx) noexcept {
     route_hook_ = hook;
     route_ctx_ = ctx;
   }
 
   /// Whether routes can be answered: build_routes() ran or a route hook is
-  /// set. Large fluid-only topologies (k=32 fat-tree) have neither, since
-  /// the BFS from every switch would take most of their construction, and
-  /// compute paths analytically instead.
+  /// set.
   [[nodiscard]] bool has_routes() const noexcept {
     return routes_built_ || route_hook_ != nullptr;
   }
-  /// Total destination runs over all nodes (0 when no tables were built).
-  /// The scale guard tests assert this stays 0 for analytic-route
-  /// topologies and linear in the node count for tables.
+  /// Cells of the next-hop table build_routes() fills, node_count()
+  /// squared; 0 for a fabric that routes through its hook.
   [[nodiscard]] std::size_t route_table_entries() const noexcept {
-    return runs_.size();
+    return hops_.size();
   }
 
   // --- access ---------------------------------------------------------------
@@ -147,7 +139,7 @@ class Network {
 
   // --- per-flow source routing (general topologies, paper section IX) ----
   /// Pin a flow to an explicit path (ordered link ids). Packets of the
-  /// flow follow the pinned path instead of the destination-based tables;
+  /// flow follow the pinned path instead of the destination-based routes;
   /// ACKs and reverse traffic still use the default routes. The path must
   /// be contiguous.
   void pin_flow_route(FlowId flow, const std::vector<LinkId>& path);
@@ -170,17 +162,6 @@ class Network {
     return id.index();
   }
 
-  /// Destinations from `first` up to the next run's `first` leave through
-  /// `link` (kInvalidLink: unreachable).
-  struct RouteRun {
-    NodeId first;
-    LinkId link;
-  };
-  /// A node's runs: runs_[begin, end).
-  struct RowSpan {
-    std::size_t begin = 0;
-    std::size_t end = 0;
-  };
   /// The part of a link the route build reads, kept apart from the Link.
   struct LinkEnds {
     NodeId from;
@@ -188,8 +169,7 @@ class Network {
   };
 
   /// The link leaving `at` towards `dst` (at != dst); kInvalidLink when
-  /// unreachable. The route hook's answer, or a binary search over `at`'s
-  /// runs.
+  /// unreachable. The route hook's answer, or the next-hop table's.
   [[nodiscard]] LinkId route(NodeId at, NodeId dst) const;
 
   void forward(Packet&& p, NodeId at);
@@ -210,11 +190,9 @@ class Network {
   /// in ascending link id (filled by finalize()).
   std::vector<std::size_t> out_begin_;
   std::vector<LinkId> out_ids_;
-  /// rows_[n]: node n's runs, ascending by first destination, the first
-  /// one starting at node 0. A node's own destination is a don't-care
-  /// absorbed by a neighbouring run.
-  std::vector<RowSpan> rows_;
-  std::vector<RouteRun> runs_;
+  /// hops_[at * node_count() + dst]: the link leaving `at` towards `dst`,
+  /// kInvalidLink when unreachable (filled by build_routes()).
+  std::vector<LinkId> hops_;
   /// pinned_[flow][at-node] = outgoing link (source-routed flows)
   std::unordered_map<FlowId, std::unordered_map<NodeId, LinkId>> pinned_;
   RouteHook route_hook_ = nullptr;

@@ -4,7 +4,7 @@
 // and hands packets addressed to it to the attached sink (transport demux).
 // Forwarding asks the Network for the out-link of the shortest path to
 // the destination: the fabric's route hook answers it from the fabric's
-// shape (a three-tier tree), or else the precomputed route tables do.
+// shape, or else, in a hand-built network, the BFS next-hop table does.
 #pragma once
 
 #include <functional>

@@ -2,9 +2,11 @@
 //
 // Supports:  --name value   --name=value   --flag   and positionals.
 // Typed getters fall back to defaults when the flag is absent and throw
-// std::invalid_argument on malformed values, so tools fail loudly.
+// std::invalid_argument on malformed values, so tools fail loudly. No flag
+// takes an infinite or NaN number.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -51,10 +53,12 @@ class ArgParser {
     try {
       std::size_t pos = 0;
       const double v = std::stod(it->second, &pos);
-      if (pos != it->second.size()) throw std::invalid_argument(it->second);
+      if (pos != it->second.size() || !std::isfinite(v))
+        throw std::invalid_argument(it->second);
       return v;
     } catch (const std::exception&) {
-      throw std::invalid_argument("--" + name + ": expected a number, got '" +
+      throw std::invalid_argument("--" + name +
+                                  ": expected a finite number, got '" +
                                   it->second + "'");
     }
   }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 namespace scda::util {
 namespace {
 
@@ -44,9 +46,21 @@ TEST(ArgParser, NumericParsing) {
 }
 
 TEST(ArgParser, MalformedNumbersThrow) {
-  const auto a = parse({"--rate", "abc", "--count", "1.5"});
+  const auto a = parse({"--rate", "abc", "--count", "1.5", "--inf", "inf",
+                        "--neg-inf=-inf", "--upper", "INFINITY", "--nan", "nan",
+                        "--huge", "1e999"});
   EXPECT_THROW((void)a.get_double("rate", 0), std::invalid_argument);
   EXPECT_THROW((void)a.get_int("count", 0), std::invalid_argument);
+  // No flag takes an infinite or NaN number; the error names the flag.
+  for (const std::string flag : {"inf", "neg-inf", "upper", "nan", "huge"}) {
+    try {
+      (void)a.get_double(flag, 0);
+      ADD_FAILURE() << "--" << flag << " accepted";
+    } catch (const std::invalid_argument& e) {
+      const std::string want = "--" + flag + ": expected a finite number";
+      EXPECT_EQ(std::string(e.what()).rfind(want, 0), 0u) << e.what();
+    }
+  }
 }
 
 TEST(ArgParser, BooleanValues) {

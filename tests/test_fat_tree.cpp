@@ -39,6 +39,10 @@ TEST_F(FatTreeTest, OddKRejected) {
   FatTreeConfig bad;
   bad.k = 3;
   EXPECT_THROW(FatTree(sim_, bad), std::invalid_argument);
+  // A negative client count would wrap around in the client loop.
+  bad.k = 4;
+  bad.n_clients = -1;
+  EXPECT_THROW(FatTree(sim_, bad), std::invalid_argument);
 }
 
 TEST_F(FatTreeTest, PodMapping) {
@@ -115,16 +119,16 @@ TEST_F(FatTreeTest, PinnedEcmpFlowDeliversData) {
 // ------------------------------------------------------ scale guards ----
 //
 // The fluid scale bench (bench_scale, BENCH_scale.json) builds k=16/k=32
-// fabrics with build_routes=false and analytic FatTree::server_path. These
-// tests pin the construction counts, prove no route tables are built, and
-// validate the analytic paths against the BFS-enumerated shortest paths.
+// fabrics and routes each flow over the analytic FatTree::server_path.
+// These tests pin the construction counts, prove the fabric routes from its
+// shape with no route tables, and validate the analytic paths against the
+// BFS-enumerated shortest paths.
 
 TEST(FatTreeScale, K16CountsWithoutRouteTables) {
   sim::Simulator sim;
   FatTreeConfig cfg;
   cfg.k = 16;
   cfg.n_clients = 0;
-  cfg.build_routes = false;
   FatTree ft(sim, cfg);
   EXPECT_EQ(ft.servers().size(), 1024u);  // k^3/4
   EXPECT_EQ(ft.cores().size(), 64u);      // (k/2)^2
@@ -132,7 +136,7 @@ TEST(FatTreeScale, K16CountsWithoutRouteTables) {
   EXPECT_EQ(ft.net().node_count(), 1u + 64u + 256u + 1024u);
   // duplex: (k/2)^2 core-gw + 3*(k^3/4) fabric/server = 3136 -> x2
   EXPECT_EQ(ft.net().link_count(), 6272u);
-  EXPECT_FALSE(ft.net().has_routes());
+  EXPECT_TRUE(ft.net().has_routes());
   EXPECT_EQ(ft.net().route_table_entries(), 0u);
 }
 
@@ -141,7 +145,6 @@ TEST(FatTreeScale, K32CountsWithoutRouteTables) {
   FatTreeConfig cfg;
   cfg.k = 32;
   cfg.n_clients = 0;
-  cfg.build_routes = false;
   FatTree ft(sim, cfg);
   EXPECT_EQ(ft.servers().size(), 8192u);   // k^3/4
   EXPECT_EQ(ft.cores().size(), 256u);      // (k/2)^2
@@ -149,8 +152,8 @@ TEST(FatTreeScale, K32CountsWithoutRouteTables) {
   // duplex: 256 core-gw + 3*8192 = 24832 -> 49664 unidirectional, the
   // committed BENCH_scale.json "links" value.
   EXPECT_EQ(ft.net().link_count(), 49664u);
-  // Analytic routing skips the BFS from every switch that route tables
-  // would cost at this scale.
+  // The fabric's route hook answers every route with no table.
+  EXPECT_TRUE(ft.net().has_routes());
   EXPECT_EQ(ft.net().route_table_entries(), 0u);
 }
 
@@ -159,7 +162,6 @@ TEST(FatTreeScale, ServerPathIsContiguousAndTiered) {
   FatTreeConfig cfg;
   cfg.k = 16;
   cfg.n_clients = 0;
-  cfg.build_routes = false;
   FatTree ft(sim, cfg);
   const std::size_t n = ft.servers().size();
 
@@ -184,7 +186,6 @@ TEST(FatTreeScale, ServerPathMatchesBfsShortestPaths) {
   FatTreeConfig cfg;
   cfg.k = 8;
   cfg.n_clients = 0;
-  cfg.build_routes = false;
   FatTree ft(sim, cfg);
   // Every analytic path must be one of the BFS-enumerated equal-cost
   // shortest paths for that pair.
@@ -206,7 +207,6 @@ TEST(FatTreeScale, ServerPathSpreadsAcrossCores) {
   FatTreeConfig cfg;
   cfg.k = 16;
   cfg.n_clients = 0;
-  cfg.build_routes = false;
   FatTree ft(sim, cfg);
   std::set<std::vector<LinkId>> chosen;
   for (FlowId f{0}; f < FlowId{512}; ++f)

@@ -293,11 +293,11 @@ TEST(NetworkLifetime, DestroyedWithPacketsQueuedAndPropagating) {
 }
 
 // --- route oracle ------------------------------------------------------------
-// The dense routing the run tables replaced: a BFS from every node over the
-// out-links in id order, recording the first-hop neighbour, with the hop's
-// link chosen by link_between. The run tables must give the same next hop
-// and the same first link for every ordered pair. Returns the number of
-// unreachable pairs.
+// The reference routing: a BFS from every node over the out-links in id
+// order, recording the first-hop neighbour, with the hop's link chosen by
+// link_between. A fabric's route hook and the BFS table build_routes()
+// fills must give the same next hop and the same first link for every
+// ordered pair. Returns the number of unreachable pairs.
 std::size_t expect_routes_match_dense_oracle(const Network& net) {
   const std::size_t n = net.node_count();
   std::size_t unreachable = 0;
@@ -362,8 +362,25 @@ TopologyConfig tree(std::int32_t aggs, std::int32_t tors,
 
 TopologyConfig tree_1024_servers() { return tree(8, 8, 16, 256); }
 
-/// The tree's nodes and links, with the same ids, in a plain Network with
-/// BFS route tables: what any other fabric of this shape holds.
+FatTreeConfig fat_tree(std::int32_t k, std::int32_t clients) {
+  FatTreeConfig cfg;
+  cfg.k = k;
+  cfg.n_clients = clients;
+  return cfg;
+}
+
+LeafSpineConfig leaf_spine(std::int32_t spines, std::int32_t leaves,
+                           std::int32_t servers, std::int32_t clients) {
+  LeafSpineConfig cfg;
+  cfg.n_spines = spines;
+  cfg.n_leaves = leaves;
+  cfg.servers_per_leaf = servers;
+  cfg.n_clients = clients;
+  return cfg;
+}
+
+/// A fabric's nodes and links, with the same ids, in a plain Network with
+/// the BFS next-hop table: what a hand-built network of this shape holds.
 void build_tables_like(const Network& shape, Network& out) {
   out.reserve(shape.node_count(), shape.link_count());
   for (std::size_t i = 0; i < shape.node_count(); ++i)
@@ -376,17 +393,28 @@ void build_tables_like(const Network& shape, Network& out) {
   out.build_routes();
 }
 
-/// The tree answers from its preorder shape and holds no tables; BFS
-/// tables built for the same links must agree with the same oracle.
+/// The fabric answers from its shape and holds no tables.
+void expect_hook_matches_dense_oracle(const Network& net) {
+  EXPECT_TRUE(net.has_routes());
+  EXPECT_EQ(net.route_table_entries(), 0u);
+  EXPECT_EQ(expect_routes_match_dense_oracle(net), 0u);
+}
+
+/// BFS tables built for the fabric's links must agree with the same
+/// oracle; they hold one cell per ordered pair.
+void expect_tables_like_match_dense_oracle(const Network& net) {
+  sim::Simulator sim;
+  Network tables(sim);
+  build_tables_like(net, tables);
+  EXPECT_EQ(tables.route_table_entries(), net.node_count() * net.node_count());
+  EXPECT_EQ(expect_routes_match_dense_oracle(tables), 0u);
+}
+
 void expect_tree_routes_match_dense_oracle(const TopologyConfig& cfg) {
   sim::Simulator sim;
-  ThreeTierTree t(sim, cfg);
-  EXPECT_TRUE(t.net().has_routes());
-  EXPECT_EQ(t.net().route_table_entries(), 0u);
-  EXPECT_EQ(expect_routes_match_dense_oracle(t.net()), 0u);
-  Network tables(sim);
-  build_tables_like(t.net(), tables);
-  EXPECT_EQ(expect_routes_match_dense_oracle(tables), 0u);
+  const ThreeTierTree t(sim, cfg);
+  expect_hook_matches_dense_oracle(t.net());
+  expect_tables_like_match_dense_oracle(t.net());
 }
 
 TEST(RouteOracle, PaperTree) {
@@ -410,54 +438,60 @@ TEST(RouteOracle, SmallAndDegenerateTrees) {
   }
 }
 
+/// The fat-tree's hook with `clients` clients and without any.
+void expect_fat_tree_routes_match_dense_oracle(std::int32_t k,
+                                               std::int32_t clients) {
+  for (const std::int32_t c : {clients, 0}) {
+    SCOPED_TRACE("k=" + std::to_string(k) + ", " + std::to_string(c) +
+                 " clients");
+    sim::Simulator sim;
+    FatTree ft(sim, fat_tree(k, c));
+    expect_hook_matches_dense_oracle(ft.net());
+  }
+}
+
 TEST(RouteOracle, FatTreeK4) {
-  sim::Simulator sim;
-  FatTreeConfig cfg;
-  cfg.k = 4;
-  FatTree ft(sim, cfg);
-  EXPECT_EQ(expect_routes_match_dense_oracle(ft.net()), 0u);
+  expect_fat_tree_routes_match_dense_oracle(4, 8);
+  // And k=2: one core, and one agg, edge switch and server per pod.
+  expect_fat_tree_routes_match_dense_oracle(2, 3);
 }
 
 TEST(RouteOracle, FatTreeK8) {
+  expect_fat_tree_routes_match_dense_oracle(8, 8);
+  // Its links also check the BFS tables on a multipath graph.
   sim::Simulator sim;
-  FatTreeConfig cfg;
-  cfg.k = 8;
-  FatTree ft(sim, cfg);
-  EXPECT_EQ(expect_routes_match_dense_oracle(ft.net()), 0u);
+  FatTree ft(sim, fat_tree(8, 8));
+  expect_tables_like_match_dense_oracle(ft.net());
 }
 
 TEST(RouteOracle, FatTreeK16) {
-  // 1,353 nodes and the most runs per node of any shape.
-  sim::Simulator sim;
-  FatTreeConfig cfg;
-  cfg.k = 16;
-  FatTree ft(sim, cfg);
-  EXPECT_EQ(expect_routes_match_dense_oracle(ft.net()), 0u);
+  // 1,353 nodes with 8 clients.
+  expect_fat_tree_routes_match_dense_oracle(16, 8);
 }
 
 TEST(RouteOracle, LeafSpine) {
-  sim::Simulator sim;
-  LeafSpine ls(sim, LeafSpineConfig{});
-  EXPECT_EQ(expect_routes_match_dense_oracle(ls.net()), 0u);
+  {
+    sim::Simulator sim;
+    LeafSpine ls(sim, LeafSpineConfig{});
+    expect_hook_matches_dense_oracle(ls.net());
+    expect_tables_like_match_dense_oracle(ls.net());
+  }
+  const std::pair<const char*, LeafSpineConfig> shapes[] = {
+      {"1x1x1, no clients", leaf_spine(1, 1, 1, 0)},
+      {"3x5x2, no clients", leaf_spine(3, 5, 2, 0)},
+  };
+  for (const auto& [name, cfg] : shapes) {
+    SCOPED_TRACE(name);
+    sim::Simulator sim;
+    LeafSpine ls(sim, cfg);
+    expect_hook_matches_dense_oracle(ls.net());
+  }
 }
 
 TEST(RouteOracle, RandomGraphs) {
   // Sparse seeded digraphs mixing one-way, duplex and parallel links, so
-  // some nodes have no out-link, some exactly one (leading to a node with
-  // several or with one), and some pairs are unreachable. Among the
-  // single-out-link nodes are leaves (one duplex link and nothing else),
-  // leaves whose parent's one out-link leads back to them, and near-leaves
-  // the leaf rule must not take: two in-links, an in-link from another
-  // node, or parallel links down from the parent. Among the stubs (one
-  // out-link to a non-leaf, the rest to their own leaves), whose rows are
-  // derived from their neighbour's, are stubs with leaves, stubs whose
-  // neighbour does not reach every node, chains of stubs and cycles of
-  // stubs.
-  int sinks = 0, single = 0, single_to_single = 0, parallel = 0;
-  int leaves = 0, leaf_parent_single = 0;
-  int near_two_in = 0, near_foreign_in = 0, near_parallel_in = 0;
-  int stubs_with_leaves = 0, stubs_unreached = 0, stub_chains = 0;
-  int stub_cycles = 0;
+  // some nodes have no out-link and some pairs are unreachable.
+  int parallel = 0;
   std::size_t unreachable = 0;
   for (std::uint64_t seed = 1; seed <= 200; ++seed) {
     sim::Simulator sim;
@@ -482,115 +516,29 @@ TEST(RouteOracle, RandomGraphs) {
       }
     }
     net.build_routes();
-    const std::size_t nodes = net.node_count();
-    std::vector<std::vector<NodeId>> in_from(nodes);
-    for (std::size_t l = 0; l < net.link_count(); ++l) {
-      const Link& link = net.link(LinkId::from_index(l));
-      in_from[link.to().index()].push_back(link.from());
-    }
-    std::vector<bool> leaf(nodes);
-    for (std::size_t i = 0; i < nodes; ++i) {
-      const auto& out = net.out_links(NodeId::from_index(i));
-      sinks += out.empty();
-      if (out.size() != 1) continue;
-      ++single;
-      const NodeId up = net.link(out[0]).to();
-      const bool up_single = net.out_links(up).size() == 1;
-      single_to_single += up_single;
-      const auto& in = in_from[i];
-      const auto from_up =
-          static_cast<std::size_t>(std::count(in.begin(), in.end(), up));
-      if (in.size() == 1 && from_up == 1) {
-        ++leaves;
-        leaf_parent_single += up_single;
-        leaf[i] = true;
-      } else if (in.size() == 1) {
-        ++near_foreign_in;
-      } else if (in.size() >= 2 && from_up == in.size()) {
-        ++near_parallel_in;
-      } else if (in.size() >= 2) {
-        ++near_two_in;
-      }
-    }
-    // A stub's one neighbour that is not its own leaf; invalid otherwise.
-    const auto stub_up = [&](NodeId v) {
-      NodeId up = kInvalidNode;
-      int arcs = 0;
-      for (const LinkId lid : net.out_links(v)) {
-        const NodeId w = net.link(lid).to();
-        if (!leaf[w.index()]) {
-          up = w;
-          ++arcs;
-        }
-      }
-      return arcs == 1 ? up : kInvalidNode;
-    };
-    for (std::size_t i = 0; i < nodes; ++i) {
-      const auto v = NodeId::from_index(i);
-      const NodeId up = stub_up(v);
-      if (!up.valid()) continue;
-      const bool with_leaves = net.out_links(v).size() > 1;
-      stubs_with_leaves += with_leaves;
-      bool up_reaches_all = true;
-      for (std::size_t d = 0; d < nodes; ++d)
-        up_reaches_all &= net.next_hop(up, NodeId::from_index(d)).valid();
-      stubs_unreached += with_leaves && !up_reaches_all;
-      stub_chains += stub_up(up).valid();
-      NodeId w = up;
-      for (std::size_t step = 0; step < nodes && w.valid() && w != v; ++step)
-        w = stub_up(w);
-      stub_cycles += w == v;
-    }
     SCOPED_TRACE("seed " + std::to_string(seed));
     unreachable += expect_routes_match_dense_oracle(net);
   }
   EXPECT_GT(unreachable, 0u);
-  EXPECT_GT(sinks, 0);
-  EXPECT_GT(single, 0);
-  EXPECT_GT(single_to_single, 0);
   EXPECT_GT(parallel, 0);
-  EXPECT_GT(leaves, 0);
-  EXPECT_GT(leaf_parent_single, 0);
-  EXPECT_GT(near_two_in, 0);
-  EXPECT_GT(near_foreign_in, 0);
-  EXPECT_GT(near_parallel_in, 0);
-  EXPECT_GT(stubs_with_leaves, 0);
-  EXPECT_GT(stubs_unreached, 0);
-  EXPECT_GT(stub_chains, 0);
-  EXPECT_GT(stub_cycles, 0);
 }
 
-TEST(RouteTables, RunCountsPinnedOnEveryShape) {
-  // Every route can stay right while a row splits into more runs; these
-  // counts catch that. k=32 is the full 9,481-node table. The trees route
-  // from their shape, so their links are built into plain networks.
+TEST(RouteTables, NoFabricBuildsTables) {
+  // Every fabric builder routes from its shape through its hook: the paper
+  // tree, perfbench fluid-scale's 1,024-server tree, fat-trees up to
+  // k=32's 9,481 nodes and the default leaf-spine.
   sim::Simulator sim;
-  const std::pair<TopologyConfig, std::size_t> trees[] = {
-      {TopologyConfig{}, 523}, {tree_1024_servers(), 2779}};
-  for (const auto& [cfg, runs] : trees) {
-    Network tables(sim);
-    build_tables_like(ThreeTierTree(sim, cfg).net(), tables);
-    EXPECT_EQ(tables.route_table_entries(), runs);
+  const auto expect_no_tables = [](const Network& net) {
+    EXPECT_TRUE(net.has_routes());
+    EXPECT_EQ(net.route_table_entries(), 0u);
+  };
+  expect_no_tables(ThreeTierTree(sim, TopologyConfig{}).net());
+  expect_no_tables(ThreeTierTree(sim, tree_1024_servers()).net());
+  for (const std::int32_t k : {4, 8, 16, 32}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    expect_no_tables(FatTree(sim, fat_tree(k, 8)).net());
   }
-  const std::pair<std::int32_t, std::size_t> fat_trees[] = {
-      {4, 246}, {8, 2284}, {16, 25992}, {32, 337408}};
-  for (const auto& [k, runs] : fat_trees) {
-    FatTreeConfig cfg;
-    cfg.k = k;
-    EXPECT_EQ(FatTree(sim, cfg).net().route_table_entries(), runs)
-        << "k=" << k;
-  }
-  EXPECT_EQ(LeafSpine(sim, LeafSpineConfig{}).net().route_table_entries(),
-            284u);
-}
-
-TEST(RouteTables, LinearInNodeCountOn1024ServerTree) {
-  // The dense matrix this replaced held node_count()^2 = 1.83M entries.
-  sim::Simulator sim;
-  Network tables(sim);
-  build_tables_like(ThreeTierTree(sim, tree_1024_servers()).net(), tables);
-  EXPECT_EQ(tables.node_count(), 1354u);
-  EXPECT_LT(tables.route_table_entries(), 4 * tables.node_count());
+  expect_no_tables(LeafSpine(sim, LeafSpineConfig{}).net());
 }
 
 }  // namespace

@@ -437,7 +437,7 @@ TEST(Footprint, FluidOnlyLinksAllocateNothingPerLink) {
       for (std::size_t i = 0; i < leaves; ++i)
         net.add_duplex(hub, net.add_node(scda::net::NodeRole::kServer),
                        scda::sim::BitRate{1e9}, 1e-6, 1 << 20);
-      net.build_routes();
+      net.finalize();
       std::uint64_t seen = 0;
       for (std::size_t i = 0; i < net.link_count(); ++i) {
         scda::net::Link& l = net.link(scda::net::LinkId::from_index(i));

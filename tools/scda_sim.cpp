@@ -16,6 +16,7 @@
 
 #include "core/cloud.h"
 #include "obs/observability.h"
+#include "sim/types.h"
 #include "stats/collector.h"
 #include "stats/metrics_collect.h"
 #include "stats/throughput.h"
@@ -77,22 +78,42 @@ void usage() {
       "  --samples N               --record-trace records (default 1000)\n");
 }
 
+/// --duration or --drain in seconds, or `def` when absent; refused when
+/// negative.
+double run_length(const util::ArgParser& args, const std::string& flag,
+                  double def) {
+  const double s = args.get_double(flag, def);
+  if (s < 0)
+    throw std::invalid_argument("--" + flag + " must be >= 0 s, got " +
+                                args.get(flag));
+  return s;
+}
+
+/// --arrival-rate per second, or `def` when absent; refused unless > 0.
+double arrival_rate(const util::ArgParser& args, double def) {
+  const double r = args.get_double("arrival-rate", def);
+  if (r <= 0)
+    throw std::invalid_argument("--arrival-rate must be > 0 per second, got " +
+                                args.get("arrival-rate"));
+  return r;
+}
+
 std::unique_ptr<workload::Generator> make_generator(
     const std::string& name, const util::ArgParser& args) {
   if (name == "video" || name == "video-noctrl") {
     workload::VideoWorkloadConfig w;
     w.include_control_flows = name == "video";
-    w.video_arrival_rate = args.get_double("arrival-rate", 2.0);
+    w.video_arrival_rate = arrival_rate(args, 2.0);
     return std::make_unique<workload::VideoWorkload>(w);
   }
   if (name == "dc") {
     workload::DatacenterWorkloadConfig w;
-    w.arrival_rate = args.get_double("arrival-rate", 60.0);
+    w.arrival_rate = arrival_rate(args, 60.0);
     return std::make_unique<workload::DatacenterWorkload>(w);
   }
   if (name == "pareto") {
     workload::ParetoPoissonConfig w;
-    w.arrival_rate = args.get_double("arrival-rate", 50.0);
+    w.arrival_rate = arrival_rate(args, 50.0);
     return std::make_unique<workload::ParetoPoissonWorkload>(w);
   }
   if (name == "trace") {
@@ -139,6 +160,12 @@ int main(int argc, char** argv) {
     const std::string policy = args.get("policy", "scda");
     if (policy != "scda" && policy != "randtcp")
       throw std::invalid_argument("unknown policy: " + policy);
+    const double duration_s = run_length(args, "duration", 60.0);
+    const double drain_s = run_length(args, "drain", 20.0);
+    if (!sim::SimTime::representable(duration_s + drain_s))
+      throw std::invalid_argument(
+          "--duration + --drain is past the simulated time range (~292 "
+          "years)");
 
     sim::Simulator sim(static_cast<std::uint64_t>(args.get_int("seed", 1)));
 
@@ -186,9 +213,7 @@ int main(int argc, char** argv) {
       // run's census before the run starts.
       cfg.churn.enabled = true;
     }
-    if (cfg.churn.enabled)
-      cfg.churn.horizon_s =
-          args.get_double("duration", 60.0) + args.get_double("drain", 20.0);
+    if (cfg.churn.enabled) cfg.churn.horizon_s = duration_s + drain_s;
     if (policy == "randtcp") {
       cfg.placement = core::PlacementPolicy::kRandom;
       cfg.transport = transport::TransportKind::kTcp;
@@ -199,13 +224,13 @@ int main(int argc, char** argv) {
     stats::ThroughputSampler thpt(sim, cloud.transports(), 1.0);
 
     workload::DriverConfig dc;
-    dc.end_time_s = args.get_double("duration", 60.0);
+    dc.end_time_s = duration_s;
     dc.read_fraction = args.get_double("read-fraction", 0.3);
     workload::WorkloadDriver driver(cloud, make_generator(wl_name, args),
                                     dc);
     driver.start();
 
-    const double horizon = dc.end_time_s + args.get_double("drain", 20.0);
+    const double horizon = duration_s + drain_s;
     const auto events = sim.run_until(sim::secs(horizon));
     thpt.stop();
 

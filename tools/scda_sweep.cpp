@@ -13,6 +13,7 @@
 //   scda_sweep --arms scda --seeds 16 --grid "k_factor=1,3;base_bps=2e8,5e8"
 //   scda_sweep --seeds 8 --json > sweep.jsonl
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -20,6 +21,7 @@
 
 #include "runner/sweep.h"
 #include "runner/worker_pool.h"
+#include "sim/types.h"
 #include "util/args.h"
 #include "util/units.h"
 #include "workload/generators.h"
@@ -78,6 +80,17 @@ void usage() {
       "                            open with Perfetto (ui.perfetto.dev)\n");
 }
 
+/// --duration or --drain in seconds, or `def` when absent; refused when
+/// negative.
+double run_length(const util::ArgParser& args, const std::string& flag,
+                  double def) {
+  const double s = args.get_double(flag, def);
+  if (s < 0)
+    throw std::invalid_argument("--" + flag + " must be >= 0 s, got " +
+                                args.get(flag));
+  return s;
+}
+
 std::vector<runner::GridAxis> parse_grid(const std::string& spec) {
   std::vector<runner::GridAxis> grid;
   std::size_t start = 0;
@@ -101,9 +114,16 @@ std::vector<runner::GridAxis> parse_grid(const std::string& spec) {
       vstart = vend + 1;
       if (v.empty()) continue;
       std::size_t pos = 0;
-      const double value = std::stod(v, &pos);
-      if (pos != v.size())
-        throw std::invalid_argument("--grid: bad value '" + v + "'");
+      double value = 0;
+      try {
+        value = std::stod(v, &pos);
+      } catch (const std::exception&) {
+        pos = 0;
+      }
+      // No parameter takes an infinite or NaN value.
+      if (pos != v.size() || !std::isfinite(value))
+        throw std::invalid_argument("--grid: expected a finite number, got '" +
+                                    v + "'");
       ga.values.push_back(value);
     }
     if (ga.values.empty())
@@ -153,8 +173,12 @@ int main(int argc, char** argv) {
     cfg.params.replicas = static_cast<std::int32_t>(
         args.get_int("replicas", cfg.params.replicas));
     cfg.enable_replication = args.get_bool("replicate", cfg.enable_replication);
-    cfg.driver.end_time_s = args.get_double("duration", 30.0);
-    cfg.sim_time_s = cfg.driver.end_time_s + args.get_double("drain", 15.0);
+    cfg.driver.end_time_s = run_length(args, "duration", 30.0);
+    cfg.sim_time_s = cfg.driver.end_time_s + run_length(args, "drain", 15.0);
+    if (!sim::SimTime::representable(cfg.sim_time_s))
+      throw std::invalid_argument(
+          "--duration + --drain is past the simulated time range (~292 "
+          "years)");
     cfg.driver.read_fraction = args.get_double("read-fraction", 0.3);
     cfg.seed = static_cast<std::uint64_t>(
         args.get_int("seed", 0x5cda2013LL));
@@ -163,6 +187,10 @@ int main(int argc, char** argv) {
         "arrival-rate", wl == "video" || wl == "video-noctrl" ? 2.0
                         : wl == "dc"                          ? 60.0
                                                               : 30.0);
+    if (rate <= 0)
+      throw std::invalid_argument(
+          "--arrival-rate must be > 0 per second, got " +
+          args.get("arrival-rate"));
     if (wl == "video" || wl == "video-noctrl") {
       const bool ctrl = wl == "video";
       cfg.make_generator = [rate, ctrl] {

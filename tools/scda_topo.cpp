@@ -27,10 +27,7 @@ void header(const char* name, const net::Network& net) {
   std::printf("fabric: %s\n", name);
   std::printf("nodes: %zu, unidirectional links: %zu\n", net.node_count(),
               net.link_count());
-  if (net.route_table_entries() != 0)
-    std::printf("route runs: %zu\n", net.route_table_entries());
-  else
-    std::puts("routes: from the fabric's shape, no route tables");
+  std::puts("routes: from the fabric's shape, no route tables");
 }
 
 /// Node `i` of `group`; kInvalidNode when the group is smaller.

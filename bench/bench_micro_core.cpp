@@ -235,15 +235,22 @@ void BM_PacketForwarding(benchmark::State& state) {
   tc.servers_per_tor = 2;
   tc.n_clients = 2;
   net::ThreeTierTree topo(sim, tc);
-  int delivered = 0;
-  topo.net().node(topo.servers()[0]).set_sink(
-      [&](net::Packet&&) { ++delivered; });
+  struct Sink {
+    net::NodeId at;
+    int delivered = 0;
+  } sink{topo.servers()[0]};
+  topo.net().set_local_hook(
+      [](void* s, net::Packet&& p) {
+        auto& sk = *static_cast<Sink*>(s);
+        if (p.dst == sk.at) ++sk.delivered;
+      },
+      &sink);
   for (auto _ : state) {
     topo.net().send(net::make_data(net::FlowId{1}, topo.clients()[0],
                                    topo.servers()[0], 0, 1460, sim.now()));
     sim.run();
   }
-  benchmark::DoNotOptimize(delivered);
+  benchmark::DoNotOptimize(sink.delivered);
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_PacketForwarding);

@@ -23,22 +23,27 @@
 #            are validated under TSan. Configured with
 #            -DSCDA_RUNNER_TESTS_ONLY=ON so ctest in that tree runs exactly
 #            test_runner plus the (multithreaded) scda-sweep smoke tests.
+#   outputs  the exact-output oracle outside ctest, which CI runs in its
+#            bench jobs: a Release bench_churn whose checksum and every
+#            cell must equal BENCH_churn.json (scripts/bench_gate.py
+#            --churn-input), and perfbench/run.py --seconds 0 on all four
+#            workloads, each of which must match perfbench/expected.json.
 #
 # Usage: scripts/check.sh [extra ctest args...]
-#   CHECK_PASSES=lint,release,asan,tsan  comma-separated pass selector
-#                                    (default: all four). CI shards each
-#                                    pass onto its own job with this knob;
-#                                    run locally with no env for the full
-#                                    sequence.
+#   CHECK_PASSES=lint,release,asan,tsan,outputs  comma-separated pass
+#                                    selector (default: all five). CI
+#                                    shards the ctest passes onto its own
+#                                    jobs with this knob; run locally with
+#                                    no env for the full sequence.
 #
 # Builds live in build-check/, build-check-asan/,
-# build-check-asan-perfbench/ and build-check-tsan/ so they never disturb
-# an existing build/ tree.
+# build-check-asan-perfbench/, build-check-tsan/, build-check-bench/ and
+# build-check-perfbench/ so they never disturb an existing build/ tree.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
-PASSES="${CHECK_PASSES:-lint,release,asan,tsan}"
+PASSES="${CHECK_PASSES:-lint,release,asan,tsan,outputs}"
 
 want() { case ",$PASSES," in *",$1,"*) return 0 ;; *) return 1 ;; esac; }
 
@@ -87,6 +92,19 @@ want tsan && {
   cmake --build build-check-tsan -j "$JOBS" \
     --target test_runner scda_sim_cli scda_topo_cli scda_sweep_cli
   ctest --test-dir build-check-tsan --output-on-failure -j "$JOBS"
+}
+
+want outputs && {
+  echo "== pass: outputs (BENCH_churn gate + perfbench correctness) =="
+  cmake -B build-check-bench -S . -DCMAKE_BUILD_TYPE=Release > /dev/null
+  cmake --build build-check-bench -j "$JOBS" --target bench_churn
+  build-check-bench/bench/bench_churn > build-check-bench/bench_churn.json
+  python3 scripts/bench_gate.py \
+    --churn-input build-check-bench/bench_churn.json
+  for w in packet-scda fluid-scale churn-storage packet-randtcp; do
+    CARGO_TARGET_DIR=build-check-perfbench \
+      python3 perfbench/run.py --workload "$w" --seconds 0
+  done
 }
 
 echo "All requested passes (${PASSES}) passed."

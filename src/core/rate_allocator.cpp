@@ -22,29 +22,6 @@ RateAllocator::RateAllocator(net::Network& net, const ScdaParams& params)
   }
 }
 
-std::size_t RateAllocator::find_row(net::FlowId id) const noexcept {
-  const auto it = std::lower_bound(
-      by_id_.begin(), by_id_.end(), id,
-      [](const IndexEntry& e, net::FlowId v) { return e.id < v; });
-  if (it == by_id_.end() || it->id != id) return kNoRow;
-  return static_cast<std::size_t>(it - by_id_.begin());
-}
-
-std::uint32_t RateAllocator::acquire_slot() {
-  if (!free_slots_.empty()) {
-    const std::uint32_t s = free_slots_.back();
-    free_slots_.pop_back();
-    return s;
-  }
-  priority_.push_back(0.0);
-  reserved_.push_back(sim::BitRate{});
-  rate_.push_back(sim::BitRate{});
-  path_.emplace_back();
-  r_other_send_.emplace_back();
-  r_other_recv_.emplace_back();
-  return static_cast<std::uint32_t>(priority_.size() - 1);
-}
-
 void RateAllocator::register_flow(net::FlowId id, net::NodeId src,
                                   net::NodeId dst, double priority,
                                   sim::BitRate reserved,
@@ -60,13 +37,17 @@ void RateAllocator::register_flow_on_path(net::FlowId id,
                                           sim::BitRate reserved,
                                           RateProviderFn r_other_send,
                                           RateProviderFn r_other_recv) {
-  const auto it = std::lower_bound(
-      by_id_.begin(), by_id_.end(), id,
-      [](const IndexEntry& e, net::FlowId v) { return e.id < v; });
-  if (it != by_id_.end() && it->id == id)
+  const std::uint32_t s = slots_.insert(id);
+  if (s == net::SlotIndex::kNone)
     throw std::logic_error("RateAllocator: flow already registered");
-
-  const std::uint32_t s = acquire_slot();
+  if (s == priority_.size()) {
+    priority_.emplace_back();
+    reserved_.emplace_back();
+    rate_.emplace_back();
+    path_.emplace_back();
+    r_other_send_.emplace_back();
+    r_other_recv_.emplace_back();
+  }
   priority_[s] = priority;
   reserved_[s] = reserved;
   // Reuse the recycled slot's path capacity instead of adopting the
@@ -74,7 +55,6 @@ void RateAllocator::register_flow_on_path(net::FlowId id,
   path_[s].assign(path.begin(), path.end());
   r_other_send_[s] = std::move(r_other_send);
   r_other_recv_[s] = std::move(r_other_recv);
-  by_id_.insert(it, IndexEntry{id, s});  // ids are monotonic: usually a push
 
   // Immediate feedback: each RA counts the new flow into its effective
   // flow total and lowers its advertised per-flow rate accordingly, so
@@ -99,33 +79,32 @@ void RateAllocator::register_flow_on_path(net::FlowId id,
 }
 
 void RateAllocator::unregister_flow(net::FlowId id) {
-  const std::size_t row = find_row(id);
-  if (row == kNoRow) return;
-  const std::uint32_t s = by_id_[row].slot;
+  const std::uint32_t s = slots_.erase(id);
+  if (s == net::SlotIndex::kNone) return;
   for (const net::LinkId l : path_[s])
     links_[l.index()].reserved -= reserved_[s];
   path_[s].clear();  // keeps capacity for the next flow on this slot
   r_other_send_[s] = nullptr;  // release captured state eagerly
   r_other_recv_[s] = nullptr;
-  by_id_.erase(by_id_.begin() + static_cast<std::ptrdiff_t>(row));
-  free_slots_.push_back(s);
 }
 
 void RateAllocator::set_priority(net::FlowId id, double priority) {
-  const std::size_t row = find_row(id);
-  if (row == kNoRow) throw std::out_of_range("RateAllocator: unknown flow");
-  priority_[by_id_[row].slot] = std::max(priority, 0.0);
+  const std::uint32_t s = slots_.find(id);
+  if (s == net::SlotIndex::kNone)
+    throw std::out_of_range("RateAllocator: unknown flow");
+  priority_[s] = std::max(priority, 0.0);
 }
 
 double RateAllocator::priority(net::FlowId id) const {
-  const std::size_t row = find_row(id);
-  if (row == kNoRow) throw std::out_of_range("RateAllocator: unknown flow");
-  return priority_[by_id_[row].slot];
+  const std::uint32_t s = slots_.find(id);
+  if (s == net::SlotIndex::kNone)
+    throw std::out_of_range("RateAllocator: unknown flow");
+  return priority_[s];
 }
 
 sim::BitRate RateAllocator::flow_rate(net::FlowId id) const {
-  const std::size_t row = find_row(id);
-  return row == kNoRow ? sim::BitRate{} : rate_[by_id_[row].slot];
+  const std::uint32_t s = slots_.find(id);
+  return s == net::SlotIndex::kNone ? sim::BitRate{} : rate_[s];
 }
 
 sim::BitRate RateAllocator::path_rate(net::NodeId src, net::NodeId dst) const {
@@ -156,7 +135,7 @@ void RateAllocator::set_link_up(net::LinkId l, bool up) {
 }
 
 void RateAllocator::refresh_flow_rates() {
-  for (const IndexEntry& e : by_id_) {
+  for (const net::SlotIndex::Entry& e : slots_) {
     const std::uint32_t s = e.slot;
     sim::BitRate base{std::numeric_limits<double>::infinity()};
     bool down = false;
@@ -181,7 +160,7 @@ void RateAllocator::tick() {
   const double tau = params_.tau;
   const sim::Time now = net_.sim().now();
   ++control_stats_.ticks;
-  control_stats_.flow_updates += by_id_.size();
+  control_stats_.flow_updates += slots_.size();
   control_stats_.link_updates += links_.size();
 
   // Pass 1: effective capacity per link from the switch counters Q(t)
@@ -210,10 +189,8 @@ void RateAllocator::tick() {
   //
   // The walk follows the sorted flow-id index, so the floating-point
   // accumulation order into S is ascending-id — a pure function of the
-  // registered flow set, portable across standard libraries. (Until the
-  // integer-time re-baselining this loop walked unordered_map iteration
-  // order and every committed figure depended on libstdc++'s hashing.)
-  for (const IndexEntry& e : by_id_) {
+  // registered flow set, portable across standard libraries.
+  for (const net::SlotIndex::Entry& e : slots_) {
     const std::uint32_t s = e.slot;
     sim::BitRate base{std::numeric_limits<double>::infinity()};
     bool down = false;
@@ -297,7 +274,7 @@ void RateAllocator::tick() {
 
   if (obs::TraceRecorder* tr = obs::tracer_of(net_.sim())) {
     tr->instant(now, "control", "ra_round", obs::kTrackControl,
-                {{"flows", static_cast<double>(by_id_.size())},
+                {{"flows", static_cast<double>(slots_.size())},
                  {"links", static_cast<double>(links_.size())},
                  {"violations", static_cast<double>(total_sla_violations_)}});
   }

@@ -22,6 +22,7 @@
 
 #include "core/params.h"
 #include "net/network.h"
+#include "net/slot_index.h"
 
 namespace scda::core {
 
@@ -55,10 +56,10 @@ class RateAllocator {
                              RateProviderFn r_other_recv = nullptr);
   void unregister_flow(net::FlowId id);
   [[nodiscard]] bool has_flow(net::FlowId id) const {
-    return find_row(id) != kNoRow;
+    return slots_.find(id) != net::SlotIndex::kNone;
   }
   [[nodiscard]] std::size_t active_flows() const noexcept {
-    return by_id_.size();
+    return slots_.size();
   }
 
   /// Change a flow's priority weight (adaptive policies, section IV-A).
@@ -162,38 +163,23 @@ class RateAllocator {
     std::uint64_t sla_violations = 0;
   };
 
-  // --- dense struct-of-arrays flow table -------------------------------------
-  // Flow state lives in slot-parallel arrays (the dense-table layout that
-  // made water_fill ~8x, docs/perf.md): the per-tick passes stream through
-  // contiguous doubles instead of chasing unordered_map nodes. Slots are
-  // recycled through a free list — a recycled slot keeps its path vector's
-  // capacity, so steady register/unregister churn stops allocating once the
-  // pool reaches the peak concurrent flow count.
-  //
-  // Iteration order is the sorted (FlowId -> slot) index `by_id_`, which
-  // makes every accumulation pass ascending-id deterministic — portable
-  // across standard libraries, unlike the unordered_map iteration order the
-  // previous implementation (and every pre-integer-time baseline) depended
-  // on. Ids are issued monotonically, so the common insert is a push_back
-  // and the index rarely memmoves.
-  struct IndexEntry {
-    net::FlowId id;
-    std::uint32_t slot;
-  };
-  static constexpr std::size_t kNoRow = static_cast<std::size_t>(-1);
-
-  /// Position of `id` in by_id_, or kNoRow (binary search).
-  [[nodiscard]] std::size_t find_row(net::FlowId id) const noexcept;
-  /// Take a slot from the free list or grow every parallel array by one.
-  [[nodiscard]] std::uint32_t acquire_slot();
-
   net::Network& net_;
   ScdaParams params_;
   std::vector<LinkState> links_;
 
-  std::vector<IndexEntry> by_id_;          ///< sorted ascending by flow id
-  std::vector<std::uint32_t> free_slots_;  ///< recycled table rows
-  // Slot-parallel flow state (indexed by IndexEntry::slot).
+  // --- dense struct-of-arrays flow table -------------------------------------
+  // Flow state lives in slot-parallel arrays (the dense-table layout that
+  // made water_fill ~8x, docs/perf.md): the per-tick passes stream through
+  // contiguous doubles instead of chasing unordered_map nodes. `slots_`
+  // maps each registered flow to its slot and recycles freed ones, so a
+  // recycled slot keeps its path vector's capacity and steady
+  // register/unregister churn stops allocating once the table reaches the
+  // peak concurrent flow count.
+  //
+  // Every accumulation pass walks `slots_` in ascending flow id, so it is
+  // a pure function of the registered flow set, portable across standard
+  // libraries (net/slot_index.h).
+  net::SlotIndex slots_;
   std::vector<double> priority_;            ///< weights (dimensionless)
   std::vector<sim::BitRate> reserved_;      ///< M_j reservations
   std::vector<sim::BitRate> rate_;          ///< r_j from the last tick

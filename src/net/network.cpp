@@ -165,12 +165,15 @@ void Network::unpin_flow_route(FlowId flow) { pinned_.erase(flow); }
 void Network::send(Packet&& p) {
   if (!has_routes())
     throw std::logic_error("Network::send: routes not built");
+  // A packet addressed to its own source is delivered without the route
+  // lookup that range-checks the ids.
+  checked(p.src);
   forward(std::move(p), p.src);
 }
 
 void Network::forward(Packet&& p, NodeId at) {
   if (at == p.dst) {
-    nodes_[checked(at)].deliver_local(std::move(p));
+    if (local_hook_) local_hook_(local_ctx_, std::move(p));
     return;
   }
   // Source-routed flows follow their pinned path (data direction only;

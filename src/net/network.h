@@ -18,7 +18,8 @@
 // choice the hooks make too). Its time and memory grow with the square of
 // the node count, so it suits small networks. Packets are forwarded
 // hop-by-hop through drop-tail links, whose queued and propagating packets
-// all live in one PacketPool owned by the network.
+// all live in one PacketPool owned by the network; a packet that reaches
+// its destination goes to the network's one local-delivery hook.
 #pragma once
 
 #include <span>
@@ -82,6 +83,17 @@ class Network {
   void set_route_hook(RouteHook hook, const void* ctx) noexcept {
     route_hook_ = hook;
     route_ctx_ = ctx;
+  }
+
+  /// Takes a packet that reached its destination node `p.dst`. Called with
+  /// the context given to set_local_hook.
+  using LocalHook = void (*)(void* ctx, Packet&& p);
+  /// Hand every packet that reaches its destination to `hook` (the
+  /// transport's demultiplexer). Without a hook such packets are
+  /// discarded. A TransportManager sets it for its lifetime.
+  void set_local_hook(LocalHook hook, void* ctx) noexcept {
+    local_hook_ = hook;
+    local_ctx_ = ctx;
   }
 
   /// Whether routes can be answered: build_routes() ran or a route hook is
@@ -197,6 +209,8 @@ class Network {
   std::unordered_map<FlowId, std::unordered_map<NodeId, LinkId>> pinned_;
   RouteHook route_hook_ = nullptr;
   const void* route_ctx_ = nullptr;
+  LocalHook local_hook_ = nullptr;
+  void* local_ctx_ = nullptr;
   bool final_ = false;
   bool routes_built_ = false;
 };

@@ -1,14 +1,12 @@
 // Network node: endpoint or switch.
 //
-// A node forwards packets that are not addressed to it (switch behaviour)
-// and hands packets addressed to it to the attached sink (transport demux).
-// Forwarding asks the Network for the out-link of the shortest path to
-// the destination: the fabric's route hook answers it from the fabric's
-// shape, or else, in a hand-built network, the BFS next-hop table does.
+// A node forwards packets that are not addressed to it (switch behaviour);
+// the Network hands packets addressed to it to its one local-delivery hook
+// (the transport's demultiplexer). Forwarding asks the Network for the
+// out-link of the shortest path to the destination: the fabric's route
+// hook answers it from the fabric's shape, or else, in a hand-built
+// network, the BFS next-hop table does.
 #pragma once
-
-#include <functional>
-#include <utility>
 
 #include "net/packet.h"
 
@@ -39,28 +37,14 @@ enum class NodeRole : std::uint8_t {
 
 class Node {
  public:
-  using Sink = std::function<void(Packet&&)>;
-
   Node(NodeId id, NodeRole role) : id_(id), role_(role) {}
 
   [[nodiscard]] NodeId id() const noexcept { return id_; }
   [[nodiscard]] NodeRole role() const noexcept { return role_; }
 
-  /// Attach the local packet sink (transport demux). A node without a sink
-  /// silently discards packets addressed to it.
-  void set_sink(Sink s) { sink_ = std::move(s); }
-  [[nodiscard]] bool has_sink() const noexcept {
-    return static_cast<bool>(sink_);
-  }
-
-  void deliver_local(Packet&& p) {
-    if (sink_) sink_(std::move(p));
-  }
-
  private:
   NodeId id_;
   NodeRole role_;
-  Sink sink_;
 };
 
 }  // namespace scda::net

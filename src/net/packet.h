@@ -27,7 +27,6 @@ constexpr FlowId kInvalidFlow{-1};
 enum class PacketType : std::uint8_t {
   kData = 0,  ///< payload-carrying segment
   kAck = 1,   ///< cumulative acknowledgement
-  kCtrl = 2,  ///< small control message (request/metadata exchange)
 };
 
 /// Default maximum transmission unit, matching Ethernet.
@@ -46,7 +45,7 @@ struct Packet {
   /// DATA: index of the first payload byte. ACK: cumulative ack (next byte
   /// expected by the receiver).
   std::int64_t seq = 0;
-  /// Payload bytes carried (0 for ACK/CTRL).
+  /// Payload bytes carried (0 for ACK).
   std::int32_t payload_bytes = 0;
   /// Total wire size in bytes (payload + header).
   std::int32_t size_bytes = 0;

@@ -1,9 +1,22 @@
 #include "net/topology.h"
 
+#include <stdexcept>
+
 namespace scda::net {
 
 ThreeTierTree::ThreeTierTree(sim::Simulator& sim, const TopologyConfig& cfg)
     : cfg_(cfg), net_(sim) {
+  // Every level needs a node for the one below to hang from; a tree
+  // without clients still has server-to-server paths.
+  if (cfg.n_agg < 1)
+    throw std::invalid_argument("ThreeTierTree: n_agg must be >= 1");
+  if (cfg.tors_per_agg < 1)
+    throw std::invalid_argument("ThreeTierTree: tors_per_agg must be >= 1");
+  if (cfg.servers_per_tor < 1)
+    throw std::invalid_argument(
+        "ThreeTierTree: servers_per_tor must be >= 1");
+  if (cfg.n_clients < 0)
+    throw std::invalid_argument("ThreeTierTree: n_clients must be >= 0");
   const auto n_agg = static_cast<std::size_t>(cfg.n_agg);
   const auto n_tors = static_cast<std::size_t>(cfg.n_tors());
   const auto n_servers = static_cast<std::size_t>(cfg.n_servers());

@@ -62,6 +62,8 @@ struct TopologyConfig {
 /// route tables.
 class ThreeTierTree {
  public:
+  /// Throws std::invalid_argument, naming the field, unless n_agg,
+  /// tors_per_agg and servers_per_tor are >= 1 and n_clients >= 0.
   ThreeTierTree(sim::Simulator& sim, const TopologyConfig& cfg);
 
   /// The network's route hook refers to the tree.

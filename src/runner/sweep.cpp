@@ -4,8 +4,27 @@
 #include <stdexcept>
 
 #include "runner/seed_sequence.h"
+#include "sim/types.h"
 
 namespace scda::runner {
+
+namespace {
+
+/// A run length from the grid, refused as scda-sweep refuses --duration
+/// and --drain: below 0 s or past the simulated time range.
+double run_length(const std::string& name, double s) {
+  const char* broken = nullptr;
+  if (s < 0)
+    broken = "must be >= 0 s";
+  else if (!sim::SimTime::representable(s))
+    broken = "is past the simulated time range (~292 years)";
+  if (broken == nullptr) return s;
+  char msg[128];
+  std::snprintf(msg, sizeof msg, "%s %s, got %g", name.c_str(), broken, s);
+  throw std::invalid_argument(msg);
+}
+
+}  // namespace
 
 void apply_param(ExperimentConfig& cfg, const std::string& name,
                  double value) {
@@ -61,8 +80,14 @@ void apply_param(ExperimentConfig& cfg, const std::string& name,
   if (name == "dc_delay_s") { cfg.topology.dc_delay_s = value; return; }
   if (name == "wan_delay_s") { cfg.topology.wan_delay_s = value; return; }
   // Workload driver / run length.
-  if (name == "end_time_s") { cfg.driver.end_time_s = value; return; }
-  if (name == "sim_time_s") { cfg.sim_time_s = value; return; }
+  if (name == "end_time_s") {
+    cfg.driver.end_time_s = run_length(name, value);
+    return;
+  }
+  if (name == "sim_time_s") {
+    cfg.sim_time_s = run_length(name, value);
+    return;
+  }
   if (name == "read_fraction") { cfg.driver.read_fraction = value; return; }
   if (name == "interactive_fraction") {
     cfg.driver.interactive_fraction = value;

@@ -76,7 +76,8 @@ struct ArmSummary {
 
 /// Set `cfg`'s knob `name` to `value`. Covers the common topology, control
 /// plane, and workload knobs; throws std::invalid_argument for unknown
-/// names.
+/// names, and for a run length (end_time_s, sim_time_s) below 0 s or past
+/// the simulated time range.
 void apply_param(ExperimentConfig& cfg, const std::string& name, double value);
 
 /// Expand spec into runs: cells (first axis slowest) x arms x seeds, seeds

@@ -4,32 +4,15 @@
 #include <cassert>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace scda::transport {
 
-std::size_t FluidEngine::find_row(net::FlowId id) const noexcept {
-  const auto it = std::lower_bound(
-      by_id_.begin(), by_id_.end(), id,
-      [](const IndexEntry& e, net::FlowId v) { return e.id < v; });
-  if (it == by_id_.end() || it->id != id) return kNoRow;
-  return static_cast<std::size_t>(it - by_id_.begin());
-}
-
-std::uint32_t FluidEngine::acquire_slot() {
-  if (!free_slots_.empty()) {
-    const std::uint32_t s = free_slots_.back();
-    free_slots_.pop_back();
-    return s;
-  }
-  size_.push_back(0);
-  delivered_.push_back(0);
-  accounted_.push_back(0);
-  rate_.push_back(sim::BitRate{});
-  last_update_.emplace_back();
-  latency_.emplace_back();
-  completion_.emplace_back();
-  path_.emplace_back();
-  return static_cast<std::uint32_t>(size_.size() - 1);
+std::uint32_t FluidEngine::slot_of(net::FlowId id, const char* what) const {
+  const std::uint32_t slot = slots_.find(id);
+  if (slot == net::SlotIndex::kNone)
+    throw std::invalid_argument(std::string(what) + ": unknown flow");
+  return slot;
 }
 
 void FluidEngine::start(net::FlowId id, std::int64_t size_bytes,
@@ -37,11 +20,19 @@ void FluidEngine::start(net::FlowId id, std::int64_t size_bytes,
                         const std::vector<net::LinkId>& path) {
   if (size_bytes < 0)
     throw std::invalid_argument("FluidEngine::start: negative size");
-  const std::size_t row = find_row(id);
-  if (row != kNoRow)
+  const std::uint32_t slot = slots_.insert(id);
+  if (slot == net::SlotIndex::kNone)
     throw std::invalid_argument("FluidEngine::start: duplicate flow id");
-
-  const std::uint32_t slot = acquire_slot();
+  if (slot == size_.size()) {
+    size_.emplace_back();
+    delivered_.emplace_back();
+    accounted_.emplace_back();
+    rate_.emplace_back();
+    last_update_.emplace_back();
+    latency_.emplace_back();
+    completion_.emplace_back();
+    path_.emplace_back();
+  }
   size_[slot] = size_bytes;
   delivered_[slot] = 0;
   accounted_[slot] = 0;
@@ -56,12 +47,6 @@ void FluidEngine::start(net::FlowId id, std::int64_t size_bytes,
     net_.link(l).fluid_flow_join();
   }
   latency_[slot] = lat;
-
-  // Ids are issued monotonically, so the common insert is a push_back.
-  const auto it = std::lower_bound(
-      by_id_.begin(), by_id_.end(), id,
-      [](const IndexEntry& e, net::FlowId v) { return e.id < v; });
-  by_id_.insert(it, IndexEntry{id, slot});
 
   ++stats_.started;
   arm_completion(id, slot);
@@ -113,10 +98,7 @@ void FluidEngine::arm_completion(net::FlowId id, std::uint32_t slot) {
 }
 
 void FluidEngine::set_rate(net::FlowId id, sim::BitRate rate) {
-  const std::size_t row = find_row(id);
-  if (row == kNoRow)
-    throw std::invalid_argument("FluidEngine::set_rate: unknown flow");
-  const std::uint32_t slot = by_id_[row].slot;
+  const std::uint32_t slot = slot_of(id, "FluidEngine::set_rate");
   advance(slot);
   rate_[slot] = sim::max(rate, sim::BitRate{});
   ++stats_.rerates;
@@ -126,11 +108,9 @@ void FluidEngine::set_rate(net::FlowId id, sim::BitRate rate) {
 void FluidEngine::rerate_all(
     const std::function<sim::BitRate(net::FlowId)>& rate_of, bool epoch) {
   if (epoch) ++stats_.epochs;
-  // Ascending-id order; set_rate never mutates the index, so plain
+  // Ascending-id order; re-rating never mutates the index, so plain
   // iteration is safe (completions only run from scheduled events).
-  for (std::size_t row = 0; row < by_id_.size(); ++row) {
-    const net::FlowId id = by_id_[row].id;
-    const std::uint32_t slot = by_id_[row].slot;
+  for (const auto& [id, slot] : slots_) {
     advance(slot);
     rate_[slot] = sim::max(rate_of(id), sim::BitRate{});
     ++stats_.rerates;
@@ -139,9 +119,8 @@ void FluidEngine::rerate_all(
 }
 
 void FluidEngine::complete(net::FlowId id) {
-  const std::size_t row = find_row(id);
-  assert(row != kNoRow && "fluid completion for unknown flow");
-  const std::uint32_t slot = by_id_[row].slot;
+  const std::uint32_t slot = slots_.erase(id);
+  assert(slot != net::SlotIndex::kNone && "fluid completion for unknown flow");
 
   // Force the exact byte total: the event time was computed from the same
   // remaining/rate pair, so any difference is float residue, not model
@@ -154,43 +133,31 @@ void FluidEngine::complete(net::FlowId id) {
   delivered_[slot] = static_cast<double>(size_[slot]);
   accounted_[slot] = size_[slot];
   completion_[slot] = sim::EventHandle{};  // fired; nothing to cancel
-
-  by_id_.erase(by_id_.begin() + static_cast<std::ptrdiff_t>(row));
-  free_slots_.push_back(slot);
   ++stats_.completed;
 
   if (on_complete_) on_complete_(id);
 }
 
 void FluidEngine::abort(net::FlowId id) {
-  const std::size_t row = find_row(id);
-  if (row == kNoRow)
+  const std::uint32_t slot = slots_.erase(id);
+  if (slot == net::SlotIndex::kNone)
     throw std::invalid_argument("FluidEngine::abort: unknown flow");
-  const std::uint32_t slot = by_id_[row].slot;
 
   // Charge what actually made it onto the wire, then detach from the path.
   advance(slot);
   for (const net::LinkId l : path_[slot]) net_.link(l).fluid_flow_leave();
   net_.sim().cancel(completion_[slot]);
   completion_[slot] = sim::EventHandle{};
-
-  by_id_.erase(by_id_.begin() + static_cast<std::ptrdiff_t>(row));
-  free_slots_.push_back(slot);
   ++stats_.aborted;
 }
 
 std::int64_t FluidEngine::delivered_bytes(net::FlowId id) const {
-  const std::size_t row = find_row(id);
-  if (row == kNoRow)
-    throw std::invalid_argument("FluidEngine::delivered_bytes: unknown flow");
-  return static_cast<std::int64_t>(delivered_[by_id_[row].slot]);
+  return static_cast<std::int64_t>(
+      delivered_[slot_of(id, "FluidEngine::delivered_bytes")]);
 }
 
 sim::BitRate FluidEngine::rate(net::FlowId id) const {
-  const std::size_t row = find_row(id);
-  if (row == kNoRow)
-    throw std::invalid_argument("FluidEngine::rate: unknown flow");
-  return rate_[by_id_[row].slot];
+  return rate_[slot_of(id, "FluidEngine::rate")];
 }
 
 }  // namespace scda::transport

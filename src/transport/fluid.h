@@ -24,10 +24,10 @@
 // construction, which is exactly the fidelity packet mode retains for
 // mice below the threshold (transport_manager.h makes that call).
 //
-// State lives in the repo's dense SoA layout (sorted FlowId index over
-// slot-parallel arrays with a free list, as RateAllocator): epoch re-rates
-// stream contiguous doubles in ascending-id order — deterministic and
-// allocation-free at steady churn.
+// State lives in slot-parallel arrays behind the sorted flow-id index of
+// net/slot_index.h, as in RateAllocator: epoch re-rates stream contiguous
+// doubles in ascending-id order — deterministic and allocation-free at
+// steady churn.
 #pragma once
 
 #include <cstdint>
@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "net/network.h"
+#include "net/slot_index.h"
 
 namespace scda::transport {
 
@@ -96,10 +97,10 @@ class FluidEngine {
   void abort(net::FlowId id);
 
   [[nodiscard]] bool has_flow(net::FlowId id) const {
-    return find_row(id) != kNoRow;
+    return slots_.find(id) != net::SlotIndex::kNone;
   }
   [[nodiscard]] std::size_t active_flows() const noexcept {
-    return by_id_.size();
+    return slots_.size();
   }
   /// Bytes integrated as of the flow's last advance (start / re-rate).
   [[nodiscard]] std::int64_t delivered_bytes(net::FlowId id) const;
@@ -112,14 +113,9 @@ class FluidEngine {
   }
 
  private:
-  struct IndexEntry {
-    net::FlowId id;
-    std::uint32_t slot;
-  };
-  static constexpr std::size_t kNoRow = static_cast<std::size_t>(-1);
-
-  [[nodiscard]] std::size_t find_row(net::FlowId id) const noexcept;
-  [[nodiscard]] std::uint32_t acquire_slot();
+  /// The slot of a live flow; throws std::invalid_argument naming `what`
+  /// for an unknown one.
+  [[nodiscard]] std::uint32_t slot_of(net::FlowId id, const char* what) const;
   /// Integrate delivered bytes up to now at the current rate and push the
   /// integer byte delta to every path link.
   void advance(std::uint32_t slot);
@@ -131,9 +127,8 @@ class FluidEngine {
   net::Network& net_;
   CompletionFn on_complete_;
 
-  std::vector<IndexEntry> by_id_;          ///< sorted ascending by flow id
-  std::vector<std::uint32_t> free_slots_;  ///< recycled table rows
-  // Slot-parallel flow state (indexed by IndexEntry::slot).
+  net::SlotIndex slots_;
+  // Slot-parallel flow state.
   std::vector<std::int64_t> size_;        ///< total bytes to deliver
   /// Fractional bytes integrated so far: continuous integration state, not
   /// a wire byte count, so it stays a raw double by design.

@@ -2,55 +2,20 @@
 
 namespace scda::transport {
 
-Receiver::~Receiver() { ++ack_timer_epoch_; }  // invalidate pending timer
-
-void Receiver::handle(net::Packet&& p) {
-  if (p.type != net::PacketType::kData) return;
+bool Receiver::handle(net::Packet&& p) {
+  if (p.type != net::PacketType::kData) return false;
 
   const std::int64_t before = next_expected_;
   merge(p.seq, p.seq_end());
   if (delivered_counter_) *delivered_counter_ += next_expected_ - before;
+  // Duplicate and out-of-order segments are acked too: the sender needs
+  // the duplicate ACKs as its loss signal.
+  send_ack(p.ts);
 
-  // Plain in-order advance: the segment starts exactly at the cumulative
-  // point and extends it by its own payload. Gap fills (jumps across
-  // buffered data) are acked immediately, per RFC 5681.
-  const bool in_order_advance =
-      p.seq == before && next_expected_ - before == p.payload_bytes;
-  const bool finished_now = !completed_ && complete();
-
-  if (!delayed_ack_ || !in_order_advance || finished_now) {
-    // Immediate ACK: per-packet mode, out-of-order/duplicate segments
-    // (the sender needs the dupACK loss signal), and the final segment.
-    send_ack(p.ts);
-    unacked_segments_ = 0;
-    ++ack_timer_epoch_;  // cancel any pending delayed ack
-    ack_timer_armed_ = false;
-  } else {
-    pending_echo_ts_ = p.ts;
-    if (++unacked_segments_ >= 2) {
-      send_ack(p.ts);
-      unacked_segments_ = 0;
-      ++ack_timer_epoch_;
-      ack_timer_armed_ = false;
-    } else if (!ack_timer_armed_) {
-      ack_timer_armed_ = true;
-      const auto epoch = ++ack_timer_epoch_;
-      net_.sim().post_in(sim::secs(ack_delay_s_), [this, epoch] {
-        if (epoch != ack_timer_epoch_ || !ack_timer_armed_) return;
-        ack_timer_armed_ = false;
-        if (unacked_segments_ > 0) {
-          send_ack(pending_echo_ts_);
-          unacked_segments_ = 0;
-        }
-      });
-    }
-  }
-
-  if (finished_now) {
-    completed_ = true;
-    rec_.finish_time = net_.sim().now();
-    if (on_complete_) on_complete_(rec_);
-  }
+  if (completed_ || !complete()) return false;
+  completed_ = true;
+  rec_.finish_time = net_.sim().now();
+  return true;
 }
 
 void Receiver::send_ack(sim::SimTime echo_ts) {

@@ -11,33 +11,20 @@
 
 #include "net/network.h"
 #include "transport/flow.h"
-#include "transport/host.h"
 
 namespace scda::transport {
 
-class Receiver final : public Agent {
+class Receiver {
  public:
-  /// `on_complete` fires once, when the last payload byte arrives.
-  Receiver(net::Network& net, FlowRecord& rec, FlowCompletionFn on_complete,
-           std::int64_t rcvw_bytes)
-      : net_(net),
-        rec_(rec),
-        on_complete_(std::move(on_complete)),
-        rcvw_bytes_(rcvw_bytes) {}
+  Receiver(net::Network& net, FlowRecord& rec, std::int64_t rcvw_bytes)
+      : net_(net), rec_(rec), rcvw_bytes_(rcvw_bytes) {}
 
-  ~Receiver() override;
-
-  void handle(net::Packet&& p) override;
-
-  /// RFC1122-style delayed ACKs: acknowledge every second in-order segment
-  /// or after `delay_s`; out-of-order segments are acked immediately (the
-  /// sender needs the duplicate ACKs). Off by default — the SCDA window
-  /// transport wants per-packet acks, and NS2's base TCP sink acks every
-  /// packet too.
-  void set_delayed_ack(bool enabled, double delay_s = 0.04) {
-    delayed_ack_ = enabled;
-    ack_delay_s_ = delay_s;
-  }
+  /// Take a DATA segment (other packets are ignored) and acknowledge it at
+  /// once: every segment is acked, as by NS2's base TCP sink, and the
+  /// SCDA window transport wants per-packet acks. Returns true exactly
+  /// once, for the segment that completes the content, after stamping the
+  /// record's finish time; the caller reports the completion.
+  bool handle(net::Packet&& p);
 
   /// Optional global counter bumped by every newly delivered payload byte
   /// (drives the instantaneous-throughput series of figures 7/10/17).
@@ -64,7 +51,6 @@ class Receiver final : public Agent {
 
   net::Network& net_;
   FlowRecord& rec_;
-  FlowCompletionFn on_complete_;
   std::int64_t rcvw_bytes_;
   /// Never advertise less than one segment or the connection stalls.
   std::int64_t min_rcvw_bytes_ = net::kDefaultMtuBytes;
@@ -77,14 +63,6 @@ class Receiver final : public Agent {
   // scda-lint: allow(map-hot-path)
   std::map<std::int64_t, std::int64_t> ooo_;
   bool completed_ = false;
-
-  // delayed-ACK state
-  bool delayed_ack_ = false;
-  double ack_delay_s_ = 0.04;
-  int unacked_segments_ = 0;
-  sim::SimTime pending_echo_ts_{};
-  bool ack_timer_armed_ = false;
-  std::uint64_t ack_timer_epoch_ = 0;
 };
 
 }  // namespace scda::transport

@@ -224,7 +224,7 @@ void WindowSender::update_rtt(double sample) {
 
 void TcpSender::on_start() {
   ssthresh_ = 1e18;
-  set_cwnd(static_cast<double>(init_cwnd_segments_) * mss_);
+  set_cwnd(static_cast<double>(kInitialWindowSegments) * mss_);
 }
 
 void TcpSender::on_new_ack(std::int64_t newly_acked) {

@@ -16,7 +16,6 @@
 
 #include "net/network.h"
 #include "transport/flow.h"
-#include "transport/host.h"
 
 namespace scda::transport {
 
@@ -27,12 +26,12 @@ struct SenderStats {
   std::uint64_t fast_retransmits = 0;
 };
 
-class WindowSender : public Agent {
+class WindowSender {
  public:
   WindowSender(net::Network& net, FlowRecord& rec, double base_rtt_s,
                std::int32_t mss_bytes = net::kDefaultMtuBytes -
                                         net::kHeaderBytes);
-  ~WindowSender() override;
+  virtual ~WindowSender();
 
   WindowSender(const WindowSender&) = delete;
   WindowSender& operator=(const WindowSender&) = delete;
@@ -52,7 +51,8 @@ class WindowSender : public Agent {
   }
   [[nodiscard]] bool stopped() const noexcept { return stopped_; }
 
-  void handle(net::Packet&& p) override;
+  /// Take an ACK (other packets are ignored).
+  void handle(net::Packet&& p);
 
   [[nodiscard]] bool fully_acked() const noexcept {
     return acked_ >= rec_.size_bytes;
@@ -159,11 +159,6 @@ class TcpSender final : public WindowSender {
  public:
   using WindowSender::WindowSender;
 
-  /// Initial congestion window in segments (default 2; RFC 6928 allows 10).
-  void set_initial_window_segments(int n) noexcept {
-    init_cwnd_segments_ = n > 0 ? n : 1;
-  }
-
  protected:
   void on_start() override;
   void on_new_ack(std::int64_t newly_acked) override;
@@ -172,8 +167,9 @@ class TcpSender final : public WindowSender {
   void on_partial_ack() override;
 
  private:
+  /// Initial congestion window in segments (RFC 6928 allows up to 10).
+  static constexpr int kInitialWindowSegments = 2;
   double ssthresh_ = 1e18;  ///< effectively infinite until first loss
-  int init_cwnd_segments_ = 2;
 };
 
 /// SCDA window transport: the window tracks the allocated rate.

@@ -4,12 +4,18 @@
 
 namespace scda::transport {
 
-Host& TransportManager::host(net::NodeId n) {
-  auto it = hosts_.find(n);
-  if (it == hosts_.end()) {
-    it = hosts_.emplace(n, std::make_unique<Host>(net_, n)).first;
+void TransportManager::demux(net::Packet&& p) {
+  Endpoints* e = endpoints_of(p.flow);
+  if (e == nullptr || records_[p.flow.index()]->aborted) return;
+  if (p.type == net::PacketType::kAck) {
+    if (e->sender) e->sender->handle(std::move(p));
+    return;
   }
-  return *it->second;
+  // DATA a node sends to itself arrives inside its sender's own send, so
+  // its receiver never takes it: the ACK would re-enter the sender before
+  // the segment is accounted. Such a flow never completes.
+  if (e->receiver && p.src != p.dst && e->receiver->handle(std::move(p)))
+    finish_flow(*records_[p.flow.index()]);
 }
 
 double TransportManager::base_rtt(net::NodeId a, net::NodeId b) const {
@@ -32,6 +38,7 @@ FlowRecord& TransportManager::new_record(net::NodeId src, net::NodeId dst,
   rec->transport = kind;
   rec->content = content;
   records_.push_back(std::move(rec));
+  endpoints_.emplace_back();
   FlowRecord& r = *records_.back();
   if (obs::TraceRecorder* tr = obs::tracer_of(net_.sim())) {
     tr->async_begin(r.start_time, "flow",
@@ -62,15 +69,12 @@ bool TransportManager::abort_flow(net::FlowId id) {
   rec.aborted = true;
   ++aborted_flows_;
 
+  // A packet flow's agents stay alive, but its sender stops emitting, and
+  // demux() drops the packets still in flight.
   if (rec.fluid) {
     fluid_.abort(id);
-  } else {
-    // Agents stay alive (stray packets for dead flows are dropped by the
-    // agents themselves), but the sender must stop emitting and the hosts
-    // stop routing this flow's packets up the stack.
-    if (WindowSender* s = sender(id)) s->stop();
-    host(rec.src).detach(id);
-    host(rec.dst).detach(id);
+  } else if (WindowSender* s = sender(id)) {
+    s->stop();
   }
 
   if (obs::TraceRecorder* tr = obs::tracer_of(net_.sim())) {
@@ -91,22 +95,11 @@ net::FlowId TransportManager::start_tcp_flow(net::NodeId src, net::NodeId dst,
                                content);
   const double rtt = base_rtt(src, dst);
 
-  auto recv = std::make_unique<Receiver>(
-      net_, rec,
-      [this](const FlowRecord& r) { finish_flow(r); },
-      kTcpRcvwBytes);
-  recv->set_delivered_counter(&total_delivered_bytes_);
-  if (tcp_config_.delayed_ack)
-    recv->set_delayed_ack(true, tcp_config_.ack_delay_s);
-  auto send = std::make_unique<TcpSender>(net_, rec, rtt);
-  send->set_initial_window_segments(tcp_config_.init_cwnd_segments);
-
-  host(dst).attach(rec.id, recv.get());
-  host(src).attach(rec.id, send.get());
-  send->start();
-
-  receivers_.emplace(rec.id, std::move(recv));
-  senders_.emplace(rec.id, std::move(send));
+  Endpoints& e = endpoints_.back();
+  e.receiver = std::make_unique<Receiver>(net_, rec, kTcpRcvwBytes);
+  e.receiver->set_delivered_counter(&total_delivered_bytes_);
+  e.sender = std::make_unique<TcpSender>(net_, rec, rtt);
+  e.sender->start();
   return rec.id;
 }
 
@@ -139,10 +132,7 @@ ScdaFlowHandles TransportManager::start_scda_flow(
   // boundary, unwrapped once to keep the rate*rtt/8 expression exact.
   const auto rcvw =
       static_cast<std::int64_t>(initial_rcvw_rate.bps() * rtt / 8.0);
-  auto recv = std::make_unique<Receiver>(
-      net_, rec,
-      [this](const FlowRecord& r) { finish_flow(r); },
-      rcvw);
+  auto recv = std::make_unique<Receiver>(net_, rec, rcvw);
   recv->set_delivered_counter(&total_delivered_bytes_);
   auto send = std::make_unique<ScdaSender>(net_, rec, rtt, initial_rate);
 
@@ -151,12 +141,10 @@ ScdaFlowHandles TransportManager::start_scda_flow(
   out.sender = send.get();
   out.receiver = recv.get();
 
-  host(dst).attach(rec.id, recv.get());
-  host(src).attach(rec.id, send.get());
-  send->start();
-
-  receivers_.emplace(rec.id, std::move(recv));
-  senders_.emplace(rec.id, std::move(send));
+  Endpoints& e = endpoints_.back();
+  e.receiver = std::move(recv);
+  e.sender = std::move(send);
+  out.sender->start();
   return out;
 }
 

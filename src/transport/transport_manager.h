@@ -1,18 +1,25 @@
-// TransportManager: creates flows, owns their sender/receiver agents and
-// per-node Hosts, and reports completions.
+// TransportManager: creates flows, owns their sender and receiver agents,
+// hands each arriving packet to its flow's agent, and reports completions.
 //
-// Agents live for the whole simulation (flows are cheap); stray packets for
-// finished flows are ignored by the agents themselves.
+// Flow ids are dense and issued in order (next_flow_id() is the record
+// count), so the per-flow tables are vectors indexed by flow id: the
+// records, and beside them each flow's agents. The manager is its
+// network's local-delivery hook: a packet that reaches its destination
+// goes, by its flow id, to the flow's sender if it is an ACK and to its
+// receiver if it is DATA. Packets of an aborted flow are dropped, and a
+// fluid flow has no agents and sends none.
+//
+// Agents live for the whole simulation (the end-of-run metrics read every
+// sender); stray packets for finished flows are ignored by the senders,
+// while a receiver re-acknowledges a duplicate segment.
 #pragma once
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "net/network.h"
 #include "transport/flow.h"
 #include "transport/fluid.h"
-#include "transport/host.h"
 #include "transport/receiver.h"
 #include "transport/sender.h"
 
@@ -31,7 +38,9 @@ struct ScdaFlowHandles {
 
 class TransportManager {
  public:
+  /// Sets the network's local-delivery hook for the manager's lifetime.
   explicit TransportManager(net::Network& net) : net_(net), fluid_(net) {
+    net_.set_local_hook(&TransportManager::deliver, this);
     fluid_.set_completion_callback([this](net::FlowId id) {
       FlowRecord& rec = *records_.at(id.index());
       rec.finish_time = net_.sim().now();
@@ -47,14 +56,6 @@ class TransportManager {
   void set_completion_callback(FlowCompletionFn fn) {
     on_complete_ = std::move(fn);
   }
-
-  /// Baseline TCP tuning applied to subsequently started TCP flows.
-  struct TcpConfig {
-    int init_cwnd_segments = 2;  ///< RFC 6928 allows up to 10
-    bool delayed_ack = false;    ///< RFC 1122 delayed ACKs at the sink
-    double ack_delay_s = 0.04;
-  };
-  void set_tcp_config(const TcpConfig& c) noexcept { tcp_config_ = c; }
 
   /// Enable/tune the hybrid fluid/packet mode for SCDA flows: flows of at
   /// least `threshold_bytes` advance analytically between RA epochs, mice
@@ -85,8 +86,8 @@ class TransportManager {
 
   /// Tear a live flow down mid-transfer (failure injection). The record is
   /// marked aborted, never finished; the completion callback is NOT fired.
-  /// Packet flows keep their (stopped) agents alive so in-flight packets
-  /// and timer events drain harmlessly; fluid flows leave the engine.
+  /// Packet flows keep their (stopped) agents, which their in-flight
+  /// packets no longer reach; fluid flows leave the engine.
   /// Returns false if the flow is already finished or aborted.
   bool abort_flow(net::FlowId id);
   /// Flows torn down by abort_flow over the run.
@@ -113,13 +114,14 @@ class TransportManager {
     return records_;
   }
 
+  /// A packet flow's agents; null for a fluid flow or an unknown id.
   [[nodiscard]] WindowSender* sender(net::FlowId id) {
-    const auto it = senders_.find(id);
-    return it == senders_.end() ? nullptr : it->second.get();
+    const Endpoints* e = endpoints_of(id);
+    return e ? e->sender.get() : nullptr;
   }
   [[nodiscard]] Receiver* receiver(net::FlowId id) {
-    const auto it = receivers_.find(id);
-    return it == receivers_.end() ? nullptr : it->second.get();
+    const Endpoints* e = endpoints_of(id);
+    return e ? e->receiver.get() : nullptr;
   }
 
   /// Total payload bytes delivered in order across all flows so far.
@@ -130,9 +132,23 @@ class TransportManager {
   /// Base RTT (2x propagation) between two nodes — used to seed windows.
   [[nodiscard]] double base_rtt(net::NodeId a, net::NodeId b) const;
 
-  [[nodiscard]] Host& host(net::NodeId n);
-
  private:
+  /// A flow's sender and receiver agents; both null for a fluid flow.
+  struct Endpoints {
+    std::unique_ptr<WindowSender> sender;
+    std::unique_ptr<Receiver> receiver;
+  };
+
+  /// The network's local-delivery hook.
+  static void deliver(void* tm, net::Packet&& p) {
+    static_cast<TransportManager*>(tm)->demux(std::move(p));
+  }
+  void demux(net::Packet&& p);
+  [[nodiscard]] Endpoints* endpoints_of(net::FlowId id) noexcept {
+    if (!id.valid() || id.index() >= endpoints_.size()) return nullptr;
+    return &endpoints_[id.index()];
+  }
+  /// Appends the flow's record and its (empty) endpoints.
   FlowRecord& new_record(net::NodeId src, net::NodeId dst,
                          std::int64_t size_bytes, TransportKind kind,
                          ContentClass content);
@@ -144,17 +160,14 @@ class TransportManager {
   FlowCompletionFn on_complete_;
   /// Receive window advertised by TCP receivers.
   static constexpr std::int64_t kTcpRcvwBytes = std::int64_t{1} << 24;
-  TcpConfig tcp_config_;
   FluidEngine fluid_;
   FluidConfig fluid_config_;
   std::uint64_t mode_switches_ = 0;
   std::uint64_t aborted_flows_ = 0;
   std::int64_t total_delivered_bytes_ = 0;
 
-  std::unordered_map<net::NodeId, std::unique_ptr<Host>> hosts_;
   std::vector<std::unique_ptr<FlowRecord>> records_;
-  std::unordered_map<net::FlowId, std::unique_ptr<WindowSender>> senders_;
-  std::unordered_map<net::FlowId, std::unique_ptr<Receiver>> receivers_;
+  std::vector<Endpoints> endpoints_;  ///< endpoints_[i] serve records_[i]
 };
 
 }  // namespace scda::transport

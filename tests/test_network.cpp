@@ -6,9 +6,11 @@
 #include <deque>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "net/fat_tree.h"
 #include "net/general_topology.h"
+#include "net/slot_index.h"
 #include "net/topology.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
@@ -16,6 +18,21 @@
 
 namespace scda::net {
 namespace {
+
+/// Counts the packets a network delivers at each node, through its
+/// local-delivery hook, and keeps the last one.
+struct Deliveries {
+  explicit Deliveries(Network& net) : at(net.node_count(), 0) {
+    net.set_local_hook(&take, this);
+  }
+  static void take(void* self, Packet&& p) {
+    auto& d = *static_cast<Deliveries*>(self);
+    ++d.at[p.dst.index()];
+    d.last = p;
+  }
+  std::vector<int> at;
+  Packet last;
+};
 
 class NetworkTest : public ::testing::Test {
  protected:
@@ -138,18 +155,13 @@ TEST_F(NetworkTest, MutationAfterRoutesBuiltThrows) {
 
 TEST_F(NetworkTest, SendDeliversAcrossMultipleHops) {
   build_line();
-  Packet got;
-  int count = 0;
-  net_.node(ids_[3]).set_sink([&](Packet&& p) {
-    got = p;
-    ++count;
-  });
+  Deliveries got(net_);
   Packet p = make_data(scda::net::FlowId{5}, ids_[0], ids_[3], 0, 1000,
                        scda::sim::secs(0.0));
   net_.send(std::move(p));
   sim_.run();
-  EXPECT_EQ(count, 1);
-  EXPECT_EQ(got.flow, FlowId{5});
+  EXPECT_EQ(got.at, (std::vector<int>{0, 0, 0, 1}));
+  EXPECT_EQ(got.last.flow, FlowId{5});
   // 3 hops: 3 tx times (1040B @ 1 Mbps = 8.32 ms) + 3 ms propagation
   EXPECT_NEAR(sim_.now().seconds(), 3 * (1040.0 * 8 / 1e6) + 0.003, 1e-9);
 }
@@ -192,10 +204,7 @@ TEST_F(NetworkTest, PacketToUnreachableNodeIsDroppedAndRunContinues) {
   net_.add_duplex(a, b, sim::BitRate{1e6}, 0.001, 1 << 20);
   net_.add_link(c, b, sim::BitRate{1e6}, 0.001, 1 << 20);
   net_.build_routes();
-  int at_b = 0;
-  int at_c = 0;
-  net_.node(b).set_sink([&](Packet&&) { ++at_b; });
-  net_.node(c).set_sink([&](Packet&&) { ++at_c; });
+  Deliveries got(net_);
 
   // The "no route" warning is expected; keep it out of the test log.
   util::Log::set_level(util::LogLevel::kError);
@@ -203,8 +212,8 @@ TEST_F(NetworkTest, PacketToUnreachableNodeIsDroppedAndRunContinues) {
   net_.send(make_data(FlowId{2}, a, b, 0, 100, sim::secs(0.0)));
   EXPECT_NO_THROW(sim_.run());
   util::Log::set_level(util::LogLevel::kWarn);
-  EXPECT_EQ(at_c, 0);
-  EXPECT_EQ(at_b, 1);
+  EXPECT_EQ(got.at[c.index()], 0);
+  EXPECT_EQ(got.at[b.index()], 1);
   // c itself still routes out through its one link.
   EXPECT_EQ(net_.next_hop(c, a), b);
   EXPECT_EQ(net_.next_hop(a, c), kInvalidNode);
@@ -245,20 +254,18 @@ TEST_F(NetworkTest, PacketSlotsFollowTheNetworkPeakNotTheSumOfLinkPeaks) {
   const auto b = net_.add_node(NodeRole::kOther);
   const auto [ab, ba] = net_.add_duplex(a, b, sim::BitRate{1e6}, 0.01, 1 << 20);
   net_.build_routes();
-  int delivered = 0;
-  net_.node(a).set_sink([&](Packet&&) { ++delivered; });
-  net_.node(b).set_sink([&](Packet&&) { ++delivered; });
+  Deliveries got(net_);
   EXPECT_EQ(net_.packet_slots(), 0u);
 
   for (int i = 0; i < 8; ++i)
     net_.send(make_data(FlowId{1}, a, b, i, 1000, sim_.now()));
   sim_.run();
-  ASSERT_EQ(delivered, 8);
+  ASSERT_EQ(got.at[b.index()], 8);
   EXPECT_EQ(net_.packet_slots(), 8u);
   for (int i = 0; i < 12; ++i)
     net_.send(make_data(FlowId{2}, b, a, i, 1000, sim_.now()));
   sim_.run();
-  ASSERT_EQ(delivered, 20);
+  ASSERT_EQ(got.at[a.index()], 12);
 
   const std::uint64_t peak_ab = net_.link(ab).queue_perf().pool_hwm;
   const std::uint64_t peak_ba = net_.link(ba).queue_perf().pool_hwm;
@@ -278,18 +285,73 @@ TEST(NetworkLifetime, DestroyedWithPacketsQueuedAndPropagating) {
     const auto b = net.add_node(NodeRole::kOther);
     const LinkId ab = net.add_link(a, b, sim::BitRate{1e6}, 0.05, 1 << 20);
     net.build_routes();
-    int delivered = 0;
-    net.node(b).set_sink([&](Packet&&) { ++delivered; });
+    Deliveries got(net);
     for (int i = 0; i < 10; ++i)
       net.send(make_data(FlowId{1}, a, b, i, 1460, sim::Time{}));
     // 12 ms per packet on the wire, then 50 ms propagation: at 30 ms two
     // packets are propagating and eight are queued.
     sim.run_until(sim::secs(0.030));
-    EXPECT_EQ(delivered, 0);
+    EXPECT_EQ(got.at[b.index()], 0);
     EXPECT_EQ(net.link(ab).stats().tx_packets, 2u);
     EXPECT_EQ(net.link(ab).queue_bytes(), 8 * 1500);
     EXPECT_EQ(net.packet_slots(), 10u);
   }
+}
+
+// --- slot index --------------------------------------------------------------
+/// The (id, slot) pairs a walk over the index visits, in order.
+using Walk = std::vector<std::pair<std::int64_t, std::uint32_t>>;
+Walk walk(const SlotIndex& idx) {
+  Walk out;
+  for (const SlotIndex::Entry& e : idx) out.emplace_back(e.id.value(), e.slot);
+  return out;
+}
+
+TEST(SlotIndex, OutOfOrderInsertsWalkInAscendingId) {
+  SlotIndex idx;
+  EXPECT_EQ(idx.insert(FlowId{7}), 0u);
+  EXPECT_EQ(idx.insert(FlowId{3}), 1u);
+  EXPECT_EQ(idx.insert(FlowId{5}), 2u);
+  EXPECT_EQ(idx.insert(FlowId{1}), 3u);
+  EXPECT_EQ(walk(idx), (Walk{{1, 3}, {3, 1}, {5, 2}, {7, 0}}));
+  // A duplicate is refused and changes nothing.
+  EXPECT_EQ(idx.insert(FlowId{5}), SlotIndex::kNone);
+  EXPECT_EQ(walk(idx), (Walk{{1, 3}, {3, 1}, {5, 2}, {7, 0}}));
+  EXPECT_EQ(idx.size(), 4u);
+  EXPECT_EQ(idx.find(FlowId{5}), 2u);
+}
+
+TEST(SlotIndex, FreedSlotsAreReusedLastInFirstOut) {
+  SlotIndex idx;
+  for (std::int64_t id = 0; id < 4; ++id)
+    EXPECT_EQ(idx.insert(FlowId{id}), static_cast<std::uint32_t>(id));
+  EXPECT_EQ(idx.erase(FlowId{1}), 1u);
+  EXPECT_EQ(idx.erase(FlowId{3}), 3u);
+  EXPECT_EQ(idx.erase(FlowId{0}), 0u);
+  EXPECT_EQ(idx.insert(FlowId{4}), 0u);
+  EXPECT_EQ(idx.insert(FlowId{5}), 3u);
+  EXPECT_EQ(idx.insert(FlowId{6}), 1u);
+  // None free: a new slot.
+  EXPECT_EQ(idx.insert(FlowId{7}), 4u);
+  EXPECT_EQ(walk(idx), (Walk{{2, 2}, {4, 0}, {5, 3}, {6, 1}, {7, 4}}));
+}
+
+TEST(SlotIndex, FindOrEraseOfAnAbsentIdReportsNone) {
+  SlotIndex idx;
+  EXPECT_EQ(idx.find(FlowId{0}), SlotIndex::kNone);
+  EXPECT_EQ(idx.erase(FlowId{0}), SlotIndex::kNone);
+  (void)idx.insert(FlowId{2});
+  (void)idx.insert(FlowId{4});
+  for (const std::int64_t absent : {1, 3, 5}) {
+    EXPECT_EQ(idx.find(FlowId{absent}), SlotIndex::kNone) << absent;
+    EXPECT_EQ(idx.erase(FlowId{absent}), SlotIndex::kNone) << absent;
+  }
+  // Nothing was freed, so the next insert takes a new slot.
+  EXPECT_EQ(idx.size(), 2u);
+  EXPECT_EQ(idx.insert(FlowId{6}), 2u);
+  EXPECT_EQ(idx.erase(FlowId{4}), 1u);
+  EXPECT_EQ(idx.erase(FlowId{4}), SlotIndex::kNone);
+  EXPECT_EQ(idx.find(FlowId{4}), SlotIndex::kNone);
 }
 
 // --- route oracle ------------------------------------------------------------

@@ -4,13 +4,13 @@
 
 #include "net/network.h"
 #include "sim/simulator.h"
-#include "transport/host.h"
 
 namespace scda::transport {
 namespace {
 
 /// Two directly connected nodes; the receiver under test sits on node 1 and
-/// its ACKs flow back to a capture sink on node 0.
+/// its ACKs flow back to node 0, where the network's local-delivery hook
+/// captures them.
 class ReceiverTest : public ::testing::Test {
  protected:
   ReceiverTest() : net_(sim_) {
@@ -25,12 +25,21 @@ class ReceiverTest : public ::testing::Test {
     rec_.size_bytes = 4000;
     rec_.start_time = sim::Time{};
 
-    net_.node(a_).set_sink([this](net::Packet&& p) { acks_.push_back(p); });
+    net_.set_local_hook(
+        [](void* t, net::Packet&& p) {
+          auto& self = *static_cast<ReceiverTest*>(t);
+          if (p.dst == self.a_) self.acks_.push_back(p);
+        },
+        this);
   }
 
   Receiver make_receiver(std::int64_t rcvw = 1 << 20) {
-    return Receiver(
-        net_, rec_, [this](const FlowRecord&) { ++completions_; }, rcvw);
+    return Receiver(net_, rec_, rcvw);
+  }
+
+  /// Hand `p` to `r`, counting the completion it reports.
+  void feed(Receiver& r, net::Packet&& p) {
+    if (r.handle(std::move(p))) ++completions_;
   }
 
   net::Packet data(std::int64_t seq, std::int32_t n) {
@@ -94,20 +103,20 @@ TEST_F(ReceiverTest, OverlappingRangesMergeCorrectly) {
 
 TEST_F(ReceiverTest, CompletionFiresExactlyOnce) {
   auto r = make_receiver();
-  r.handle(data(0, 2000));
-  r.handle(data(2000, 2000));
+  feed(r, data(0, 2000));
+  EXPECT_EQ(completions_, 0);
+  feed(r, data(2000, 2000));
   EXPECT_EQ(completions_, 1);
   EXPECT_TRUE(r.complete());
-  r.handle(data(2000, 2000));  // stray duplicate after completion
+  feed(r, data(2000, 2000));  // stray duplicate after completion
   EXPECT_EQ(completions_, 1);
 }
 
 TEST_F(ReceiverTest, CompletionRecordsFinishTime) {
   auto r = make_receiver();
-  sim_.post_at(scda::sim::secs(2.0), [&] {
-    r.handle(data(0, 4000));
-  });
+  sim_.post_at(scda::sim::secs(2.0), [&] { feed(r, data(0, 4000)); });
   sim_.run();
+  EXPECT_EQ(completions_, 1);
   EXPECT_DOUBLE_EQ(rec_.finish_time.seconds(), 2.0);
   EXPECT_DOUBLE_EQ(rec_.fct(), 2.0);
 }
@@ -148,7 +157,7 @@ TEST_F(ReceiverTest, NonDataPacketsIgnored) {
   auto r = make_receiver();
   auto ack = net::make_ack(scda::net::FlowId{1}, a_, b_, 500,
                            scda::sim::secs(0.0), scda::sim::secs(0.0), 0);
-  r.handle(std::move(ack));
+  EXPECT_FALSE(r.handle(std::move(ack)));
   EXPECT_EQ(r.next_expected(), 0);
   EXPECT_TRUE(acks_.empty());
 }

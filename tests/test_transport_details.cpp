@@ -114,6 +114,50 @@ TEST(TransportDetails, FlowRecordsTrackLifecycle) {
   EXPECT_EQ(rec.transport, TransportKind::kTcp);
 }
 
+TEST(TransportDetails, AbortedFlowPacketsReachNeitherAgent) {
+  // The second flow is aborted with DATA and ACKs on the wire. They still
+  // arrive, but at neither agent, so the receiver's cumulative point and
+  // the sender's counters stay where the abort left them.
+  Rig rig;
+  const auto done = rig.tm->start_scda_flow(
+      rig.a, rig.b, 30'000, sim::BitRate{8e6}, sim::BitRate{8e6});
+  rig.sim->run_until(scda::sim::secs(0.5));
+  ASSERT_EQ(rig.completed, std::vector<net::FlowId>{done.id});
+
+  const auto h = rig.tm->start_scda_flow(
+      rig.a, rig.b, 1'000'000, sim::BitRate{8e6}, sim::BitRate{8e6});
+  rig.sim->run_until(scda::sim::secs(0.6));
+  const std::int64_t received = h.receiver->next_expected();
+  const std::int64_t acked = h.sender->acked_bytes();
+  const SenderStats sent = h.sender->stats();
+  constexpr std::int32_t kMss = net::kDefaultMtuBytes - net::kHeaderBytes;
+  ASSERT_EQ(sent.retransmits, 0u);
+  // Segments sent past the receiver's point are on the wire, and so is an
+  // ACK for the bytes received past the sender's.
+  ASSERT_GT(static_cast<std::int64_t>(sent.data_packets_sent) * kMss,
+            received);
+  ASSERT_LT(acked, received);
+
+  ASSERT_TRUE(rig.tm->abort_flow(h.id));
+  rig.sim->run_until(scda::sim::secs(2.0));
+  EXPECT_EQ(h.receiver->next_expected(), received);
+  EXPECT_EQ(h.sender->acked_bytes(), acked);
+  EXPECT_EQ(h.sender->stats().data_packets_sent, sent.data_packets_sent);
+  EXPECT_EQ(h.sender->stats().retransmits, 0u);
+  EXPECT_EQ(h.sender->stats().timeouts, sent.timeouts);
+  EXPECT_EQ(rig.completed.size(), 1u);
+
+  // A stray duplicate of the completed flow's DATA is still acknowledged,
+  // without a second completion.
+  const auto acks = rig.net->link(rig.ba).stats().tx_packets;
+  rig.net->send(
+      net::make_data(done.id, rig.a, rig.b, 0, kMss, rig.sim->now()));
+  rig.sim->run_until(scda::sim::secs(3.0));
+  EXPECT_EQ(rig.net->link(rig.ba).stats().tx_packets, acks + 1);
+  EXPECT_EQ(done.receiver->next_expected(), 30'000);
+  EXPECT_EQ(rig.completed.size(), 1u);
+}
+
 TEST(TransportDetails, MinRcvwNeverStallsScdaFlow) {
   // Receiver window floored at one MTU: even a zero-rate advertisement
   // keeps one segment per RTT moving and the flow finishes.

@@ -107,13 +107,14 @@ int main(int argc, char** argv) {
       checksum = mix(checksum, static_cast<std::uint64_t>(now_ns));
     });
 
-    alloc.set_epoch_callback([&] {
-      fluid.rerate_all(
-          [&](net::FlowId id) { return alloc.flow_rate(id); },
-          /*epoch=*/true);
+    // Each RA epoch: fluid flows integrate their old rate up to the tick
+    // and continue at the fresh allocations.
+    sim::PeriodicProcess control(sim, sim::secs(tau), [&] {
+      alloc.tick();
+      fluid.rerate_all([&](net::FlowId id) { return alloc.flow_rate(id); },
+                       /*epoch=*/true);
       peak_active = std::max(peak_active, fluid.active_flows());
     });
-    sim::PeriodicProcess control(sim, sim::secs(tau), [&] { alloc.tick(); });
     control.start(sim::secs(tau));
 
     // Self-scheduling Poisson arrivals between distinct random servers.

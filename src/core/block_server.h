@@ -8,6 +8,7 @@
 #include "core/power.h"
 #include "core/server_resources.h"
 #include "net/packet.h"
+#include "transport/flow.h"
 
 namespace scda::core {
 
@@ -45,6 +46,27 @@ class BlockServer {
     stored_total_ -= it->second;
     blocks_.erase(it);
   }
+  /// Store a new copy of content of class `cls`: a write's, a replica's or
+  /// a move's target. A copy of active (non-passive) content keeps the
+  /// server out of dormancy and wakes it; a passive copy lands without
+  /// waking it (section VII-C). False when the disk is full.
+  [[nodiscard]] bool place(ContentId id, std::int64_t bytes,
+                           transport::ContentClass cls) {
+    if (!store(id, bytes)) return false;
+    if (cls != transport::ContentClass::kPassive) {
+      ++active_copies_;
+      set_dormant(false);
+    }
+    return true;
+  }
+  /// Drop a copy placed with class `cls` (a vacated move source, or the
+  /// target of a transfer that never finished). No-op when not held.
+  void unplace(ContentId id, transport::ContentClass cls) {
+    if (!has(id)) return;
+    remove(id);
+    if (cls != transport::ContentClass::kPassive && active_copies_ > 0)
+      --active_copies_;
+  }
   /// Wipe every stored block (server recovery after a failure,
   /// docs/scenarios.md): the machine comes back empty and refills through
   /// normal placement, so stale blocks never leak disk across churn cycles.
@@ -52,6 +74,7 @@ class BlockServer {
     resources_.release_bytes(stored_total_);
     stored_total_ = 0;
     blocks_.clear();
+    active_copies_ = 0;
   }
   [[nodiscard]] bool has(ContentId id) const { return blocks_.count(id) != 0; }
   [[nodiscard]] std::int64_t stored_bytes(ContentId id) const {
@@ -60,6 +83,11 @@ class BlockServer {
   }
   [[nodiscard]] std::size_t block_count() const noexcept {
     return blocks_.size();
+  }
+  /// Copies of active content placed here: a server holding one is never
+  /// scaled down.
+  [[nodiscard]] std::int32_t active_copies() const noexcept {
+    return active_copies_;
   }
 
   // --- activity tracking (dormancy policy) -----------------------------------
@@ -88,6 +116,7 @@ class BlockServer {
   PowerModel power_;
   std::unordered_map<ContentId, std::int64_t> blocks_;
   std::int64_t stored_total_ = 0;  ///< sum over blocks_ (scrub in O(1))
+  std::int32_t active_copies_ = 0;
   std::int32_t active_flows_ = 0;
   bool failed_ = false;
 };

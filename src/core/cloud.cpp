@@ -1,6 +1,11 @@
 #include "core/cloud.h"
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <limits>
+#include <stdexcept>
+#include <utility>
 
 #include "core/churn.h"
 #include "obs/observability.h"
@@ -11,9 +16,61 @@ namespace scda::core {
 using transport::ContentClass;
 using transport::TransportKind;
 
+namespace {
+
+/// `cfg` once every control-plane parameter is known to be usable, before
+/// any component is built from it. Throws std::invalid_argument naming the
+/// field.
+CloudConfig checked(CloudConfig cfg) {
+  const ScdaParams& p = cfg.params;
+  constexpr double kAny = -std::numeric_limits<double>::infinity();
+  // Each value must be finite and at least `low`, or above it if `strict`.
+  // A scan interval of 0 turns its scan off.
+  const struct {
+    const char* field;
+    double value, low;
+    bool strict;
+  } rules[] = {
+      {"alpha", p.alpha, kAny, false},
+      {"beta", p.beta, kAny, false},
+      {"tau", p.tau, 0, true},
+      {"rscale", p.rscale.bps(), kAny, false},
+      {"rcvw_headroom", p.rcvw_headroom, kAny, false},
+      {"ctrl_dc_latency_s", p.ctrl_dc_latency_s, 0, false},
+      {"ctrl_wan_latency_s", p.ctrl_wan_latency_s, 0, false},
+      {"min_rate", p.min_rate.bps(), kAny, false},
+      {"n_name_nodes", static_cast<double>(p.n_name_nodes), 1, false},
+      {"nns_service_time_s", p.nns_service_time_s, 0, false},
+      {"replicas", static_cast<double>(p.replicas), 1, false},
+      {"repair_priority", p.repair_priority, kAny, false},
+      {"migration_interval_s", p.migration_interval_s, 0, false},
+      {"metadata_timeout_s", p.metadata_timeout_s, 0, true},
+      {"metadata_max_attempts", static_cast<double>(p.metadata_max_attempts),
+       1, false},
+      {"rebalance_interval_s", p.rebalance_interval_s, 0, false},
+      {"rebalance_priority", p.rebalance_priority, kAny, false},
+      {"fluid threshold_bytes", static_cast<double>(cfg.fluid.threshold_bytes),
+       0, false}};
+  for (const auto& r : rules) {
+    const bool finite = std::isfinite(r.value);
+    if (finite && (r.strict ? r.value > r.low : r.value >= r.low)) continue;
+    char msg[160];
+    if (finite)
+      std::snprintf(msg, sizeof msg, "Cloud: %s must be %s %g, got %g",
+                    r.field, r.strict ? ">" : ">=", r.low, r.value);
+    else
+      std::snprintf(msg, sizeof msg, "Cloud: %s must be finite, got %g",
+                    r.field, r.value);
+    throw std::invalid_argument(msg);
+  }
+  return cfg;
+}
+
+}  // namespace
+
 Cloud::Cloud(sim::Simulator& sim, CloudConfig cfg)
     : sim_(sim),
-      cfg_(std::move(cfg)),
+      cfg_(checked(std::move(cfg))),
       topo_(sim, cfg_.topology),
       transports_(topo_.net()),
       allocator_(topo_.net(), cfg_.params),
@@ -31,11 +88,10 @@ Cloud::Cloud(sim::Simulator& sim, CloudConfig cfg)
         1.0 + sim_.rng().uniform() * cfg_.power_heterogeneity;
     servers_.back().power().set_inefficiency(ineff);
   }
-  active_content_count_.assign(n_servers, 0);
   prev_tx_bytes_.assign(n_servers, 0);
-  server_index_by_node_.assign(topo_.net().node_count(), 0);
-  for (std::size_t s = 0; s < n_servers; ++s)
-    server_index_by_node_[topo_.servers()[s].index()] = s;
+  server_index_by_node_.assign(topo_.net().node_count(), n_servers);
+  for (const BlockServer& bs : servers_)
+    server_index_by_node_[bs.node().index()] = bs.index();
 
   // A recovering name node pulls its peer's map as a background flow
   // between the instances' host servers (docs/scenarios.md).
@@ -43,17 +99,13 @@ Cloud::Cloud(sim::Simulator& sim, CloudConfig cfg)
                                     std::size_t src_host,
                                     std::size_t dst_host,
                                     std::int64_t bytes) {
-    CloudOp op;
-    op.content = kInvalidContent;
-    op.content_class = ContentClass::kPassive;
-    op.kind = CloudOp::Kind::kNnsSync;
-    op.server = static_cast<std::int32_t>(dst_host);
-    op.source_server = static_cast<std::int32_t>(src_host);
-    op.client = static_cast<std::int64_t>(instance);
-    return start_data_flow(topo_.servers()[src_host],
-                           topo_.servers()[dst_host], bytes, op,
-                           cfg_.params.repair_priority,
-                           /*reserved=*/sim::BitRate{});
+    return start_data_flow(
+        CloudOp{.content_class = ContentClass::kPassive,
+                .kind = CloudOp::Kind::kNnsSync,
+                .server = static_cast<std::int32_t>(dst_host),
+                .client = static_cast<std::int64_t>(instance),
+                .source_server = static_cast<std::int32_t>(src_host)},
+        bytes, cfg_.params.repair_priority, /*reserved=*/sim::BitRate{});
   });
 
   selector_ = std::make_unique<ServerSelector>(
@@ -77,6 +129,17 @@ Cloud::Cloud(sim::Simulator& sim, CloudConfig cfg)
     return servers_[s].failed() ? sim::BitRate{}
                                 : servers_[s].resources().r_other();
   });
+  // A flow is capped at its server endpoints' R_other whether or not the
+  // server has failed since: only selection reads a failed server as 0.
+  allocator_.set_r_other_hook(
+      [](const void* ctx, net::NodeId node) {
+        const Cloud& c = *static_cast<const Cloud*>(ctx);
+        const std::size_t s = c.server_index_by_node_[node.index()];
+        return s < c.servers_.size()
+                   ? c.servers_[s].resources().r_other()
+                   : sim::BitRate{std::numeric_limits<double>::infinity()};
+      },
+      this);
 
   allocator_.set_sla_callback(
       [this](net::LinkId l, sim::BitRate demand, sim::BitRate gamma,
@@ -91,16 +154,6 @@ Cloud::Cloud(sim::Simulator& sim, CloudConfig cfg)
       [this](const transport::FlowRecord& rec) { on_flow_complete(rec); });
 
   transports_.set_fluid_config(cfg_.fluid);
-  if (cfg_.fluid.enabled) {
-    // Fluid re-rate on every RA epoch: the allocator's end-of-tick hook
-    // fires after all allocations settle, so fluid flows integrate their
-    // old rate up to the epoch and continue at the fresh r_j.
-    allocator_.set_epoch_callback([this] {
-      transports_.fluid().rerate_all(
-          [this](net::FlowId id) { return allocator_.flow_rate(id); },
-          /*epoch=*/true);
-    });
-  }
 
   // Control loop: RM/RA computation every tau (sections IV and VI).
   control_loop_ = std::make_unique<sim::PeriodicProcess>(
@@ -137,6 +190,10 @@ Cloud::~Cloud() = default;
 
 void Cloud::control_tick() {
   allocator_.tick();
+  // The fluid epoch: once the round's allocations settle, fluid flows
+  // integrate their old rate up to now and continue at the fresh r_j, before
+  // the controller below reads their delivered bytes.
+  rerate_fluid(/*epoch=*/true);
   // Adaptive priority control (section IV-A): retune weights of flows with
   // rate targets or deadlines before windows are refreshed below.
   target_ctrl_.update(sim_.now(), [this](net::FlowId id) {
@@ -207,8 +264,7 @@ void Cloud::dormancy_housekeeping() {
   if (cfg_.params.rscale <= sim::BitRate{}) return;
   for (std::size_t s = 0; s < servers_.size(); ++s) {
     BlockServer& bs = servers_[s];
-    if (!bs.dormant() && bs.active_flows() == 0 &&
-        active_content_count_[s] == 0) {
+    if (!bs.dormant() && bs.active_flows() == 0 && bs.active_copies() == 0) {
       // Idle server holding no active content (only passive blocks, or
       // nothing at all): scale it down. It is woken when active content is
       // placed on it or a read hits one of its passive blocks.
@@ -245,32 +301,16 @@ void Cloud::migration_scan() {
       const std::int32_t target =
           selector_->select_replica_target(ContentClass::kPassive, {source});
       if (target < 0 || target == source) continue;
-      BlockServer& dst = servers_[static_cast<std::size_t>(target)];
       if (std::find(meta->replicas.begin(), meta->replicas.end(), target) !=
           meta->replicas.end())
         continue;  // already replicated there
-      if (!dst.store(id, meta->size_bytes)) continue;
-
-      CloudOp op;
-      op.content = id;
-      op.content_class = ContentClass::kPassive;
-      op.kind = CloudOp::Kind::kMigration;
-      op.server = target;
-      op.source_server = source;
-      migrating_.insert(id);
-      ++started;
-      count_ctrl(4, 4 * kCtrlMsgBytes);
-      const net::NodeId src_node =
-          topo_.servers()[static_cast<std::size_t>(source)];
-      const net::NodeId dst_node =
-          topo_.servers()[static_cast<std::size_t>(target)];
-      const std::int64_t bytes = meta->size_bytes;
-      sim_.post_in(sim::secs(2 * cfg_.params.ctrl_dc_latency_s),
-                       [this, op, bytes, src_node, dst_node] {
-                         start_data_flow(src_node, dst_node, bytes, op,
-                                         /*priority=*/1.0,
-                                         /*reserved=*/sim::BitRate{});
-                       });
+      if (start_move(CloudOp{.content = id,
+                             .content_class = ContentClass::kPassive,
+                             .kind = CloudOp::Kind::kMigration,
+                             .server = target,
+                             .source_server = source},
+                     meta->size_bytes, /*priority=*/1.0))
+        ++started;
     }
   }
 }
@@ -362,37 +402,31 @@ void Cloud::rebalance_scan() {
       ++rebalance_stats_.skipped;  // no strictly cooler home available
       continue;
     }
-    BlockServer& dst = servers_[static_cast<std::size_t>(target)];
-    if (!dst.store(c.id, meta->size_bytes)) {
+    if (!start_move(CloudOp{.content = c.id,
+                            .content_class = meta->content_class,
+                            .kind = CloudOp::Kind::kRebalance,
+                            .server = target,
+                            .source_server = static_cast<std::int32_t>(s)},
+                    meta->size_bytes, cfg_.params.rebalance_priority)) {
       ++rebalance_stats_.skipped;
       continue;
     }
-    if (meta->content_class != ContentClass::kPassive) {
-      ++active_content_count_[static_cast<std::size_t>(target)];
-      if (dst.dormant()) dst.set_dormant(false);
-    }
-
-    CloudOp op;
-    op.content = c.id;
-    op.content_class = meta->content_class;
-    op.kind = CloudOp::Kind::kRebalance;
-    op.server = target;
-    op.source_server = static_cast<std::int32_t>(s);
-    migrating_.insert(c.id);
     ++started;
     ++rebalance_stats_.flows_started;
-    count_ctrl(4, 4 * kCtrlMsgBytes);
-    const net::NodeId src_node = topo_.servers()[s];
-    const net::NodeId dst_node =
-        topo_.servers()[static_cast<std::size_t>(target)];
-    const std::int64_t bytes = meta->size_bytes;
-    sim_.post_in(sim::secs(2 * cfg_.params.ctrl_dc_latency_s),
-                 [this, op, bytes, src_node, dst_node] {
-                   start_data_flow(src_node, dst_node, bytes, op,
-                                   cfg_.params.rebalance_priority,
-                                   /*reserved=*/sim::BitRate{});
-                 });
   }
+}
+
+bool Cloud::start_move(const CloudOp& op, std::int64_t bytes,
+                       double priority) {
+  // The target holds the copy from here on; the source keeps its own until
+  // the move lands (on_flow_complete vacates it).
+  if (!servers_[static_cast<std::size_t>(op.server)].place(op.content, bytes,
+                                                           op.content_class))
+    return false;
+  migrating_.insert(op.content);
+  count_ctrl(4, 4 * kCtrlMsgBytes);
+  start_after(2 * cfg_.params.ctrl_dc_latency_s, op, bytes, priority);
+  return true;
 }
 
 // --------------------------------------------------------------------------
@@ -417,20 +451,11 @@ bool Cloud::write(std::size_t client_idx, ContentId id, std::int64_t bytes,
     // Steps 3-4: NNS asks the RA for the best BS (here: level hmax).
     count_ctrl(2, 2 * kCtrlMsgBytes);
     const std::int32_t target = selector_->select_write_target(content_class);
-    if (target < 0) {
+    if (target < 0 || !servers_[static_cast<std::size_t>(target)].place(
+                          id, bytes, content_class)) {
       ++failed_writes_;
       known_content_.erase(id);  // allow a retry
       return;
-    }
-    BlockServer& bs = servers_[static_cast<std::size_t>(target)];
-    if (!bs.store(id, bytes)) {
-      ++failed_writes_;
-      known_content_.erase(id);
-      return;
-    }
-    if (content_class != ContentClass::kPassive) {
-      ++active_content_count_[static_cast<std::size_t>(target)];
-      if (bs.dormant()) bs.set_dormant(false);  // active content wakes it
     }
 
     ContentMeta& meta = serving.upsert(id);
@@ -442,20 +467,14 @@ bool Cloud::write(std::size_t client_idx, ContentId id, std::int64_t bytes,
     // Steps 5-9: RA forwards the UCL id to the BS; BS derives rcvw from
     // its RM and greets the UCL (WAN hop); then the UCL starts writing.
     count_ctrl(4, 4 * kCtrlMsgBytes);
-    const double setup =
-        2 * cfg_.params.ctrl_dc_latency_s + cfg_.params.ctrl_wan_latency_s;
-    CloudOp op;
-    op.content = id;
-    op.content_class = content_class;
-    op.kind = CloudOp::Kind::kWrite;
-    op.server = target;
-    op.client = static_cast<std::int64_t>(client_idx);
-    sim_.post_in(sim::secs(setup), [this, op, bytes, priority, reserved,
-                                    client_idx, target] {
-      start_data_flow(topo_.clients()[client_idx],
-                      topo_.servers()[static_cast<std::size_t>(target)],
-                      bytes, op, priority, reserved);
-    });
+    start_after(
+        2 * cfg_.params.ctrl_dc_latency_s + cfg_.params.ctrl_wan_latency_s,
+        CloudOp{.content = id,
+                .content_class = content_class,
+                .kind = CloudOp::Kind::kWrite,
+                .server = target,
+                .client = static_cast<std::int64_t>(client_idx)},
+        bytes, priority, reserved);
   };
   sim_.post_in(sim::secs(to_nns), [this, id, h = std::move(handler)] {
     metadata_.submit(static_cast<std::uint64_t>(id), h, [this, id] {
@@ -497,20 +516,13 @@ bool Cloud::read(std::size_t client_idx, ContentId id, double priority) {
     }
     meta->last_access_time = sim_.now();
     metadata_.mirror(serving, id);
-
-    CloudOp op;
-    op.content = id;
-    op.content_class = meta->content_class;
-    op.kind = CloudOp::Kind::kRead;
-    op.server = source;
-    op.client = static_cast<std::int64_t>(client_idx);
-    const std::int64_t bytes = meta->size_bytes;
-    sim_.post_in(sim::secs(setup),
-                 [this, op, bytes, priority, client_idx, source] {
-      start_data_flow(topo_.servers()[static_cast<std::size_t>(source)],
-                      topo_.clients()[client_idx], bytes, op, priority,
-                      /*reserved=*/sim::BitRate{});
-    });
+    start_after(setup,
+                CloudOp{.content = id,
+                        .content_class = meta->content_class,
+                        .kind = CloudOp::Kind::kRead,
+                        .server = source,
+                        .client = static_cast<std::int64_t>(client_idx)},
+                meta->size_bytes, priority);
   };
   sim_.post_in(sim::secs(to_nns), [this, id, h = std::move(handler)] {
     metadata_.submit(static_cast<std::uint64_t>(id), h,
@@ -543,20 +555,14 @@ bool Cloud::append(std::size_t client_idx, ContentId id, std::int64_t bytes,
     meta->last_access_time = sim_.now();
     metadata_.mirror(serving, id);
     count_ctrl(4, 4 * kCtrlMsgBytes);
-    CloudOp op;
-    op.content = id;
-    op.content_class = meta->content_class;
-    op.kind = CloudOp::Kind::kAppend;
-    op.server = target;
-    op.client = static_cast<std::int64_t>(client_idx);
-    const double setup =
-        2 * cfg_.params.ctrl_dc_latency_s + cfg_.params.ctrl_wan_latency_s;
-    sim_.post_in(sim::secs(setup),
-                 [this, op, bytes, priority, client_idx, target] {
-      start_data_flow(topo_.clients()[client_idx],
-                      topo_.servers()[static_cast<std::size_t>(target)],
-                      bytes, op, priority, /*reserved=*/sim::BitRate{});
-    });
+    start_after(
+        2 * cfg_.params.ctrl_dc_latency_s + cfg_.params.ctrl_wan_latency_s,
+        CloudOp{.content = id,
+                .content_class = meta->content_class,
+                .kind = CloudOp::Kind::kAppend,
+                .server = target,
+                .client = static_cast<std::int64_t>(client_idx)},
+        bytes, priority);
   };
   sim_.post_in(sim::secs(to_nns), [this, id, h = std::move(handler)] {
     metadata_.submit(static_cast<std::uint64_t>(id), h,
@@ -592,34 +598,20 @@ void Cloud::begin_replication(const CloudOp& write_op, std::int64_t bytes,
 
     const std::int32_t target =
         selector_->select_replica_target(write_op.content_class, exclude);
-    if (target < 0 || target == write_op.server) return requeue();
-    BlockServer& bs = servers_[static_cast<std::size_t>(target)];
-    if (!bs.store(write_op.content, bytes)) return requeue();
-    if (write_op.content_class != ContentClass::kPassive) {
-      ++active_content_count_[static_cast<std::size_t>(target)];
-      if (bs.dormant()) bs.set_dormant(false);
-    }
-    // Passive replicas land on dormant-eligible servers *without* waking
-    // them (section VII-C keeps dormant servers dormant).
-
-    CloudOp op;
-    op.content = write_op.content;
-    op.content_class = write_op.content_class;
-    op.kind = CloudOp::Kind::kReplication;
-    op.server = target;
-    op.client = -1;
-    op.source_server = write_op.server;
-    op.repair = repair;
+    if (target < 0 || target == write_op.server ||
+        !servers_[static_cast<std::size_t>(target)].place(
+            write_op.content, bytes, write_op.content_class))
+      return requeue();
     if (repair) ++churn_.repair_flows_started;
     count_ctrl(4, 4 * kCtrlMsgBytes);
-    const double setup = 3 * cfg_.params.ctrl_dc_latency_s;
-    const net::NodeId src =
-        topo_.servers()[static_cast<std::size_t>(write_op.server)];
-    const net::NodeId dst = topo_.servers()[static_cast<std::size_t>(target)];
-    sim_.post_in(sim::secs(setup), [this, op, bytes, priority, src, dst] {
-      start_data_flow(src, dst, bytes, op, priority,
-                      /*reserved=*/sim::BitRate{});
-    });
+    start_after(3 * cfg_.params.ctrl_dc_latency_s,
+                CloudOp{.content = write_op.content,
+                        .content_class = write_op.content_class,
+                        .kind = CloudOp::Kind::kReplication,
+                        .server = target,
+                        .source_server = write_op.server,
+                        .repair = repair},
+                bytes, priority);
   };
   metadata_.submit(
       static_cast<std::uint64_t>(write_op.content), std::move(handler),
@@ -639,17 +631,32 @@ void Cloud::begin_replication(const CloudOp& write_op, std::int64_t bytes,
 // data plane
 // --------------------------------------------------------------------------
 
-net::FlowId Cloud::start_data_flow(net::NodeId src, net::NodeId dst,
-                                   std::int64_t bytes, const CloudOp& op,
+void Cloud::start_after(double delay_s, const CloudOp& op, std::int64_t bytes,
+                        double priority, sim::BitRate reserved) {
+  sim_.post_in(sim::secs(delay_s), [this, op, bytes, priority, reserved] {
+    start_data_flow(op, bytes, priority, reserved);
+  });
+}
+
+net::FlowId Cloud::start_data_flow(const CloudOp& op, std::int64_t bytes,
                                    double priority, sim::BitRate reserved) {
-  if (op.server >= 0)
-    servers_[static_cast<std::size_t>(op.server)].flow_started();
+  BlockServer& server = servers_[static_cast<std::size_t>(op.server)];
+  server.flow_started();
+  net::NodeId src = server.node();
+  net::NodeId dst = server.node();
+  if (op.kind == CloudOp::Kind::kRead)
+    dst = topo_.clients()[static_cast<std::size_t>(op.client)];
+  else if (op.kind == CloudOp::Kind::kWrite ||
+           op.kind == CloudOp::Kind::kAppend)
+    src = topo_.clients()[static_cast<std::size_t>(op.client)];
+  else
+    src = servers_[static_cast<std::size_t>(op.source_server)].node();
+  const ContentClass content = op.kind == CloudOp::Kind::kRead
+                                   ? ContentClass::kSemiInteractive
+                                   : op.content_class;
 
   if (cfg_.transport == TransportKind::kTcp) {
-    const net::FlowId id = transports_.start_tcp_flow(
-        src, dst, bytes,
-        op.kind == CloudOp::Kind::kRead ? ContentClass::kSemiInteractive
-                                        : op.content_class);
+    const net::FlowId id = transports_.start_tcp_flow(src, dst, bytes, content);
     ops_.emplace(id, op);
     return id;
   }
@@ -659,29 +666,9 @@ net::FlowId Cloud::start_data_flow(net::NodeId src, net::NodeId dst,
   // allocator so subsequent intervals account for it.
   const sim::BitRate init_rate =
       reserved + priority * allocator_.path_rate(src, dst);
-
-  RateAllocator::RateProviderFn other_send;
-  RateAllocator::RateProviderFn other_recv;
-  const bool src_is_server =
-      topo_.net().node(src).role() == net::NodeRole::kServer;
-  const bool dst_is_server =
-      topo_.net().node(dst).role() == net::NodeRole::kServer;
-  if (src_is_server) {
-    BlockServer& s = servers_[server_index_of(src)];
-    other_send = [&s] { return s.resources().r_other(); };
-  }
-  if (dst_is_server) {
-    BlockServer& s = servers_[server_index_of(dst)];
-    other_recv = [&s] { return s.resources().r_other(); };
-  }
-
-  auto handles = transports_.start_scda_flow(
-      src, dst, bytes, init_rate, init_rate,
-      op.kind == CloudOp::Kind::kRead ? ContentClass::kSemiInteractive
-                                      : op.content_class,
-      priority);
-  allocator_.register_flow(handles.id, src, dst, priority, reserved,
-                           std::move(other_send), std::move(other_recv));
+  auto handles = transports_.start_scda_flow(src, dst, bytes, init_rate,
+                                             init_rate, content, priority);
+  allocator_.register_flow(handles.id, src, dst, priority, reserved);
   // Registration lowers the advertised link rates; refresh every active
   // flow's allocation and push the new windows immediately so the admitted
   // flow does not ride on top of stale (higher) sender rates until the
@@ -689,13 +676,9 @@ net::FlowId Cloud::start_data_flow(net::NodeId src, net::NodeId dst,
   allocator_.refresh_flow_rates();
   if (handles.sender != nullptr)
     handles.sender->set_rate(allocator_.flow_rate(handles.id));
-  if (cfg_.fluid.enabled) {
-    // Post-admission re-rate for fluid flows (covers the new flow too):
-    // the non-epoch analogue of update_ongoing_flows() below.
-    transports_.fluid().rerate_all(
-        [this](net::FlowId id) { return allocator_.flow_rate(id); },
-        /*epoch=*/false);
-  }
+  // Post-admission re-rate for fluid flows (covers the new flow too): the
+  // non-epoch analogue of update_ongoing_flows() below.
+  rerate_fluid(/*epoch=*/false);
   transports_.record(handles.id).reserved = reserved;
   update_ongoing_flows();
 
@@ -709,7 +692,7 @@ net::FlowId Cloud::start_data_flow(net::NodeId src, net::NodeId dst,
     }
   }
   // Fluid flows have no sender/receiver to re-window each interval; the
-  // allocator's epoch callback drives their rates instead.
+  // fluid epoch after each tick drives their rates instead.
   if (!handles.fluid) active_scda_.emplace(handles.id, handles);
   ops_.emplace(handles.id, op);
   return handles.id;
@@ -792,13 +775,10 @@ void Cloud::on_flow_complete(const transport::FlowRecord& rec) {
         // a cooler server (docs/scenarios.md). Vacate the source.
         meta->replicas.push_back(op.server);
         if (op.source_server >= 0) {
-          const auto src = static_cast<std::size_t>(op.source_server);
-          if (servers_[src].has(op.content)) {
-            servers_[src].remove(op.content);
-            if (meta->content_class != ContentClass::kPassive &&
-                active_content_count_[src] > 0)
-              --active_content_count_[src];
-          }
+          // The vacated copy has the content's class, not the op's: a
+          // migration's op is passive, the copy it moved was not.
+          servers_[static_cast<std::size_t>(op.source_server)].unplace(
+              op.content, meta->content_class);
           std::erase(meta->replicas, op.source_server);
         }
         migrating_.erase(op.content);
@@ -827,7 +807,7 @@ void Cloud::on_flow_complete(const transport::FlowRecord& rec) {
     repair_pending_.erase(op.content);
     if (meta != nullptr && !meta->replicas.empty() &&
         static_cast<std::int32_t>(meta->replicas.size()) <
-            std::max<std::int32_t>(1, cfg_.params.replicas))
+            cfg_.params.replicas)
       enqueue_repair(op.content);
   } else if (op.kind == CloudOp::Kind::kWrite && meta != nullptr &&
              !target_alive) {
@@ -894,7 +874,7 @@ void Cloud::fail_server(std::size_t server_idx, bool re_replicate) {
       note_replicas_changed(*meta);
       if (re_replicate && !meta->replicas.empty() &&
           static_cast<std::int32_t>(meta->replicas.size()) <
-              std::max<std::int32_t>(1, cfg_.params.replicas))
+              cfg_.params.replicas)
         enqueue_repair(id);
     }
     NameNode* peer = metadata_.peer(auth);
@@ -914,7 +894,6 @@ void Cloud::recover_server(std::size_t server_idx) {
   // metadata entries were scrubbed at failure time, so any blocks still on
   // disk are orphans.
   bs.scrub();
-  active_content_count_.at(server_idx) = 0;
 }
 
 void Cloud::fail_nns(std::size_t instance) {
@@ -990,12 +969,7 @@ void Cloud::rollback_partial_store(const CloudOp& op) {
   // wholesale on recovery instead.
   if (op.server < 0) return;
   BlockServer& bs = servers_[static_cast<std::size_t>(op.server)];
-  if (bs.failed()) return;
-  if (!bs.has(op.content)) return;
-  bs.remove(op.content);
-  if (op.content_class != ContentClass::kPassive &&
-      active_content_count_[static_cast<std::size_t>(op.server)] > 0)
-    --active_content_count_[static_cast<std::size_t>(op.server)];
+  if (!bs.failed()) bs.unplace(op.content, op.content_class);
 }
 
 void Cloud::abort_flows_touching_server(std::int32_t server_idx) {
@@ -1023,11 +997,14 @@ void Cloud::propagate_rate_changes() {
   // must re-rate immediately — fluid flows would otherwise integrate a
   // stale rate across a dead link until the next RA epoch.
   allocator_.refresh_flow_rates();
-  if (cfg_.fluid.enabled)
-    transports_.fluid().rerate_all(
-        [this](net::FlowId id) { return allocator_.flow_rate(id); },
-        /*epoch=*/false);
+  rerate_fluid(/*epoch=*/false);
   if (cfg_.transport == TransportKind::kScda) update_ongoing_flows();
+}
+
+void Cloud::rerate_fluid(bool epoch) {
+  if (!cfg_.fluid.enabled) return;
+  transports_.fluid().rerate_all(
+      [this](net::FlowId id) { return allocator_.flow_rate(id); }, epoch);
 }
 
 void Cloud::enqueue_repair(ContentId id) {
@@ -1045,7 +1022,7 @@ void Cloud::drain_repair_queue() {
     ContentMeta* meta = metadata_.owner(id).find(id);
     if (meta == nullptr || meta->replicas.empty() ||
         static_cast<std::int32_t>(meta->replicas.size()) >=
-            std::max<std::int32_t>(1, cfg_.params.replicas)) {
+            cfg_.params.replicas) {
       repair_pending_.erase(id);  // lost, deleted, or already healthy
       continue;
     }
@@ -1068,7 +1045,7 @@ void Cloud::drain_repair_queue() {
 
 void Cloud::note_replicas_changed(const ContentMeta& meta) {
   const auto n = static_cast<std::int32_t>(meta.replicas.size());
-  const std::int32_t target = std::max<std::int32_t>(1, cfg_.params.replicas);
+  const std::int32_t target = cfg_.params.replicas;
   auto it = below_target_.find(meta.id);
   if (it == below_target_.end()) {
     // Durability accounting only starts once the object is fully

@@ -287,9 +287,20 @@ class Cloud {
     ctrl_bytes_ += bytes;
   }
 
-  net::FlowId start_data_flow(net::NodeId src, net::NodeId dst,
-                              std::int64_t bytes, const CloudOp& op,
+  /// Start the data flow of `op`, between the endpoints its kind names: a
+  /// read from op.server to op.client, a write or an append from op.client
+  /// to op.server, and every copy from op.source_server to op.server.
+  net::FlowId start_data_flow(const CloudOp& op, std::int64_t bytes,
                               double priority, sim::BitRate reserved);
+  /// start_data_flow once `delay_s` of control-plane setup has passed.
+  void start_after(double delay_s, const CloudOp& op, std::int64_t bytes,
+                   double priority, sim::BitRate reserved = {});
+  /// Place a move's (migration's or rebalance's) target copy and start its
+  /// flow; false when the target's disk is full.
+  bool start_move(const CloudOp& op, std::int64_t bytes, double priority);
+  /// Re-rate the fluid flows from the allocator's current rates: at the RA
+  /// epoch after each tick, or at once after an admission or failure.
+  void rerate_fluid(bool epoch);
   void on_flow_complete(const transport::FlowRecord& rec);
   /// Start one replication hop from op.server; `repair` flows run at
   /// params.repair_priority and feed the repair accounting.
@@ -311,11 +322,6 @@ class Cloud {
   void rollback_partial_store(const CloudOp& op);
   /// Push refreshed allocations to senders and the fluid engine.
   void propagate_rate_changes();
-
-  /// Server index of a server node id (node ids are not contiguous).
-  [[nodiscard]] std::size_t server_index_of(net::NodeId node) const {
-    return server_index_by_node_.at(node.index());
-  }
 
   sim::Simulator& sim_;
   CloudConfig cfg_;
@@ -342,9 +348,7 @@ class Cloud {
   std::vector<CloudCompletionFn> on_complete_;
   std::unordered_map<net::FlowId, CloudOp> ops_;
   std::unordered_map<net::FlowId, transport::ScdaFlowHandles> active_scda_;
-  /// Non-passive content blocks per server (dormancy eligibility).
-  std::vector<std::int32_t> active_content_count_;
-  /// Indexed by node id; only server nodes' entries are meaningful.
+  /// Server index of each node id; servers_.size() for any other node.
   std::vector<std::size_t> server_index_by_node_;
   /// Previous access-link tx bytes per server (power utilization estimate).
   std::vector<std::uint64_t> prev_tx_bytes_;

@@ -61,23 +61,4 @@ BestServer Hierarchy::best_server(
   return best;
 }
 
-SlaLevelReport Hierarchy::sla_report() const {
-  SlaLevelReport rep;
-  for (std::size_t s = 0; s < up_.size(); ++s) {
-    rep.per_level[0] += alloc_.sla_violations(topo_.server_uplink(s)) +
-                        alloc_.sla_violations(topo_.server_downlink(s));
-  }
-  for (std::size_t t = 0; t < topo_.tors().size(); ++t) {
-    rep.per_level[1] += alloc_.sla_violations(topo_.tor_uplink(t)) +
-                        alloc_.sla_violations(topo_.tor_downlink(t));
-  }
-  for (std::size_t a = 0; a < topo_.aggs().size(); ++a) {
-    rep.per_level[2] += alloc_.sla_violations(topo_.agg_uplink(a)) +
-                        alloc_.sla_violations(topo_.agg_downlink(a));
-  }
-  rep.per_level[3] = alloc_.sla_violations(topo_.core_uplink()) +
-                     alloc_.sla_violations(topo_.core_downlink());
-  return rep;
-}
-
 }  // namespace scda::core

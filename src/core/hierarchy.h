@@ -27,10 +27,6 @@
 
 namespace scda::core {
 
-/// hmax for the three-tier topology (paper: "for such three tier topology,
-/// hmax = 3"; block servers are level 0).
-constexpr int kMaxLevel = 3;
-
 /// Ranking metric for server selection (paper section VII).
 enum class SelectionMetric : std::uint8_t {
   kDown,       ///< best downlink rate (fast writes)
@@ -44,17 +40,6 @@ struct BestServer {
   /// a reweighted query (power-aware bps-per-watt) reports the reweighted
   /// score, which only the ordering of matters.
   sim::BitRate value{};
-};
-
-struct SlaLevelReport {
-  /// violations attributed to RMs (level 0) and RAs (levels 1..3),
-  /// summed over both directions.
-  std::uint64_t per_level[kMaxLevel + 1] = {0, 0, 0, 0};
-  [[nodiscard]] std::uint64_t total() const noexcept {
-    std::uint64_t t = 0;
-    for (const auto v : per_level) t += v;
-    return t;
-  }
 };
 
 class Hierarchy {
@@ -94,9 +79,6 @@ class Hierarchy {
       const std::function<bool(std::size_t)>& admit = nullptr,
       const std::function<sim::BitRate(std::size_t, sim::BitRate)>& reweight =
           nullptr) const;
-
-  /// SLA violations attributed to each level of the RM/RA tree.
-  [[nodiscard]] SlaLevelReport sla_report() const;
 
   [[nodiscard]] std::size_t server_count() const noexcept {
     return up_.size();

@@ -13,8 +13,7 @@ MetadataPlane::MetadataPlane(sim::Simulator& sim, const ScdaParams& params,
     : sim_(sim), params_(params), servers_(servers) {
   // Name nodes behind the FES (section III-A). With failover every shard
   // also gets a standby: instance n + i backs shard i.
-  const auto n = static_cast<std::size_t>(
-      std::max<std::int32_t>(1, params_.n_name_nodes));
+  const auto n = static_cast<std::size_t>(params_.n_name_nodes);
   const std::size_t count = failover ? 2 * n : n;
   for (std::size_t i = 0; i < count; ++i)
     nodes_.push_back(std::make_unique<NameNode>(

@@ -52,7 +52,9 @@ class MetadataPlane {
       std::int64_t bytes)>;
 
   /// `failover` builds the standbys and turns on mirroring, timeout/retry
-  /// and re-sync; `servers` host the instances' sync traffic.
+  /// and re-sync; `servers` host the instances' sync traffic (two at least
+  /// with failover, so a standby and its primary have distinct hosts).
+  /// `params.n_name_nodes` shards, at least one.
   MetadataPlane(sim::Simulator& sim, const ScdaParams& params, bool failover,
                 const std::vector<BlockServer>& servers);
 
@@ -162,8 +164,14 @@ class MetadataPlane {
   }
   /// Host server of an instance: the control plane is consolidated on a
   /// few servers (paper section III), so sync traffic crosses the fabric.
+  /// A standby whose turn lands on its primary's server moves to the next
+  /// one, so the two never share a host when there are two servers or more.
   [[nodiscard]] std::size_t host_of(std::size_t instance) const {
-    return instance % servers_.size();
+    const std::size_t n = servers_.size();
+    const std::size_t host = instance % n;
+    const bool shared = instance >= shard_count() &&
+                        (instance - shard_count()) % n == host;
+    return shared ? (host + 1) % n : host;
   }
   /// A sync of `instance` can run: its peer serves and both hosts are up.
   [[nodiscard]] bool sync_ready(std::size_t instance) const;

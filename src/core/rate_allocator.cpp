@@ -24,19 +24,21 @@ RateAllocator::RateAllocator(net::Network& net, const ScdaParams& params)
 
 void RateAllocator::register_flow(net::FlowId id, net::NodeId src,
                                   net::NodeId dst, double priority,
-                                  sim::BitRate reserved,
-                                  RateProviderFn r_other_send,
-                                  RateProviderFn r_other_recv) {
-  register_flow_on_path(id, net_.path(src, dst), priority, reserved,
-                        std::move(r_other_send), std::move(r_other_recv));
+                                  sim::BitRate reserved) {
+  add_flow(id, net_.path(src, dst), {src, dst}, priority, reserved);
 }
 
 void RateAllocator::register_flow_on_path(net::FlowId id,
-                                          std::vector<net::LinkId> path,
+                                          const std::vector<net::LinkId>& path,
                                           double priority,
-                                          sim::BitRate reserved,
-                                          RateProviderFn r_other_send,
-                                          RateProviderFn r_other_recv) {
+                                          sim::BitRate reserved) {
+  add_flow(id, path, {net::kInvalidNode, net::kInvalidNode}, priority,
+           reserved);
+}
+
+void RateAllocator::add_flow(net::FlowId id,
+                             const std::vector<net::LinkId>& path, Ends ends,
+                             double priority, sim::BitRate reserved) {
   const std::uint32_t s = slots_.insert(id);
   if (s == net::SlotIndex::kNone)
     throw std::logic_error("RateAllocator: flow already registered");
@@ -45,16 +47,14 @@ void RateAllocator::register_flow_on_path(net::FlowId id,
     reserved_.emplace_back();
     rate_.emplace_back();
     path_.emplace_back();
-    r_other_send_.emplace_back();
-    r_other_recv_.emplace_back();
+    ends_.emplace_back();
   }
   priority_[s] = priority;
   reserved_[s] = reserved;
   // Reuse the recycled slot's path capacity instead of adopting the
   // caller's buffer: steady churn then allocates nothing.
   path_[s].assign(path.begin(), path.end());
-  r_other_send_[s] = std::move(r_other_send);
-  r_other_recv_[s] = std::move(r_other_recv);
+  ends_[s] = ends;
 
   // Immediate feedback: each RA counts the new flow into its effective
   // flow total and lowers its advertised per-flow rate accordingly, so
@@ -84,8 +84,6 @@ void RateAllocator::unregister_flow(net::FlowId id) {
   for (const net::LinkId l : path_[s])
     links_[l.index()].reserved -= reserved_[s];
   path_[s].clear();  // keeps capacity for the next flow on this slot
-  r_other_send_[s] = nullptr;  // release captured state eagerly
-  r_other_recv_[s] = nullptr;
 }
 
 void RateAllocator::set_priority(net::FlowId id, double priority) {
@@ -134,26 +132,28 @@ void RateAllocator::set_link_up(net::LinkId l, bool up) {
   }
 }
 
-void RateAllocator::refresh_flow_rates() {
-  for (const net::SlotIndex::Entry& e : slots_) {
-    const std::uint32_t s = e.slot;
-    sim::BitRate base{std::numeric_limits<double>::infinity()};
-    bool down = false;
-    for (const net::LinkId l : path_[s]) {
-      const auto& st = links_[l.index()];
-      down = down || st.down;
-      base = sim::min(base, st.rate);
-    }
-    if (!std::isfinite(base.bps())) base = sim::BitRate{};
-    if (down) {
-      rate_[s] = sim::BitRate{};
-      continue;
-    }
-    sim::BitRate r = reserved_[s] + priority_[s] * base;
-    if (r_other_send_[s]) r = sim::min(r, r_other_send_[s]());
-    if (r_other_recv_[s]) r = sim::min(r, r_other_recv_[s]());
-    rate_[s] = sim::max(r, params_.min_rate);
+sim::BitRate RateAllocator::allocation(std::uint32_t s) const {
+  sim::BitRate base{std::numeric_limits<double>::infinity()};
+  for (const net::LinkId l : path_[s]) {
+    const LinkState& st = links_[l.index()];
+    // A path crossing a down link is allocated exactly 0 (not the min-rate
+    // floor): the fluid engine parks such flows and packet senders stall
+    // until recovery re-rates them.
+    if (st.down) return sim::BitRate{};
+    base = sim::min(base, st.rate);
   }
+  if (!std::isfinite(base.bps())) base = sim::BitRate{};
+  sim::BitRate r = reserved_[s] + priority_[s] * base;
+  if (r_other_ != nullptr && ends_[s].src != net::kInvalidNode) {
+    r = sim::min(r, r_other_(r_other_ctx_, ends_[s].src));
+    r = sim::min(r, r_other_(r_other_ctx_, ends_[s].dst));
+  }
+  return sim::max(r, params_.min_rate);
+}
+
+void RateAllocator::refresh_flow_rates() {
+  for (const net::SlotIndex::Entry& e : slots_)
+    rate_[e.slot] = allocation(e.slot);
 }
 
 void RateAllocator::tick() {
@@ -192,32 +192,16 @@ void RateAllocator::tick() {
   // registered flow set, portable across standard libraries.
   for (const net::SlotIndex::Entry& e : slots_) {
     const std::uint32_t s = e.slot;
-    sim::BitRate base{std::numeric_limits<double>::infinity()};
-    bool down = false;
-    for (const net::LinkId l : path_[s]) {
-      const auto& lst = links_[l.index()];
-      down = down || lst.down;
-      base = sim::min(base, lst.rate);
-    }
-    if (!std::isfinite(base.bps())) base = sim::BitRate{};
-
-    sim::BitRate r = reserved_[s] + priority_[s] * base;
-    if (r_other_send_[s]) r = sim::min(r, r_other_send_[s]());
-    if (r_other_recv_[s]) r = sim::min(r, r_other_recv_[s]());
-    // A path crossing a down link is allocated exactly 0 (not the min-rate
-    // floor): the fluid engine parks such flows and packet senders stall
-    // until recovery re-rates them.
-    const sim::BitRate rate =
-        down ? sim::BitRate{} : sim::max(r, params_.min_rate);
+    const sim::BitRate rate = allocation(s);
     rate_[s] = rate;
 
     const sim::BitRate share = sim::max(sim::BitRate{}, rate - reserved_[s]);
     // The empty asm pins the two addends as plain register defs. Both are
-    // PHIs (of the down/min-rate branches above), and gcc's SLP refuses to
-    // pack a PHI pair spanning blocks — without the pin the accumulation
-    // below compiles to two scalar addsd per link instead of the single
-    // packed addpd the pre-Quantity code got. Value-preserving: the asm
-    // has no code, it only blocks the PHI lookthrough.
+    // PHIs (of allocation()'s down and min-rate exits), and gcc's SLP
+    // refuses to pack a PHI pair spanning blocks — without the pin the
+    // accumulation below compiles to two scalar addsd per link instead of
+    // the single packed addpd the pre-Quantity code got. Value-preserving:
+    // the asm has no code, it only blocks the PHI lookthrough.
     // scda-lint: allow(units) numeric-kernel boundary: SLP-packed accumulate
     double rate_v = rate.bps(), share_v = share.bps();
     asm("" : "+x"(rate_v), "+x"(share_v));
@@ -279,9 +263,6 @@ void RateAllocator::tick() {
                  {"violations", static_cast<double>(total_sla_violations_)}});
   }
 
-  // Epoch notification last: subscribers (the fluid engine) see the fully
-  // settled allocations of this round.
-  if (on_epoch_) on_epoch_();
 }
 
 }  // namespace scda::core

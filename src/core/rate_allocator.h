@@ -4,12 +4,14 @@
 // fair rate R_l(t) (eq. 2 exact, or eq. 5 simplified) and, for every
 // registered flow, its end-to-end allocation
 //
-//     r_j = min(M_j + p_j * min_{l in path} R_l, R_other_send, R_other_recv)
+//     r_j = min(M_j + p_j * min_{l in path} R_l, R_other(src), R_other(dst))
 //
 // which is exactly the distributed fixed point the RM/RA message exchanges
 // of paper section VI compute: a link where a flow is bottlenecked elsewhere
 // counts it as r_j / R < 1 effective flows (eq. 3), so the residual
 // bandwidth flows to the flows that can use it — weighted max-min fairness.
+// R_other is an endpoint's CPU/disk rate (section VI-A), read through one
+// hook the owner sets (set_r_other_hook).
 //
 // The engine is topology-agnostic (section IX): it only needs each flow's
 // path, which the tree RM/RA hierarchy (hierarchy.h) derives from routing.
@@ -39,21 +41,26 @@ class RateAllocator {
   RateAllocator& operator=(const RateAllocator&) = delete;
 
   // --- flow registry --------------------------------------------------------
-  /// Provider of a flow's non-network bottleneck (CPU/disk) rate; nullptr
-  /// means unconstrained.
-  using RateProviderFn = std::function<sim::BitRate()>;
+  /// The non-network (CPU/disk) rate R_other of endpoint `node` (section
+  /// VI-A); +infinity when it has none. Called with the context given to
+  /// set_r_other_hook.
+  using ROtherHook = sim::BitRate (*)(const void* ctx, net::NodeId node);
+  /// Cap every flow registered by its endpoints at the R_other of both,
+  /// read through `hook` on each allocation. Without a hook, and for flows
+  /// registered by path alone, allocations are link-bound only.
+  void set_r_other_hook(ROtherHook hook, const void* ctx) noexcept {
+    r_other_ = hook;
+    r_other_ctx_ = ctx;
+  }
 
   void register_flow(net::FlowId id, net::NodeId src, net::NodeId dst,
-                     double priority = 1.0, sim::BitRate reserved = {},
-                     RateProviderFn r_other_send = nullptr,
-                     RateProviderFn r_other_recv = nullptr);
+                     double priority = 1.0, sim::BitRate reserved = {});
 
   /// Register a flow on an explicit path (source-routed flows on general
   /// topologies, paper section IX).
-  void register_flow_on_path(net::FlowId id, std::vector<net::LinkId> path,
-                             double priority = 1.0, sim::BitRate reserved = {},
-                             RateProviderFn r_other_send = nullptr,
-                             RateProviderFn r_other_recv = nullptr);
+  void register_flow_on_path(net::FlowId id,
+                             const std::vector<net::LinkId>& path,
+                             double priority = 1.0, sim::BitRate reserved = {});
   void unregister_flow(net::FlowId id);
   [[nodiscard]] bool has_flow(net::FlowId id) const {
     return slots_.find(id) != net::SlotIndex::kNone;
@@ -132,14 +139,6 @@ class RateAllocator {
     return control_stats_;
   }
 
-  // --- epoch notification ----------------------------------------------------
-  /// Invoked at the end of every tick(), after all link rates and per-flow
-  /// allocations have settled. The fluid engine hooks this to re-rate its
-  /// analytic flows from the fresh allocations (docs/fluid_engine.md).
-  void set_epoch_callback(std::function<void()> fn) {
-    on_epoch_ = std::move(fn);
-  }
-
   // --- SLA -------------------------------------------------------------------
   void set_sla_callback(SlaViolationFn fn) { on_sla_ = std::move(fn); }
   [[nodiscard]] std::uint64_t sla_violations() const noexcept {
@@ -162,6 +161,19 @@ class RateAllocator {
     bool down = false;        ///< link failed: rate/gamma pinned to zero
     std::uint64_t sla_violations = 0;
   };
+  /// Endpoints whose R_other caps the flow; kInvalidNode for a flow
+  /// registered by path alone.
+  struct Ends {
+    net::NodeId src, dst;
+  };
+
+  void add_flow(net::FlowId id, const std::vector<net::LinkId>& path,
+                Ends ends, double priority, sim::BitRate reserved);
+
+  /// Slot `s`'s allocation r_j from the current link rates: 0 when its
+  /// path crosses a down link, else its weighted path rate capped by its
+  /// endpoints' R_other and floored at min_rate.
+  [[nodiscard]] sim::BitRate allocation(std::uint32_t s) const;
 
   net::Network& net_;
   ScdaParams params_;
@@ -184,11 +196,11 @@ class RateAllocator {
   std::vector<sim::BitRate> reserved_;      ///< M_j reservations
   std::vector<sim::BitRate> rate_;          ///< r_j from the last tick
   std::vector<std::vector<net::LinkId>> path_;
-  std::vector<RateProviderFn> r_other_send_;
-  std::vector<RateProviderFn> r_other_recv_;
+  std::vector<Ends> ends_;
+  ROtherHook r_other_ = nullptr;
+  const void* r_other_ctx_ = nullptr;
 
   SlaViolationFn on_sla_;
-  std::function<void()> on_epoch_;
   std::uint64_t total_sla_violations_ = 0;
   ControlStats control_stats_;
 };

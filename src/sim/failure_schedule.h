@@ -344,8 +344,11 @@ namespace detail {
 /// posted (at_s >= 0; earlier ones are dropped) must end inside SimTime's
 /// range, and its index must name an entity of the run's census, so an
 /// out-of-range index is a clear error instead of a silently dropped
-/// schedule row. ChurnInjector runs it on every Cloud's census. Throws
-/// std::invalid_argument naming the bad value or entry.
+/// schedule row. Name-node churn needs two servers at least: a standby
+/// re-syncs from its primary over a flow between their host servers, which
+/// a one-server cloud cannot keep apart. ChurnInjector runs it on every
+/// Cloud's census. Throws std::invalid_argument naming the bad value or
+/// entry.
 inline void validate_churn(const ChurnConfig& cfg, const ChurnShape& shape) {
   const auto finite = [](double v, const char* what) {
     if (!std::isfinite(v))
@@ -363,6 +366,10 @@ inline void validate_churn(const ChurnConfig& cfg, const ChurnShape& shape) {
   if (cfg.horizon_s > 0.0 && !SimTime::representable(cfg.horizon_s))
     throw std::invalid_argument(
         "churn: horizon is past the simulated time range (~292 years)");
+  if (nns_churn_configured(cfg) && shape.n_servers < 2)
+    throw std::invalid_argument(
+        "churn: name-node churn needs at least 2 servers to host a standby "
+        "apart from its primary, have " + std::to_string(shape.n_servers));
 
   const auto check = [](const ScriptedFailure& f, std::int32_t limit) {
     const auto fail = [&f](const std::string& why) {

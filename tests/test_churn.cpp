@@ -491,7 +491,11 @@ TEST_F(ChurnTest, FlowArrivingOnDownServerRegistersNoReplica) {
   // The NNS picks a write target, then the target dies inside the
   // selection-to-start control window. The data flow still runs (packet
   // arrival at a dead block server), but nothing may be registered: no
-  // replica entry, and the client sees a failed write.
+  // replica entry, and the client sees a failed write. It runs at its
+  // network allocation: a flow's R_other is its server's CPU/disk rate
+  // whether or not that server has failed (only selection reads a failed
+  // server as 0), so the allocator's one-MTU-per-second floor, at which
+  // the write would take 11 minutes, never binds.
   build(CloudConfig{});
   cloud_->write(0, 1, util::megabytes(1));
 
@@ -508,7 +512,16 @@ TEST_F(ChurnTest, FlowArrivingOnDownServerRegistersNoReplica) {
       << "data flow started before the control window closed";
   cloud_->fail_server(static_cast<std::size_t>(target), false);
 
+  for (int step = 1; step <= 500 && cloud_->transports().records().empty();
+       ++step)
+    sim_->run_until(sim_->now() + sim::secs(1e-3));
+  ASSERT_EQ(cloud_->transports().records().size(), 1u);
+  const net::FlowId flow = cloud_->transports().records().front()->id;
+  EXPECT_GT(cloud_->allocator().flow_rate(flow), util::mbps(50));
+
   sim_->run_until(sim::secs(20.0));
+  ASSERT_EQ(completed(CloudOp::Kind::kWrite), 1u);
+  EXPECT_LT(done_.front().first.fct(), 1.0);
   const auto* meta = cloud_->fes().dispatch_by_content(1).find(1);
   ASSERT_NE(meta, nullptr);
   EXPECT_TRUE(meta->replicas.empty());

@@ -3,6 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <limits>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "util/units.h"
 
@@ -71,6 +77,66 @@ TEST_F(CloudTest, InvalidArgumentsRejected) {
   EXPECT_FALSE(cloud_->write(/*client=*/999, 1, 1000));
   EXPECT_FALSE(cloud_->write(0, 2, 0));
   EXPECT_FALSE(cloud_->read(/*client=*/999, 1));
+}
+
+TEST_F(CloudTest, UnusableControlParametersRejectTheCloud) {
+  // Each refused before any component is built from it, naming the field.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::pair<std::function<void(CloudConfig&)>, std::string>>
+      bad = {
+          {[](CloudConfig& c) { c.params.tau = -1; }, "tau must be > 0, got -1"},
+          {[](CloudConfig& c) { c.params.tau = 0; }, "tau must be > 0, got 0"},
+          {[&](CloudConfig& c) { c.params.alpha = nan; },
+           "alpha must be finite"},
+          {[](CloudConfig& c) { c.params.replicas = -3; },
+           "replicas must be >= 1, got -3"},
+          {[](CloudConfig& c) { c.params.n_name_nodes = 0; },
+           "n_name_nodes must be >= 1, got 0"},
+          {[](CloudConfig& c) { c.params.metadata_max_attempts = 0; },
+           "metadata_max_attempts must be >= 1, got 0"},
+          {[](CloudConfig& c) { c.params.metadata_timeout_s = 0; },
+           "metadata_timeout_s must be > 0, got 0"},
+          {[](CloudConfig& c) { c.params.ctrl_dc_latency_s = -1e-3; },
+           "ctrl_dc_latency_s must be >= 0, got -0.001"},
+          {[](CloudConfig& c) { c.params.ctrl_wan_latency_s = -0.05; },
+           "ctrl_wan_latency_s must be >= 0, got -0.05"},
+          {[](CloudConfig& c) { c.params.nns_service_time_s = -1; },
+           "nns_service_time_s must be >= 0, got -1"},
+          {[](CloudConfig& c) { c.params.migration_interval_s = -2; },
+           "migration_interval_s must be >= 0, got -2"},
+          {[](CloudConfig& c) { c.params.rebalance_interval_s = -2; },
+           "rebalance_interval_s must be >= 0, got -2"},
+          {[&](CloudConfig& c) { c.params.rebalance_priority = nan; },
+           "rebalance_priority must be finite"},
+          {[](CloudConfig& c) { c.fluid.threshold_bytes = -1; },
+           "fluid threshold_bytes must be >= 0, got -1"},
+      };
+  for (const auto& [set, message] : bad) {
+    CloudConfig cfg = small_config();
+    set(cfg);
+    sim::Simulator sim(1);
+    try {
+      Cloud cloud(sim, cfg);
+      ADD_FAILURE() << "accepted: " << message;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << e.what();
+    }
+    EXPECT_EQ(sim.queue().scheduled(), 0u) << message;
+  }
+
+  // The edge values committed runs use are accepted.
+  CloudConfig cfg = small_config();
+  cfg.params.ctrl_dc_latency_s = 0;
+  cfg.params.ctrl_wan_latency_s = 0;
+  cfg.params.nns_service_time_s = 0;
+  cfg.params.n_name_nodes = 1;
+  cfg.params.replicas = 1;
+  cfg.params.max_concurrent_repairs = 1;
+  build(cfg);
+  EXPECT_TRUE(cloud_->write(0, 1, 1000));
+  sim_->run_until(sim::secs(5.0));
+  EXPECT_EQ(count(CloudOp::Kind::kWrite), 1u);
 }
 
 TEST_F(CloudTest, ReadAfterWriteRoundTrips) {

@@ -110,19 +110,6 @@ TEST_F(HierarchyTest, ReweightChangesWinner) {
   EXPECT_EQ(b.server, 5);
 }
 
-TEST_F(HierarchyTest, SlaReportAttributesPerLevel) {
-  // Oversubscribe one server downlink via reservations.
-  alloc_->register_flow(scda::net::FlowId{1}, topo_->clients()[0],
-                        topo_->servers()[0], 1.0, sim::BitRate{80e6});
-  alloc_->register_flow(scda::net::FlowId{2}, topo_->clients()[1],
-                        topo_->servers()[0], 1.0, sim::BitRate{80e6});
-  for (int i = 0; i < 5; ++i) alloc_->tick();
-  hier_->update();
-  const SlaLevelReport rep = hier_->sla_report();
-  EXPECT_GT(rep.total(), 0u);
-  EXPECT_GT(rep.per_level[0], 0u);  // the server access link violated
-}
-
 TEST_F(HierarchyTest, ServerCountMatchesTopology) {
   EXPECT_EQ(hier_->server_count(), 8u);
 }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 
@@ -148,6 +149,47 @@ TEST(ParseKillSpecs, ValidateScriptedRangeChecks) {
     EXPECT_THROW(sim::validate_churn(cfg, shape), std::invalid_argument)
         << sim::to_string(target);
   }
+}
+
+TEST(NnsFailureSchedule, NameNodeChurnNeedsTwoServers) {
+  // A standby re-syncs from its primary over a flow between their host
+  // servers; one server cannot host the two apart, so name-node churn is
+  // refused there, scripted or stochastic. Server churn alone is not.
+  sim::ChurnConfig scripted;
+  scripted.enabled = true;
+  scripted.scripted = sim::parse_kill_specs("nns:0@1+2");
+  sim::ChurnConfig stochastic;
+  stochastic.enabled = true;
+  stochastic.nns_mtbf_s = 5.0;
+  stochastic.nns_mttr_s = 1.0;
+  stochastic.horizon_s = 10.0;
+  sim::ChurnConfig servers_only = stochastic;
+  servers_only.nns_mtbf_s = 0.0;
+  servers_only.server_mtbf_s = 5.0;
+  for (const sim::ChurnConfig& cfg : {scripted, stochastic}) {
+    try {
+      sim::validate_churn(cfg, sim::ChurnShape{1, 1, 1, 8});
+      ADD_FAILURE() << "name-node churn accepted on one server";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "name-node churn needs at least 2 servers"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_NO_THROW(sim::validate_churn(cfg, sim::ChurnShape{2, 1, 2, 8}));
+  }
+  EXPECT_NO_THROW(
+      sim::validate_churn(servers_only, sim::ChurnShape{1, 1, 1, 8}));
+
+  // The Cloud refuses it while it is built.
+  sim::Simulator sim(1);
+  CloudConfig cfg;
+  cfg.topology.n_agg = 1;
+  cfg.topology.tors_per_agg = 1;
+  cfg.topology.servers_per_tor = 1;
+  cfg.topology.n_clients = 2;
+  cfg.churn = scripted;
+  EXPECT_THROW(Cloud(sim, cfg), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

@@ -408,5 +408,43 @@ TEST(MetadataPlane, WithoutFailoverThereAreNoStandbysAndOneEventPerRequest) {
   EXPECT_EQ(plane.instance(0).state(), State::kServing);
 }
 
+TEST(MetadataPlane, StandbyNeverSharesItsPrimarysHost) {
+  // Instance i is hosted on server i % servers. When the shard count is a
+  // multiple of the server count that puts a standby on its primary's
+  // server, and its re-sync flow would run from a node to itself, which
+  // never delivers; the standby takes the next server instead. Every other
+  // placement keeps the rule.
+  for (std::size_t n_servers = 2; n_servers <= 9; ++n_servers) {
+    sim::Simulator sim(1);
+    ScdaParams params;
+    const std::vector<BlockServer> servers = make_servers(n_servers);
+    MetadataPlane plane(sim, params, /*failover=*/true, servers);
+    std::vector<SyncStart> started;
+    plane.set_sync_flow_fn([&](std::size_t instance, std::size_t src_host,
+                               std::size_t dst_host, std::int64_t bytes) {
+      started.push_back({instance, src_host, dst_host, bytes});
+      return net::FlowId{static_cast<std::int64_t>(started.size())};
+    });
+    const std::size_t shards = plane.shard_count();
+    for (std::size_t i = 0; i < plane.instance_count(); ++i) {
+      (void)plane.fail(i);
+      plane.recover(i);
+      plane.drain_resync_queue();
+      sim.run();
+      ASSERT_EQ(started.size(), i + 1) << n_servers << " servers";
+      const SyncStart& sync = started.back();
+      EXPECT_NE(sync.src_host, sync.dst_host)
+          << "instance " << i << " on " << n_servers << " servers";
+      const std::size_t peer = i < shards ? i + shards : i - shards;
+      if (shards % n_servers != 0) {
+        EXPECT_EQ(sync.dst_host, i % n_servers);
+        EXPECT_EQ(sync.src_host, peer % n_servers);
+      }
+      plane.resync_completed(i, sync.bytes);
+      EXPECT_EQ(plane.instance(i).state(), State::kServing);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace scda::core

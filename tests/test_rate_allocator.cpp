@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "net/network.h"
@@ -195,19 +196,36 @@ TEST_F(RateAllocatorTest, ProspectiveRateAnticipatesNewFlow) {
   EXPECT_NEAR(alloc.prospective_link_rate(mb_, 3.0).bps(), 50e6 / 4, 1e5);
 }
 
+/// R_other by node index for the allocator's hook: the context is the
+/// table itself.
+sim::BitRate r_other_of(const void* ctx, net::NodeId node) {
+  return (*static_cast<const std::vector<sim::BitRate>*>(ctx))[node.index()];
+}
+
 TEST_F(RateAllocatorTest, ROtherConstrainsFlowRate) {
   auto alloc = make();
-  alloc.register_flow(scda::net::FlowId{1}, a_, b_, 1.0, sim::BitRate{}, /*send=*/nullptr,
-                      /*recv=*/[] { return sim::BitRate{7e6}; });
+  const sim::BitRate unbounded{std::numeric_limits<double>::infinity()};
+  std::vector<sim::BitRate> r_other(3, unbounded);
+  r_other[b_.index()] = sim::BitRate{7e6};
+  alloc.set_r_other_hook(&r_other_of, &r_other);
+  alloc.register_flow(scda::net::FlowId{1}, a_, b_);
   settle(alloc);
   EXPECT_NEAR(alloc.flow_rate(scda::net::FlowId{1}).bps(), 7e6, 1e3);
+  // The hook is read on every allocation, at either end.
+  r_other[a_.index()] = sim::BitRate{3e6};
+  alloc.refresh_flow_rates();
+  EXPECT_DOUBLE_EQ(alloc.flow_rate(scda::net::FlowId{1}).bps(), 3e6);
 }
 
 TEST_F(RateAllocatorTest, ROtherReleasedCapacityGoesToOthers) {
   auto alloc = make();
-  alloc.register_flow(scda::net::FlowId{1}, a_, b_, 1.0, sim::BitRate{}, nullptr,
-                      [] { return sim::BitRate{5e6}; });
-  alloc.register_flow(scda::net::FlowId{2}, a_, b_);
+  std::vector<sim::BitRate> r_other(
+      3, sim::BitRate{std::numeric_limits<double>::infinity()});
+  r_other[b_.index()] = sim::BitRate{5e6};
+  alloc.set_r_other_hook(&r_other_of, &r_other);
+  alloc.register_flow(scda::net::FlowId{1}, a_, b_);
+  // A flow registered by its path alone has no endpoints to cap it.
+  alloc.register_flow_on_path(scda::net::FlowId{2}, net_.path(a_, b_));
   settle(alloc, 200);
   EXPECT_NEAR(alloc.flow_rate(scda::net::FlowId{1}).bps(), 5e6, 1e3);
   // picks up the slack

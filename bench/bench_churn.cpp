@@ -141,6 +141,8 @@ int main(int argc, char** argv) {
   }
 
   try {
+    args.refuse_unknown({"duration", "drain", "arrival-rate", "mtbf", "mttr",
+                         "seed", "workers"});
     BenchArgs a;
     a.duration_s = args.get_double("duration", a.duration_s);
     a.drain_s = args.get_double("drain", a.drain_s);
@@ -156,8 +158,7 @@ int main(int argc, char** argv) {
     }
 
     const auto wall0 = std::chrono::steady_clock::now();
-    runner::WorkerPool pool(
-        static_cast<unsigned>(args.get_int("workers", 2)));
+    runner::WorkerPool pool(args.get_count("workers", 2));
     const auto results = runner::parallel_map<CellResult>(
         pool, cells,
         [&a](const CellSpec& spec, std::size_t) { return run_cell(spec, a); });

@@ -9,7 +9,10 @@
 #   asan     AddressSanitizer + UndefinedBehaviorSanitizer build — catches
 #            the class of bug the event-pool/packet-pool refactor could
 #            introduce (use-after-free through recycled slots, OOB heap
-#            positions). -D_GLIBCXX_ASSERTIONS bounds-checks operator[] on
+#            positions). float-cast-overflow is named on its own: GCC's
+#            -fsanitize=undefined leaves out the trap for a double cast to
+#            an integer type that cannot hold it (a grid value such as
+#            replicas=1e10). -D_GLIBCXX_ASSERTIONS bounds-checks operator[] on
 #            the standard containers and spans (the network's flat node,
 #            link, adjacency and route arrays) as well. A Debug build, so
 #            asserts stay on, at -O1, the level ASan documents for usable
@@ -69,8 +72,8 @@ want asan && {
   echo "== pass: ASan + UBSan =="
   asan_flags=(
     -DCMAKE_BUILD_TYPE=Debug
-    -DCMAKE_CXX_FLAGS="-O1 -fsanitize=address,undefined -fno-sanitize-recover=all -D_GLIBCXX_ASSERTIONS"
-    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
+    -DCMAKE_CXX_FLAGS="-O1 -fsanitize=address,undefined,float-cast-overflow -fno-sanitize-recover=all -D_GLIBCXX_ASSERTIONS"
+    -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined,float-cast-overflow"
   )
   run_suite build-check-asan "${asan_flags[@]}"
   echo "== pass: ASan + UBSan (perfbench tiny workloads) =="

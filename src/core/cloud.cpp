@@ -43,6 +43,8 @@ CloudConfig checked(CloudConfig cfg) {
       {"nns_service_time_s", p.nns_service_time_s, 0, false},
       {"replicas", static_cast<double>(p.replicas), 1, false},
       {"repair_priority", p.repair_priority, kAny, false},
+      {"max_concurrent_repairs",
+       static_cast<double>(p.max_concurrent_repairs), 0, false},
       {"migration_interval_s", p.migration_interval_s, 0, false},
       {"metadata_timeout_s", p.metadata_timeout_s, 0, true},
       {"metadata_max_attempts", static_cast<double>(p.metadata_max_attempts),
@@ -453,8 +455,7 @@ bool Cloud::write(std::size_t client_idx, ContentId id, std::int64_t bytes,
     const std::int32_t target = selector_->select_write_target(content_class);
     if (target < 0 || !servers_[static_cast<std::size_t>(target)].place(
                           id, bytes, content_class)) {
-      ++failed_writes_;
-      known_content_.erase(id);  // allow a retry
+      fail_write(id);
       return;
     }
 
@@ -477,11 +478,8 @@ bool Cloud::write(std::size_t client_idx, ContentId id, std::int64_t bytes,
         bytes, priority, reserved);
   };
   sim_.post_in(sim::secs(to_nns), [this, id, h = std::move(handler)] {
-    metadata_.submit(static_cast<std::uint64_t>(id), h, [this, id] {
-      ++failed_writes_;
-      known_content_.erase(id);
-      pending_deadline_.erase(id);
-    });
+    metadata_.submit(static_cast<std::uint64_t>(id), h,
+                     [this, id] { fail_write(id); });
   });
   return true;
 }
@@ -813,9 +811,7 @@ void Cloud::on_flow_complete(const transport::FlowRecord& rec) {
              !target_alive) {
     // The write's bytes arrived at a machine that is now dead: the client
     // sees a failed write and may retry under the same content id.
-    ++failed_writes_;
-    known_content_.erase(op.content);
-    pending_deadline_.erase(op.content);
+    fail_write(op.content);
   }
 
   for (const auto& fn : on_complete_) fn(rec, op);
@@ -931,10 +927,8 @@ bool Cloud::abort_flow(net::FlowId id) {
         read(static_cast<std::size_t>(client), op.content, priority);
       break;
     case CloudOp::Kind::kWrite:
-      ++failed_writes_;
       rollback_partial_store(op);
-      known_content_.erase(op.content);  // allow a retry
-      pending_deadline_.erase(op.content);
+      fail_write(op.content);
       break;
     case CloudOp::Kind::kAppend:
       ++failed_writes_;
@@ -1082,6 +1076,12 @@ double Cloud::under_replicated_seconds() const {
 
 void Cloud::set_flow_priority(net::FlowId id, double priority) {
   if (allocator_.has_flow(id)) allocator_.set_priority(id, priority);
+}
+
+void Cloud::fail_write(ContentId id) {
+  ++failed_writes_;
+  known_content_.erase(id);  // allow a retry
+  pending_deadline_.erase(id);
 }
 
 bool Cloud::write_with_deadline(std::size_t client_idx, ContentId id,

@@ -320,6 +320,8 @@ class Cloud {
   void abort_flows_touching_server(std::int32_t idx);
   /// Undo the eager BlockServer::store of a flow that never completed.
   void rollback_partial_store(const CloudOp& op);
+  /// Count a failed write; forget its id and deadline so a retry is clean.
+  void fail_write(ContentId id);
   /// Push refreshed allocations to senders and the fluid engine.
   void propagate_rate_changes();
 

@@ -1,5 +1,8 @@
 #include "runner/experiment.h"
 
+#include <cstdio>
+#include <stdexcept>
+
 #include "sim/simulator.h"
 #include "stats/collector.h"
 #include "stats/metrics_collect.h"
@@ -35,6 +38,13 @@ stats::RunResult run_once(const ExperimentConfig& cfg,
 
   core::Cloud cloud(sim, cc);
   stats::FlowStatsCollector collector(cloud);
+  if (!(cfg.throughput_interval_s > 0)) {
+    char msg[96];
+    std::snprintf(msg, sizeof msg,
+                  "throughput_interval_s must be > 0 s, got %g",
+                  cfg.throughput_interval_s);
+    throw std::invalid_argument(msg);
+  }
   stats::ThroughputSampler thpt(sim, cloud.transports(),
                                 cfg.throughput_interval_s);
 
@@ -71,7 +81,8 @@ stats::RunResult run_once(const ExperimentConfig& cfg,
   stats::collect_run_metrics(observ.metrics(), sim, cloud);
   r.metrics = observ.metrics().snapshot();
   if (obs::TraceRecorder* tr = observ.tracer()) {
-    if (!tr->write_file(cfg.obs.trace_path))
+    r.trace_written = tr->write_file(cfg.obs.trace_path);
+    if (!r.trace_written)
       SCDA_LOG_ERROR("obs: cannot write trace file %s",
                      cfg.obs.trace_path.c_str());
   }

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "runner/experiment.h"
+#include "runner/params.h"
 #include "runner/worker_pool.h"
 #include "stats/aggregate.h"
 
@@ -28,8 +29,8 @@ struct Arm {
   transport::TransportKind transport = transport::TransportKind::kScda;
 };
 
-/// One swept parameter and the values it takes. Multiple axes form the
-/// cross product; the first axis varies slowest.
+/// One swept parameter (a name apply_param knows) and the values it takes.
+/// Multiple axes form the cross product; the first axis varies slowest.
 struct GridAxis {
   std::string param;
   std::vector<double> values;
@@ -73,12 +74,6 @@ struct ArmSummary {
   std::vector<std::pair<std::string, double>> params;
   stats::RunAggregate agg;
 };
-
-/// Set `cfg`'s knob `name` to `value`. Covers the common topology, control
-/// plane, and workload knobs; throws std::invalid_argument for unknown
-/// names, and for a run length (end_time_s, sim_time_s) below 0 s or past
-/// the simulated time range.
-void apply_param(ExperimentConfig& cfg, const std::string& name, double value);
 
 /// Expand spec into runs: cells (first axis slowest) x arms x seeds, seeds
 /// innermost. Pure function of the spec.

@@ -24,9 +24,10 @@ struct RunResult {
   double energy_j = 0;
   std::uint64_t flows_completed = 0;
   std::uint64_t events = 0;
-  /// Full-stack metric snapshot (docs/observability.md); empty when the
-  /// run's ObsConfig disabled metrics collection.
+  /// Full-stack metric snapshot (docs/observability.md).
   obs::MetricsSnapshot metrics;
+  /// The flight-recorder trace the run's ObsConfig asked for was written.
+  bool trace_written = false;
 };
 
 }  // namespace scda::stats

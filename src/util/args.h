@@ -3,17 +3,33 @@
 // Supports:  --name value   --name=value   --flag   and positionals.
 // Typed getters fall back to defaults when the flag is absent and throw
 // std::invalid_argument on malformed values, so tools fail loudly. No flag
-// takes an infinite or NaN number.
+// takes an infinite or NaN number, and refuse_unknown() turns a mistyped
+// flag into an error instead of a silently ignored setting.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <map>
 #include <stdexcept>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace scda::util {
+
+/// `text` as a finite number; throws std::invalid_argument naming `what`.
+[[nodiscard]] inline double parse_finite(const std::string& what,
+                                         const std::string& text) {
+  try {
+    std::size_t pos = 0;
+    const double v = std::stod(text, &pos);
+    if (pos == text.size() && std::isfinite(v)) return v;
+  } catch (const std::exception&) {
+  }
+  throw std::invalid_argument(what + ": expected a finite number, got '" +
+                              text + "'");
+}
 
 class ArgParser {
  public:
@@ -49,18 +65,7 @@ class ArgParser {
 
   [[nodiscard]] double get_double(const std::string& name, double def) const {
     const auto it = flags_.find(name);
-    if (it == flags_.end()) return def;
-    try {
-      std::size_t pos = 0;
-      const double v = std::stod(it->second, &pos);
-      if (pos != it->second.size() || !std::isfinite(v))
-        throw std::invalid_argument(it->second);
-      return v;
-    } catch (const std::exception&) {
-      throw std::invalid_argument("--" + name +
-                                  ": expected a finite number, got '" +
-                                  it->second + "'");
-    }
+    return it == flags_.end() ? def : parse_finite("--" + name, it->second);
   }
 
   [[nodiscard]] std::int64_t get_int(const std::string& name,
@@ -79,6 +84,18 @@ class ArgParser {
     }
   }
 
+  /// An integer flag that counts something (runs, samples, threads), or
+  /// `def` when absent; refused unless it is in [1, max unsigned].
+  [[nodiscard]] unsigned get_count(const std::string& name,
+                                   unsigned def) const {
+    constexpr unsigned kMax = std::numeric_limits<unsigned>::max();
+    const std::int64_t v = get_int(name, def);
+    if (v < 1 || v > kMax)
+      throw std::invalid_argument("--" + name + " must be in [1, " +
+                                  std::to_string(kMax) + "], got " + get(name));
+    return static_cast<unsigned>(v);
+  }
+
   [[nodiscard]] bool get_bool(const std::string& name, bool def) const {
     const auto it = flags_.find(name);
     if (it == flags_.end()) return def;
@@ -93,16 +110,20 @@ class ArgParser {
     return positional_;
   }
 
-  /// Names seen on the command line (for unknown-flag checks).
-  [[nodiscard]] std::vector<std::string> flag_names() const {
-    std::vector<std::string> out;
-    out.reserve(flags_.size());
-    for (const auto& [k, v] : flags_) out.push_back(k);
-    return out;
+  /// Throws std::invalid_argument naming a positional argument or a flag
+  /// that `known` does not list (--help is always known).
+  void refuse_unknown(const std::vector<std::string>& known) const {
+    if (!positional_.empty())
+      throw std::invalid_argument("unexpected argument '" +
+                                  positional_.front() + "'");
+    for (const auto& [k, v] : flags_)
+      if (k != "help" && std::find(known.begin(), known.end(), k) ==
+                             known.end())
+        throw std::invalid_argument("unknown flag --" + k);
   }
 
  private:
-  std::unordered_map<std::string, std::string> flags_;
+  std::map<std::string, std::string> flags_;
   std::vector<std::string> positional_;
 };
 

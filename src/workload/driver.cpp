@@ -1,13 +1,36 @@
 #include "workload/driver.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <stdexcept>
 
 namespace scda::workload {
+
+namespace {
+
+/// `cfg` once its fractions are in [0, 1] and its priority is above 0.
+/// Throws std::invalid_argument naming the field.
+DriverConfig checked(const DriverConfig& cfg) {
+  const auto refused = [](const char* rule, double v) {
+    char msg[128];
+    std::snprintf(msg, sizeof msg, "WorkloadDriver: %s, got %g", rule, v);
+    return std::invalid_argument(msg);
+  };
+  if (!(cfg.read_fraction >= 0 && cfg.read_fraction <= 1))
+    throw refused("read_fraction must be in [0, 1]", cfg.read_fraction);
+  if (!(cfg.interactive_fraction >= 0 && cfg.interactive_fraction <= 1))
+    throw refused("interactive_fraction must be in [0, 1]",
+                  cfg.interactive_fraction);
+  if (!(cfg.priority > 0)) throw refused("priority must be > 0", cfg.priority);
+  return cfg;
+}
+
+}  // namespace
 
 WorkloadDriver::WorkloadDriver(core::Cloud& cloud,
                                std::unique_ptr<Generator> gen,
                                DriverConfig cfg)
-    : cloud_(cloud), gen_(std::move(gen)), cfg_(cfg) {
+    : cloud_(cloud), gen_(std::move(gen)), cfg_(checked(cfg)) {
   // Track completed external writes so reads target stored content only.
   cloud_.add_completion_callback(
       [this](const transport::FlowRecord& rec, const core::CloudOp& op) {

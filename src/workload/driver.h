@@ -32,6 +32,8 @@ struct DriverConfig {
 
 class WorkloadDriver {
  public:
+  /// Throws std::invalid_argument, naming the field, for a fraction outside
+  /// [0, 1] or a priority that is not above 0.
   WorkloadDriver(core::Cloud& cloud, std::unique_ptr<Generator> gen,
                  DriverConfig cfg);
 

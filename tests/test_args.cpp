@@ -89,10 +89,42 @@ TEST(ArgParser, ConsecutiveFlags) {
   EXPECT_EQ(a.get("b"), "value");
 }
 
-TEST(ArgParser, FlagNamesEnumerated) {
-  const auto a = parse({"--x=1", "--y=2"});
-  const auto names = a.flag_names();
-  EXPECT_EQ(names.size(), 2u);
+TEST(ArgParser, UnknownFlagOrPositionalRefusedByName) {
+  const auto ok = parse({"--x=1", "--y", "2", "--help"});
+  EXPECT_NO_THROW(ok.refuse_unknown({"x", "y"}));
+  const auto typo = parse({"--x=1", "--replica", "3"});
+  try {
+    typo.refuse_unknown({"x", "replicas"});
+    ADD_FAILURE() << "accepted --replica";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "unknown flag --replica");
+  }
+  const auto stray = parse({"--x", "1", "stray"});
+  try {
+    stray.refuse_unknown({"x"});
+    ADD_FAILURE() << "accepted a stray argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "unexpected argument 'stray'");
+  }
+}
+
+TEST(ArgParser, CountsBelowOneOrPastUnsignedThrow) {
+  const auto a = parse({"--n=-1", "--z=0", "--big=5000000000", "--ok=3"});
+  EXPECT_EQ(a.get_count("ok", 1), 3u);
+  EXPECT_EQ(a.get_count("absent", 4), 4u);
+  try {
+    (void)a.get_count("n", 1);
+    ADD_FAILURE() << "accepted --n=-1";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "--n must be in [1, 4294967295], got -1");
+  }
+  EXPECT_THROW((void)a.get_count("z", 1), std::invalid_argument);
+  try {
+    (void)a.get_count("big", 1);
+    ADD_FAILURE() << "accepted --big=5000000000";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "--big must be in [1, 4294967295], got 5000000000");
+  }
 }
 
 }  // namespace

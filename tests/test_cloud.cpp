@@ -110,6 +110,8 @@ TEST_F(CloudTest, UnusableControlParametersRejectTheCloud) {
            "rebalance_priority must be finite"},
           {[](CloudConfig& c) { c.fluid.threshold_bytes = -1; },
            "fluid threshold_bytes must be >= 0, got -1"},
+          {[](CloudConfig& c) { c.params.max_concurrent_repairs = -1; },
+           "max_concurrent_repairs must be >= 0, got -1"},
       };
   for (const auto& [set, message] : bad) {
     CloudConfig cfg = small_config();

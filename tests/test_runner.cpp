@@ -433,6 +433,46 @@ TEST(Sweep, ApplyParamRejectsUnknownNames) {
                std::invalid_argument);
 }
 
+// The table is the one place a value becomes an integer: a fraction, NaN or
+// a value past the field's type is refused, naming the parameter.
+TEST(Sweep, ApplyParamRefusesIntegersOutsideTheirType) {
+  runner::ExperimentConfig cfg;
+  const double nan = std::nan("");
+  for (const auto& [name, value] :
+       std::vector<std::pair<std::string, double>>{
+           {"replicas", 1e10},
+           {"replicas", 2.5},
+           {"n_agg", -2147483649.0},
+           {"n_clients", 4294967297.0},
+           {"metadata_max_attempts", nan},
+           {"max_concurrent_repairs", 0x1p31},
+           {"queue_limit_bytes", 0x1p63},
+           {"fluid_threshold_bytes", 1e19}}) {
+    try {
+      runner::apply_param(cfg, name, value);
+      ADD_FAILURE() << "accepted " << name << "=" << value;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).rfind(name + " must be a whole number "
+                                            "in [",
+                                            0),
+                0u)
+          << e.what();
+    }
+  }
+  // The type's edges and negative counts pass; the Cloud and the tree
+  // refuse a count they cannot use.
+  runner::apply_param(cfg, "replicas", 2147483647.0);
+  EXPECT_EQ(cfg.params.replicas, 2147483647);
+  runner::apply_param(cfg, "n_agg", -2147483648.0);
+  EXPECT_EQ(cfg.topology.n_agg, -2147483648LL);
+  runner::apply_param(cfg, "queue_limit_bytes", -0x1p63);
+  EXPECT_EQ(cfg.topology.queue_limit_bytes, INT64_MIN);
+  runner::apply_param(cfg, "fluid_threshold_bytes", 300000);
+  EXPECT_EQ(cfg.fluid.threshold_bytes, 300000);
+  runner::apply_param(cfg, "tau", 0.5);  // a real takes any value
+  EXPECT_EQ(cfg.params.tau, 0.5);
+}
+
 // -------------------------------------------------------------- moments --
 
 TEST(Aggregate, MomentsKnownValues) {

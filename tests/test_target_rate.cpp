@@ -144,5 +144,35 @@ TEST(CloudDeadline, WriteWithDeadlineFinishesOnTime) {
   EXPECT_LT(deadline_fct, besteffort_fct);
 }
 
+// A deadline write that no server takes fails back to the client, and its
+// deadline goes with it: the id's next, plain write runs at priority 1.
+TEST(CloudDeadline, FailedDeadlineWriteLeavesNoDeadlineForTheRetry) {
+  sim::Simulator sim(3);
+  CloudConfig cfg;
+  cfg.topology.n_agg = 1;
+  cfg.topology.tors_per_agg = 1;
+  cfg.topology.servers_per_tor = 2;
+  cfg.topology.n_clients = 1;
+  cfg.topology.base_bps = util::mbps(200);
+  cfg.enable_replication = false;
+  Cloud cloud(sim, cfg);
+
+  for (std::size_t s = 0; s < cloud.servers().size(); ++s)
+    cloud.fail_server(s);
+  ASSERT_TRUE(cloud.write_with_deadline(0, 1, util::megabytes(50), 3.0));
+  sim.run_until(scda::sim::secs(1.0));
+  ASSERT_EQ(cloud.failed_writes(), 1u);
+  ASSERT_EQ(cloud.transports().flow_count(), 0u);
+
+  for (std::size_t s = 0; s < cloud.servers().size(); ++s)
+    cloud.recover_server(s);
+  ASSERT_TRUE(cloud.write(0, 1, util::megabytes(50)));
+  sim.run_until(scda::sim::secs(1.6));
+  ASSERT_EQ(cloud.transports().flow_count(), 1u);
+  const transport::FlowRecord& rec = *cloud.transports().records().front();
+  ASSERT_FALSE(rec.finished());
+  EXPECT_DOUBLE_EQ(cloud.allocator().priority(rec.id), 1.0);
+}
+
 }  // namespace
 }  // namespace scda::core

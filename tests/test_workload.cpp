@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/cloud.h"
 #include "util/units.h"
 #include "workload/driver.h"
@@ -130,6 +136,46 @@ TEST(WorkloadDriver, IssuesTrafficIntoCloud) {
   EXPECT_GT(driver.issued_writes(), 10u);
   EXPECT_GT(driver.issued_reads(), 0u);
   EXPECT_EQ(cloud.failed_reads(), 0u);  // driver only reads stored content
+}
+
+TEST(WorkloadDriver, UnusableConfigRejectedNamingTheField) {
+  sim::Simulator sim(9);
+  core::CloudConfig cc;
+  cc.topology.n_agg = 1;
+  cc.topology.tors_per_agg = 1;
+  cc.topology.servers_per_tor = 2;
+  cc.topology.n_clients = 1;
+  core::Cloud cloud(sim, cc);
+  const std::vector<std::pair<std::function<void(DriverConfig&)>, std::string>>
+      bad = {
+          {[](DriverConfig& d) { d.read_fraction = -2; },
+           "WorkloadDriver: read_fraction must be in [0, 1], got -2"},
+          {[](DriverConfig& d) { d.read_fraction = 1.5; },
+           "read_fraction must be in [0, 1], got 1.5"},
+          {[](DriverConfig& d) { d.interactive_fraction = 2; },
+           "interactive_fraction must be in [0, 1], got 2"},
+          {[](DriverConfig& d) { d.priority = 0; },
+           "WorkloadDriver: priority must be > 0, got 0"},
+          {[](DriverConfig& d) { d.priority = -1; },
+           "priority must be > 0, got -1"},
+      };
+  for (const auto& [set, message] : bad) {
+    DriverConfig dc;
+    set(dc);
+    try {
+      WorkloadDriver driver(cloud, std::make_unique<ParetoPoissonWorkload>(),
+                            dc);
+      ADD_FAILURE() << "accepted: " << message;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << e.what();
+    }
+  }
+  // The edges are usable.
+  DriverConfig dc;
+  dc.read_fraction = 1;
+  dc.interactive_fraction = 0;
+  WorkloadDriver driver(cloud, std::make_unique<ParetoPoissonWorkload>(), dc);
 }
 
 TEST(WorkloadDriver, StopsIssuingAtEndTime) {

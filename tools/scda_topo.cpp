@@ -150,6 +150,8 @@ int main(int argc, char** argv) {
     return 0;
   }
   try {
+    args.refuse_unknown({"fabric", "agg", "tors", "servers", "clients",
+                         "base-mbps", "k", "spines", "leaves"});
     const std::string fabric = args.get("fabric", "tree");
     if (fabric == "tree") return run_tree(args);
     if (fabric == "leafspine") return run_leafspine(args);

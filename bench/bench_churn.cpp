@@ -17,16 +17,13 @@
 //   bench_churn --duration 10 --drain 5  # CI smoke
 #include <chrono>
 #include <cstdio>
-#include <cstring>
+#include <memory>
 #include <vector>
 
-#include "core/churn.h"
-#include "core/cloud.h"
+#include "runner/experiment.h"
 #include "runner/worker_pool.h"
-#include "stats/collector.h"
 #include "util/args.h"
 #include "util/units.h"
-#include "workload/driver.h"
 #include "workload/generators.h"
 
 using namespace scda;
@@ -76,49 +73,47 @@ struct BenchArgs {
 };
 
 CellResult run_cell(const CellSpec& spec, const BenchArgs& a) {
-  sim::Simulator sim(a.seed);
-  core::CloudConfig cfg;
+  runner::ExperimentConfig cfg;
+  cfg.name = "churn";
   cfg.topology.n_agg = 2;
   cfg.topology.tors_per_agg = 2;
   cfg.topology.servers_per_tor = 4;
   cfg.topology.n_clients = 16;
   cfg.topology.base_bps = util::mbps(200);
-  cfg.placement = spec.placement;
-  cfg.transport = transport::TransportKind::kScda;
   cfg.enable_replication = spec.replicas > 1;
   cfg.params.replicas = spec.replicas;
   cfg.churn.enabled = true;
   cfg.churn.server_mtbf_s = a.mtbf_s;
   cfg.churn.server_mttr_s = a.mttr_s;
-  cfg.churn.horizon_s = a.duration_s + a.drain_s;
-  core::Cloud cloud(sim, cfg);
-  stats::FlowStatsCollector col(cloud);
-
-  workload::DriverConfig dc;
-  dc.end_time_s = a.duration_s;
-  dc.read_fraction = 0.5;  // failover path needs a read-heavy mix
+  cfg.sim_time_s = a.duration_s + a.drain_s;  // also the churn horizon
+  cfg.seed = a.seed;
+  cfg.driver.end_time_s = a.duration_s;
+  cfg.driver.read_fraction = 0.5;  // failover path needs a read-heavy mix
   workload::ParetoPoissonConfig pc;
   pc.arrival_rate = a.arrival_rate;
   pc.cap_bytes = 20 * 1000 * 1000;
-  workload::WorkloadDriver driver(
-      cloud, std::make_unique<workload::ParetoPoissonWorkload>(pc), dc);
-  driver.start();
-  sim.run_until(sim::secs(a.duration_s + a.drain_s));
+  cfg.make_generator = [pc] {
+    return std::make_unique<workload::ParetoPoissonWorkload>(pc);
+  };
+  const stats::RunResult run = runner::run_once(
+      cfg, spec.placement, transport::TransportKind::kScda, {});
 
+  const obs::MetricsSnapshot& m = run.metrics;
+  const auto n = [&m](const char* id) {
+    return static_cast<std::uint64_t>(m.value(id));
+  };
   CellResult r;
-  const stats::Summary s = col.summary();
-  r.flows_completed = s.flows;
-  r.mean_fct_s = s.mean_fct_s;
-  r.failed_reads = cloud.failed_reads();
-  const core::ChurnStats& ch = cloud.churn_stats();
-  r.failovers = ch.failovers;
-  r.aborted_flows = ch.aborted_flows;
-  r.repair_flows = ch.repair_flows_completed;
-  r.repair_bytes = ch.repair_bytes;
-  r.objects_lost = ch.objects_lost;
-  r.sla_during_repair = ch.sla_violations_during_repair;
-  r.under_replicated_s = cloud.under_replicated_seconds();
-  r.server_failures = cloud.churn()->stats().server_downs;
+  r.flows_completed = run.summary.flows;
+  r.mean_fct_s = run.summary.mean_fct_s;
+  r.failed_reads = run.failed_reads;
+  r.failovers = n("churn.failovers");
+  r.aborted_flows = n("churn.aborted_flows");
+  r.repair_flows = n("churn.repair_flows_completed");
+  r.repair_bytes = n("churn.repair_bytes");
+  r.objects_lost = n("churn.objects_lost");
+  r.sla_during_repair = n("churn.sla_violations_during_repair");
+  r.under_replicated_s = m.value("churn.under_replicated_seconds");
+  r.server_failures = n("churn.server_failures");
   return r;
 }
 

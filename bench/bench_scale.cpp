@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
   try {
     args.refuse_unknown(
         {"k", "arrival-rate", "duration", "drain", "tau", "seed"});
-    const auto k = static_cast<std::int32_t>(args.get_int("k", 32));
+    const auto k = args.get_int_as<std::int32_t>("k", 32);
     const double arrival_rate = args.get_double("arrival-rate", 10000.0);
     const double duration_s = args.get_double("duration", 105.0);
     const double drain_s = args.get_double("drain", 60.0);

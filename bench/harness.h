@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 
 #include "runner/experiment.h"
@@ -75,13 +76,15 @@ inline std::uint64_t bench_seeds() {
 }
 
 /// Worker threads for the sweep (SCDA_BENCH_WORKERS, default SCDA_WORKERS
-/// or all cores).
+/// or all cores). A malformed value ends the bench with exit code 1.
 inline unsigned bench_workers() {
-  if (const char* v = std::getenv("SCDA_BENCH_WORKERS")) {
-    const long n = std::strtol(v, nullptr, 10);
-    if (n >= 1) return static_cast<unsigned>(n);
+  try {
+    if (const auto n = runner::env_workers("SCDA_BENCH_WORKERS")) return *n;
+    return runner::default_workers();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    std::exit(1);
   }
-  return runner::default_workers();
 }
 
 /// Set SCDA_BENCH_FLUID=1 to run the SCDA arms in hybrid fluid/packet mode

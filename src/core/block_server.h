@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 
 #include "core/power.h"
 #include "core/server_resources.h"
@@ -31,20 +32,14 @@ class BlockServer {
   [[nodiscard]] const PowerModel& power() const noexcept { return power_; }
 
   // --- block storage ---------------------------------------------------------
-  /// Store (or grow) a content block. Returns false if disk space is
-  /// exhausted; the NNS then picks a different server.
+  /// Store (or grow) a content block; a grown block keeps the class its
+  /// copy was placed with. Returns false if disk space is exhausted; the
+  /// NNS then picks a different server.
   [[nodiscard]] bool store(ContentId id, std::int64_t bytes) {
     if (!resources_.reserve_bytes(bytes)) return false;
-    blocks_[id] += bytes;
+    blocks_[id].bytes += bytes;
     stored_total_ += bytes;
     return true;
-  }
-  void remove(ContentId id) {
-    const auto it = blocks_.find(id);
-    if (it == blocks_.end()) return;
-    resources_.release_bytes(it->second);
-    stored_total_ -= it->second;
-    blocks_.erase(it);
   }
   /// Store a new copy of content of class `cls`: a write's, a replica's or
   /// a move's target. A copy of active (non-passive) content keeps the
@@ -54,17 +49,26 @@ class BlockServer {
                            transport::ContentClass cls) {
     if (!store(id, bytes)) return false;
     if (cls != transport::ContentClass::kPassive) {
-      ++active_copies_;
+      if (!std::exchange(blocks_[id].active, true)) ++active_copies_;
       set_dormant(false);
     }
     return true;
   }
-  /// Drop a copy placed with class `cls` (a vacated move source, or the
-  /// target of a transfer that never finished). No-op when not held.
-  void unplace(ContentId id, transport::ContentClass cls) {
-    if (!has(id)) return;
-    remove(id);
-    if (cls != transport::ContentClass::kPassive && active_copies_ > 0)
+  /// Drop a copy (a vacated move source, or the target of a transfer that
+  /// never finished); an active one stops counting. No-op when not held.
+  void remove(ContentId id) {
+    const auto it = blocks_.find(id);
+    if (it == blocks_.end()) return;
+    resources_.release_bytes(it->second.bytes);
+    stored_total_ -= it->second.bytes;
+    if (it->second.active) --active_copies_;
+    blocks_.erase(it);
+  }
+  /// The content of a held copy turned passive (a migration landed): the
+  /// copy no longer keeps the server awake. No-op when not held.
+  void mark_passive(ContentId id) {
+    const auto it = blocks_.find(id);
+    if (it != blocks_.end() && std::exchange(it->second.active, false))
       --active_copies_;
   }
   /// Wipe every stored block (server recovery after a failure,
@@ -79,7 +83,7 @@ class BlockServer {
   [[nodiscard]] bool has(ContentId id) const { return blocks_.count(id) != 0; }
   [[nodiscard]] std::int64_t stored_bytes(ContentId id) const {
     const auto it = blocks_.find(id);
-    return it == blocks_.end() ? 0 : it->second;
+    return it == blocks_.end() ? 0 : it->second.bytes;
   }
   [[nodiscard]] std::size_t block_count() const noexcept {
     return blocks_.size();
@@ -110,11 +114,15 @@ class BlockServer {
   [[nodiscard]] bool failed() const noexcept { return failed_; }
 
  private:
+  struct Block {
+    std::int64_t bytes = 0;
+    bool active = false;  ///< placed as a copy of active content
+  };
   std::size_t index_;
   net::NodeId node_;
   ServerResources resources_;
   PowerModel power_;
-  std::unordered_map<ContentId, std::int64_t> blocks_;
+  std::unordered_map<ContentId, Block> blocks_;
   std::int64_t stored_total_ = 0;  ///< sum over blocks_ (scrub in O(1))
   std::int32_t active_copies_ = 0;
   std::int32_t active_flows_ = 0;

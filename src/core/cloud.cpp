@@ -206,7 +206,7 @@ void Cloud::control_tick() {
     return s ? rec.size_bytes - s->acked_bytes() : std::int64_t{0};
   });
   hierarchy_.update();
-  if (cfg_.transport == TransportKind::kScda) update_ongoing_flows();
+  update_ongoing_flows();
   drain_repair_queue();
   metadata_.drain_resync_queue();
   integrate_power();
@@ -438,8 +438,28 @@ bool Cloud::start_move(const CloudOp& op, std::int64_t bytes,
 bool Cloud::write(std::size_t client_idx, ContentId id, std::int64_t bytes,
                   ContentClass content_class, double priority,
                   sim::BitRate reserved) {
-  if (client_idx >= topo_.clients().size() || bytes <= 0) return false;
-  if (!known_content_.insert(id).second) return false;  // duplicate
+  return submit_write(CloudOp{.content = id,
+                              .content_class = content_class,
+                              .client = static_cast<std::int64_t>(client_idx)},
+                      bytes, priority, reserved);
+}
+
+bool Cloud::write_with_deadline(std::size_t client_idx, ContentId id,
+                                std::int64_t bytes, double deadline_s,
+                                ContentClass content_class) {
+  return submit_write(CloudOp{.content = id,
+                              .content_class = content_class,
+                              .client = static_cast<std::int64_t>(client_idx),
+                              .deadline_s = deadline_s},
+                      bytes, /*priority=*/1.0, /*reserved=*/{});
+}
+
+bool Cloud::submit_write(CloudOp op, std::int64_t bytes, double priority,
+                         sim::BitRate reserved) {
+  if (static_cast<std::size_t>(op.client) >= topo_.clients().size() ||
+      bytes <= 0)
+    return false;
+  if (!known_content_.insert(op.content).second) return false;  // duplicate
 
   // Steps 1-2 (Fig. 3): UCL -> FES (WAN) -> NNS (intra-DC), then the NNS
   // service queue. Steps 3-7 happen inside the NNS handler; the data
@@ -448,36 +468,32 @@ bool Cloud::write(std::size_t client_idx, ContentId id, std::int64_t bytes,
       cfg_.params.ctrl_wan_latency_s + cfg_.params.ctrl_dc_latency_s;
   count_ctrl(2, 2 * kCtrlMsgBytes);
 
-  auto handler = [this, client_idx, id, bytes, content_class, priority,
-                  reserved](NameNode& serving) {
+  auto handler = [this, op, bytes, priority, reserved](NameNode& serving) {
     // Steps 3-4: NNS asks the RA for the best BS (here: level hmax).
     count_ctrl(2, 2 * kCtrlMsgBytes);
-    const std::int32_t target = selector_->select_write_target(content_class);
-    if (target < 0 || !servers_[static_cast<std::size_t>(target)].place(
-                          id, bytes, content_class)) {
-      fail_write(id);
+    CloudOp w = op;
+    w.server = selector_->select_write_target(op.content_class);
+    if (w.server < 0 || !servers_[static_cast<std::size_t>(w.server)].place(
+                            op.content, bytes, op.content_class)) {
+      fail_write(op.content);
       return;
     }
 
-    ContentMeta& meta = serving.upsert(id);
+    ContentMeta& meta = serving.upsert(op.content);
     meta.size_bytes = bytes;
-    meta.content_class = content_class;
+    meta.content_class = op.content_class;
     meta.last_access_time = sim_.now();
-    metadata_.mirror(serving, id);
+    metadata_.mirror(serving, op.content);
 
     // Steps 5-9: RA forwards the UCL id to the BS; BS derives rcvw from
     // its RM and greets the UCL (WAN hop); then the UCL starts writing.
     count_ctrl(4, 4 * kCtrlMsgBytes);
     start_after(
-        2 * cfg_.params.ctrl_dc_latency_s + cfg_.params.ctrl_wan_latency_s,
-        CloudOp{.content = id,
-                .content_class = content_class,
-                .kind = CloudOp::Kind::kWrite,
-                .server = target,
-                .client = static_cast<std::int64_t>(client_idx)},
+        2 * cfg_.params.ctrl_dc_latency_s + cfg_.params.ctrl_wan_latency_s, w,
         bytes, priority, reserved);
   };
-  sim_.post_in(sim::secs(to_nns), [this, id, h = std::move(handler)] {
+  sim_.post_in(sim::secs(to_nns), [this, id = op.content,
+                                   h = std::move(handler)] {
     metadata_.submit(static_cast<std::uint64_t>(id), h,
                      [this, id] { fail_write(id); });
   });
@@ -584,22 +600,16 @@ void Cloud::begin_replication(const CloudOp& write_op, std::int64_t bytes,
         exclude.end())
       exclude.push_back(write_op.server);
 
-    // Repair flows that cannot start (no admissible target, disk full) go
-    // back to the queue for a later control tick.
-    const auto requeue = [this, &write_op, repair] {
-      if (!repair) return;
-      --repairs_in_flight_;
-      ++churn_.repair_retries;
-      repair_pending_.erase(write_op.content);
-      enqueue_repair(write_op.content);
-    };
-
     const std::int32_t target =
         selector_->select_replica_target(write_op.content_class, exclude);
     if (target < 0 || target == write_op.server ||
         !servers_[static_cast<std::size_t>(target)].place(
-            write_op.content, bytes, write_op.content_class))
-      return requeue();
+            write_op.content, bytes, write_op.content_class)) {
+      // A repair that cannot start (no admissible target, disk full) goes
+      // back to the queue for a later control tick.
+      if (repair) retry_repair(write_op.content);
+      return;
+    }
     if (repair) ++churn_.repair_flows_started;
     count_ctrl(4, 4 * kCtrlMsgBytes);
     start_after(3 * cfg_.params.ctrl_dc_latency_s,
@@ -614,14 +624,12 @@ void Cloud::begin_replication(const CloudOp& write_op, std::int64_t bytes,
   metadata_.submit(
       static_cast<std::uint64_t>(write_op.content), std::move(handler),
       [this, content = write_op.content, repair] {
-        // The metadata plane never answered: release the repair slot (if
-        // any) and leave the object to the background repair queue.
-        if (repair) {
-          --repairs_in_flight_;
-          ++churn_.repair_retries;
-          repair_pending_.erase(content);
-        }
-        enqueue_repair(content);
+        // The metadata plane never answered: leave the object to the
+        // background repair queue.
+        if (repair)
+          retry_repair(content);
+        else
+          enqueue_repair(content);
       });
 }
 
@@ -677,18 +685,12 @@ net::FlowId Cloud::start_data_flow(const CloudOp& op, std::int64_t bytes,
   // Post-admission re-rate for fluid flows (covers the new flow too): the
   // non-epoch analogue of update_ongoing_flows() below.
   rerate_fluid(/*epoch=*/false);
-  transports_.record(handles.id).reserved = reserved;
   update_ongoing_flows();
 
-  // Deadline requested at write() time: arm the adaptive controller now
-  // that the upload flow exists (section IV-A EDF emulation).
-  if (op.kind == CloudOp::Kind::kWrite) {
-    const auto dit = pending_deadline_.find(op.content);
-    if (dit != pending_deadline_.end()) {
-      target_ctrl_.set_deadline(handles.id, bytes, dit->second);
-      pending_deadline_.erase(dit);
-    }
-  }
+  // A write's deadline arms the adaptive controller now that the upload
+  // flow exists (section IV-A EDF emulation).
+  if (op.deadline_s >= 0)
+    target_ctrl_.set_deadline(handles.id, bytes, op.deadline_s);
   // Fluid flows have no sender/receiver to re-window each interval; the
   // fluid epoch after each tick drives their rates instead.
   if (!handles.fluid) active_scda_.emplace(handles.id, handles);
@@ -696,26 +698,25 @@ net::FlowId Cloud::start_data_flow(const CloudOp& op, std::int64_t bytes,
   return handles.id;
 }
 
-void Cloud::on_flow_complete(const transport::FlowRecord& rec) {
-  const auto it = ops_.find(rec.id);
+CloudOp Cloud::end_op(net::FlowId id) {
   CloudOp op;
-  if (it != ops_.end()) op = it->second;
-
-  if (op.server >= 0)
+  if (const auto it = ops_.find(id); it != ops_.end()) {
+    op = it->second;
+    ops_.erase(it);
     servers_[static_cast<std::size_t>(op.server)].flow_finished();
-  allocator_.unregister_flow(rec.id);
-  active_scda_.erase(rec.id);
-
-  if (op.kind == CloudOp::Kind::kNnsSync) {
-    // A recovering NNS instance finished pulling its peer's metadata map;
-    // it adopts the map and rejoins (docs/scenarios.md).
-    metadata_.resync_completed(static_cast<std::size_t>(op.client),
-                               rec.size_bytes);
-    for (const auto& fn : on_complete_) fn(rec, op);
-    if (it != ops_.end()) ops_.erase(it);
-    return;
   }
+  active_scda_.erase(id);
+  allocator_.unregister_flow(id);
+  target_ctrl_.clear(id);
+  if (op.kind == CloudOp::Kind::kMigration ||
+      op.kind == CloudOp::Kind::kRebalance)
+    migrating_.erase(op.content);
+  if (op.repair) release_repair(op.content);
+  return op;
+}
 
+void Cloud::on_flow_complete(const transport::FlowRecord& rec) {
+  const CloudOp op = end_op(rec.id);
   NameNode& nns = metadata_.owner(op.content);
   ContentMeta* meta = nns.find(op.content);
   // A flow can land on a server that failed after the NNS picked it (the
@@ -724,32 +725,29 @@ void Cloud::on_flow_complete(const transport::FlowRecord& rec) {
   // be registered against it.
   const bool target_alive =
       op.server >= 0 && !servers_[static_cast<std::size_t>(op.server)].failed();
-  if (meta != nullptr && target_alive) {
+  if (op.kind == CloudOp::Kind::kNnsSync) {
+    // A recovering NNS instance finished pulling its peer's metadata map;
+    // it adopts the map and rejoins (docs/scenarios.md).
+    metadata_.resync_completed(static_cast<std::size_t>(op.client),
+                               rec.size_bytes);
+  } else if (meta != nullptr && target_alive) {
     switch (op.kind) {
       case CloudOp::Kind::kWrite:
         ++meta->writes;
         meta->replicas.push_back(op.server);
         note_replicas_changed(*meta);
         classifier_.record_write(op.content, sim_.now());
-        if (cfg_.enable_replication &&
-            static_cast<std::int32_t>(meta->replicas.size()) <
-                cfg_.params.replicas)
+        if (cfg_.enable_replication && under_replicated(*meta))
           begin_replication(op, rec.size_bytes);
         break;
       case CloudOp::Kind::kReplication:
         meta->replicas.push_back(op.server);
         note_replicas_changed(*meta);
         if (op.repair) {
-          --repairs_in_flight_;
           ++churn_.repair_flows_completed;
           churn_.repair_bytes += static_cast<std::uint64_t>(rec.size_bytes);
-          repair_pending_.erase(op.content);
-          if (static_cast<std::int32_t>(meta->replicas.size()) <
-              cfg_.params.replicas)
-            enqueue_repair(op.content);
-        } else if (cfg_.enable_replication &&
-                   static_cast<std::int32_t>(meta->replicas.size()) <
-                       cfg_.params.replicas) {
+          if (under_replicated(*meta)) enqueue_repair(op.content);
+        } else if (cfg_.enable_replication && under_replicated(*meta)) {
           // Chain the next hop of k-way replication from the copy that just
           // landed (closest source to the new target's rate metric).
           CloudOp next = op;
@@ -773,15 +771,15 @@ void Cloud::on_flow_complete(const transport::FlowRecord& rec) {
         // a cooler server (docs/scenarios.md). Vacate the source.
         meta->replicas.push_back(op.server);
         if (op.source_server >= 0) {
-          // The vacated copy has the content's class, not the op's: a
-          // migration's op is passive, the copy it moved was not.
-          servers_[static_cast<std::size_t>(op.source_server)].unplace(
-              op.content, meta->content_class);
+          servers_[static_cast<std::size_t>(op.source_server)].remove(
+              op.content);
           std::erase(meta->replicas, op.source_server);
         }
-        migrating_.erase(op.content);
         if (op.kind == CloudOp::Kind::kMigration) {
+          // Every copy is now one of passive content, the ones the move
+          // did not touch included.
           meta->content_class = ContentClass::kPassive;
+          for (BlockServer& bs : servers_) bs.mark_passive(op.content);
           ++migrations_completed_;
         } else {
           note_replicas_changed(*meta);
@@ -791,21 +789,13 @@ void Cloud::on_flow_complete(const transport::FlowRecord& rec) {
         }
         break;
       case CloudOp::Kind::kNnsSync:
-        break;  // handled above (early return)
+        break;  // handled above
     }
     metadata_.mirror(nns, op.content);
-  } else if (op.kind == CloudOp::Kind::kMigration ||
-             op.kind == CloudOp::Kind::kRebalance) {
-    migrating_.erase(op.content);
-  } else if (op.kind == CloudOp::Kind::kReplication && op.repair) {
-    // Metadata vanished (or the target failed) while the repair flow ran;
-    // release the in-flight slot so the queue keeps draining, and requeue
-    // if the object still exists under-replicated.
-    --repairs_in_flight_;
-    repair_pending_.erase(op.content);
-    if (meta != nullptr && !meta->replicas.empty() &&
-        static_cast<std::int32_t>(meta->replicas.size()) <
-            cfg_.params.replicas)
+  } else if (op.repair) {
+    // Metadata vanished (or the target failed) while the repair flow ran:
+    // requeue if the object still exists under-replicated.
+    if (meta != nullptr && !meta->replicas.empty() && under_replicated(*meta))
       enqueue_repair(op.content);
   } else if (op.kind == CloudOp::Kind::kWrite && meta != nullptr &&
              !target_alive) {
@@ -815,7 +805,6 @@ void Cloud::on_flow_complete(const transport::FlowRecord& rec) {
   }
 
   for (const auto& fn : on_complete_) fn(rec, op);
-  if (it != ops_.end()) ops_.erase(it);
 }
 
 // --------------------------------------------------------------------------
@@ -868,9 +857,7 @@ void Cloud::fail_server(std::size_t server_idx, bool re_replicate) {
       std::erase(meta->replicas, idx);
       if (meta->replicas.size() == before) continue;
       note_replicas_changed(*meta);
-      if (re_replicate && !meta->replicas.empty() &&
-          static_cast<std::int32_t>(meta->replicas.size()) <
-              cfg_.params.replicas)
+      if (re_replicate && !meta->replicas.empty() && under_replicated(*meta))
         enqueue_repair(id);
     }
     NameNode* peer = metadata_.peer(auth);
@@ -902,80 +889,52 @@ void Cloud::fail_nns(std::size_t instance) {
 // --------------------------------------------------------------------------
 
 bool Cloud::abort_flow(net::FlowId id) {
-  const auto it = ops_.find(id);
-  if (it == ops_.end()) return false;
-  const CloudOp op = it->second;
-  const transport::FlowRecord& rec = transports_.record(id);
-  const double priority = rec.priority;
-  const auto client = op.client;
-
-  if (!transports_.abort_flow(id)) return false;
+  if (!ops_.contains(id) || !transports_.abort_flow(id)) return false;
   ++churn_.aborted_flows;
-  allocator_.unregister_flow(id);
-  target_ctrl_.clear(id);
-  active_scda_.erase(id);
-  ops_.erase(it);
-  if (op.server >= 0)
-    servers_[static_cast<std::size_t>(op.server)].flow_finished();
+  const CloudOp op = end_op(id);
+  // A copy's target reserved disk when it was placed, and the bytes never
+  // fully arrived. A failed target is scrubbed wholesale on recovery.
+  BlockServer& target = servers_[static_cast<std::size_t>(op.server)];
+  if (op.kind != CloudOp::Kind::kRead && op.kind != CloudOp::Kind::kAppend &&
+      op.kind != CloudOp::Kind::kNnsSync && !target.failed())
+    target.remove(op.content);
 
   switch (op.kind) {
     case CloudOp::Kind::kRead:
       // Failover: re-issue the read against the surviving replicas. The
       // NNS lookup inside read() picks the next-best source (Fig. 5).
       ++churn_.failovers;
-      if (client >= 0)
-        read(static_cast<std::size_t>(client), op.content, priority);
+      read(static_cast<std::size_t>(op.client), op.content,
+           transports_.record(id).priority);
       break;
     case CloudOp::Kind::kWrite:
-      rollback_partial_store(op);
       fail_write(op.content);
       break;
     case CloudOp::Kind::kAppend:
       ++failed_writes_;
       break;
     case CloudOp::Kind::kReplication:
-      rollback_partial_store(op);
-      if (op.repair) {
-        --repairs_in_flight_;
-        ++churn_.repair_retries;
-        repair_pending_.erase(op.content);
-      }
+      if (op.repair) ++churn_.repair_retries;
       enqueue_repair(op.content);
       break;
     case CloudOp::Kind::kMigration:
     case CloudOp::Kind::kRebalance:
-      // The move never landed; the source copy was untouched (it is only
-      // vacated on completion), so just roll back the target reservation.
-      rollback_partial_store(op);
-      migrating_.erase(op.content);
-      break;
+      break;  // the source copy is vacated only when the move lands
     case CloudOp::Kind::kNnsSync:
       // The sync source or a host died mid-transfer.
-      metadata_.resync_aborted(static_cast<std::size_t>(client));
+      metadata_.resync_aborted(static_cast<std::size_t>(op.client));
       break;
   }
   return true;
 }
 
-void Cloud::rollback_partial_store(const CloudOp& op) {
-  // The target reserved disk for the incoming copy at setup time; an abort
-  // means the bytes never fully arrived. A failed target is scrubbed
-  // wholesale on recovery instead.
-  if (op.server < 0) return;
-  BlockServer& bs = servers_[static_cast<std::size_t>(op.server)];
-  if (!bs.failed()) bs.unplace(op.content, op.content_class);
-}
-
 void Cloud::abort_flows_touching_server(std::int32_t server_idx) {
   // Collect first (abort_flow mutates ops_), then abort in flow-id order
-  // for determinism. ops_ holds the flows not yet completed; the record
-  // check skips one whose completion is still being handled.
+  // for determinism. ops_ holds exactly the flows still running.
   std::vector<net::FlowId> victims;
-  for (const auto& [id, op] : ops_) {
-    if (op.server != server_idx && op.source_server != server_idx) continue;
-    const transport::FlowRecord& rec = transports_.record(id);
-    if (!rec.finished() && !rec.aborted) victims.push_back(id);
-  }
+  for (const auto& [id, op] : ops_)
+    if (op.server == server_idx || op.source_server == server_idx)
+      victims.push_back(id);
   std::sort(victims.begin(), victims.end());
   for (const net::FlowId id : victims) abort_flow(id);
 }
@@ -992,7 +951,7 @@ void Cloud::propagate_rate_changes() {
   // stale rate across a dead link until the next RA epoch.
   allocator_.refresh_flow_rates();
   rerate_fluid(/*epoch=*/false);
-  if (cfg_.transport == TransportKind::kScda) update_ongoing_flows();
+  update_ongoing_flows();
 }
 
 void Cloud::rerate_fluid(bool epoch) {
@@ -1015,8 +974,7 @@ void Cloud::drain_repair_queue() {
     repair_queue_.pop_front();
     ContentMeta* meta = metadata_.owner(id).find(id);
     if (meta == nullptr || meta->replicas.empty() ||
-        static_cast<std::int32_t>(meta->replicas.size()) >=
-            cfg_.params.replicas) {
+        !under_replicated(*meta)) {
       repair_pending_.erase(id);  // lost, deleted, or already healthy
       continue;
     }
@@ -1025,37 +983,45 @@ void Cloud::drain_repair_queue() {
       retry.push_back(id);  // sources exist but are all down right now
       continue;
     }
-    CloudOp op;
-    op.content = id;
-    op.content_class = meta->content_class;
-    op.kind = CloudOp::Kind::kWrite;  // source role for replication
-    op.server = source;
     ++repairs_in_flight_;
-    begin_replication(op, meta->size_bytes, cfg_.params.repair_priority,
+    begin_replication(CloudOp{.content = id,
+                              .content_class = meta->content_class,
+                              .kind = CloudOp::Kind::kWrite,  // source role
+                              .server = source},
+                      meta->size_bytes, cfg_.params.repair_priority,
                       /*repair=*/true);
   }
   for (const ContentId id : retry) repair_queue_.push_back(id);
 }
 
+void Cloud::release_repair(ContentId id) {
+  --repairs_in_flight_;
+  repair_pending_.erase(id);
+}
+
+void Cloud::retry_repair(ContentId id) {
+  release_repair(id);
+  ++churn_.repair_retries;
+  enqueue_repair(id);
+}
+
 void Cloud::note_replicas_changed(const ContentMeta& meta) {
-  const auto n = static_cast<std::int32_t>(meta.replicas.size());
-  const std::int32_t target = cfg_.params.replicas;
+  const bool under = under_replicated(meta);
   auto it = below_target_.find(meta.id);
   if (it == below_target_.end()) {
     // Durability accounting only starts once the object is fully
     // replicated; the initial fill is not an under-replication episode.
-    if (n < target) return;
+    if (under) return;
     it = below_target_.emplace(meta.id, false).first;
   }
-  const bool under = n < target;
   if (under != it->second) {
     update_under_replicated_clock();
     it->second = under;
     under_replicated_count_ += under ? 1 : -1;
   }
-  // n == 0 is absorbing (fail_server only scrubs replicas it actually
-  // erased), so each object is counted lost at most once.
-  if (n == 0) ++churn_.objects_lost;
+  // No copy left is absorbing (fail_server only scrubs replicas it
+  // actually erased), so each object is counted lost at most once.
+  if (meta.replicas.empty()) ++churn_.objects_lost;
 }
 
 void Cloud::update_under_replicated_clock() {
@@ -1081,15 +1047,6 @@ void Cloud::set_flow_priority(net::FlowId id, double priority) {
 void Cloud::fail_write(ContentId id) {
   ++failed_writes_;
   known_content_.erase(id);  // allow a retry
-  pending_deadline_.erase(id);
-}
-
-bool Cloud::write_with_deadline(std::size_t client_idx, ContentId id,
-                                std::int64_t bytes, double deadline_s,
-                                transport::ContentClass content_class) {
-  if (!write(client_idx, id, bytes, content_class)) return false;
-  pending_deadline_[id] = deadline_s;
-  return true;
 }
 
 }  // namespace scda::core

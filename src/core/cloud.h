@@ -77,6 +77,9 @@ struct CloudOp {
   /// Background re-replication flow (docs/scenarios.md): runs at
   /// ScdaParams::repair_priority and feeds the repair accounting.
   bool repair = false;
+  /// Write: absolute time its upload is driven to finish by (section
+  /// IV-A), or negative for none.
+  double deadline_s = -1;
 };
 
 /// Failure/replication scenario counters (docs/scenarios.md), reported
@@ -211,10 +214,10 @@ class Cloud {
   /// propagate=false and finish with one propagating call.
   void set_link_up(net::LinkId l, bool up, bool propagate = true);
 
-  /// Abort one in-flight flow (replica failure): unregisters it, rolls
-  /// back partial placement state and triggers the per-kind retry policy
-  /// (read failover, write failure, repair re-queue). Returns false for
-  /// unknown/finished flows.
+  /// Abort one in-flight flow (replica failure): releases it as completion
+  /// does, gives back the disk its target reserved for a copy, and runs the
+  /// per-kind policy (read failover, write failure, repair re-queue).
+  /// Returns false for unknown/finished flows.
   bool abort_flow(net::FlowId id);
 
   // --- metadata-plane fault tolerance (docs/scenarios.md) --------------------
@@ -287,6 +290,9 @@ class Cloud {
     ctrl_bytes_ += bytes;
   }
 
+  /// write() and write_with_deadline(): `op` names all but the server.
+  bool submit_write(CloudOp op, std::int64_t bytes, double priority,
+                    sim::BitRate reserved);
   /// Start the data flow of `op`, between the endpoints its kind names: a
   /// read from op.server to op.client, a write or an append from op.client
   /// to op.server, and every copy from op.source_server to op.server.
@@ -301,6 +307,10 @@ class Cloud {
   /// Re-rate the fluid flows from the allocator's current rates: at the RA
   /// epoch after each tick, or at once after an admission or failure.
   void rerate_fluid(bool epoch);
+  /// Take live flow `id` out of Cloud: its op's table entries, allocator
+  /// and rate-target registration, server flow count, move mark and repair
+  /// slot. Returns the op (a default one for a flow Cloud did not start).
+  CloudOp end_op(net::FlowId id);
   void on_flow_complete(const transport::FlowRecord& rec);
   /// Start one replication hop from op.server; `repair` flows run at
   /// params.repair_priority and feed the repair accounting.
@@ -312,15 +322,22 @@ class Cloud {
   void enqueue_repair(ContentId id);
   /// Start queued repairs up to params.max_concurrent_repairs (control tick).
   void drain_repair_queue();
+  /// Give back the in-flight slot of a repair of `id`.
+  void release_repair(ContentId id);
+  /// Requeue a repair of `id` that got no flow, counting a retry.
+  void retry_repair(ContentId id);
+  /// True while `meta` has fewer copies than params.replicas.
+  [[nodiscard]] bool under_replicated(const ContentMeta& meta) const {
+    return static_cast<std::int32_t>(meta.replicas.size()) <
+           cfg_.params.replicas;
+  }
   /// Re-check an object's replica count against the target and move the
   /// under-replicated clock (exact event-time integration).
   void note_replicas_changed(const ContentMeta& meta);
   void update_under_replicated_clock();
   /// Abort every in-flight flow whose op touches the failed server.
   void abort_flows_touching_server(std::int32_t idx);
-  /// Undo the eager BlockServer::store of a flow that never completed.
-  void rollback_partial_store(const CloudOp& op);
-  /// Count a failed write; forget its id and deadline so a retry is clean.
+  /// Count a failed write; forget its id so a retry is clean.
   void fail_write(ContentId id);
   /// Push refreshed allocations to senders and the fluid engine.
   void propagate_rate_changes();
@@ -341,8 +358,6 @@ class Cloud {
   std::unique_ptr<sim::PeriodicProcess> rebalance_loop_;
   ContentClassifier classifier_;
   TargetRateController target_ctrl_{allocator_};
-  /// Deadlines requested before the upload flow exists, keyed by content.
-  std::unordered_map<ContentId, double> pending_deadline_;
   std::uint64_t migrations_completed_ = 0;
   /// Content with a move already in flight (avoid duplicate migrations).
   std::unordered_set<ContentId> migrating_;

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/block_server.h"
+#include "sim/rng.h"
 #include "sim/simulator.h"
 #include "transport/flow.h"
 
@@ -149,14 +150,14 @@ class FrontEnd {
       : nodes_(std::move(nodes)) {}
 
   [[nodiscard]] NameNode& dispatch_by_content(ContentId content) {
-    return *nodes_[mix(static_cast<std::uint64_t>(content)) % nodes_.size()];
+    return *nodes_[dispatch_index(static_cast<std::uint64_t>(content))];
   }
   /// Shard index a key hashes to — the failover-aware paths in
   /// MetadataPlane need the index (to consult liveness and pick primary vs
   /// standby), not the node reference. Same hash as dispatch_by_content,
   /// so the mapping is stable across runs and worker counts.
   [[nodiscard]] std::size_t dispatch_index(std::uint64_t key) const {
-    return mix(key) % nodes_.size();
+    return sim::splitmix64(key) % nodes_.size();
   }
   [[nodiscard]] std::size_t nns_count() const noexcept {
     return nodes_.size();
@@ -164,14 +165,6 @@ class FrontEnd {
   [[nodiscard]] NameNode& node(std::size_t i) { return *nodes_.at(i); }
 
  private:
-  /// splitmix64 finalizer — cheap, well-mixed, deterministic across runs.
-  [[nodiscard]] static std::uint64_t mix(std::uint64_t x) noexcept {
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-  }
-
   std::vector<NameNode*> nodes_;
 };
 

@@ -3,6 +3,8 @@
 #include <deque>
 #include <stdexcept>
 
+#include "sim/rng.h"
+
 namespace scda::net {
 
 FatTree::FatTree(sim::Simulator& sim, const FatTreeConfig& cfg)
@@ -152,15 +154,10 @@ LinkId FatTree::route(const void* fabric, NodeId at, NodeId dst) {
 }
 
 namespace {
-/// splitmix64 finalizer: the per-flow hash both server_path() and
-/// ecmp_path() pick an equal-cost path with.
+/// The per-flow hash both server_path() and ecmp_path() pick an
+/// equal-cost path with.
 std::uint64_t flow_hash(FlowId flow) {
-  std::uint64_t x =
-      static_cast<std::uint64_t>(flow.value()) + 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  x ^= x >> 31;
-  return x;
+  return sim::splitmix64(static_cast<std::uint64_t>(flow.value()));
 }
 }  // namespace
 

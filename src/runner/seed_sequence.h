@@ -10,17 +10,9 @@
 
 #include <cstdint>
 
-namespace scda::runner {
+#include "sim/rng.h"
 
-/// The splitmix64 finalizer (Steele, Lea & Flood; the mix java.util
-/// .SplittableRandom uses): bijective, passes BigCrush when driven by a
-/// Weyl sequence, and cheap enough to call per run.
-[[nodiscard]] constexpr std::uint64_t splitmix64(std::uint64_t x) noexcept {
-  x += 0x9E3779B97F4A7C15ULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  return x ^ (x >> 31);
-}
+namespace scda::runner {
 
 /// Seed of replication `index` under `base`. Index 0 is the base seed
 /// itself (single-seed back-compat); later indices step a Weyl sequence
@@ -28,7 +20,7 @@ namespace scda::runner {
 [[nodiscard]] constexpr std::uint64_t derive_seed(
     std::uint64_t base, std::uint64_t index) noexcept {
   if (index == 0) return base;
-  return splitmix64(base + index * 0x9E3779B97F4A7C15ULL);
+  return sim::splitmix64(base + index * 0x9E3779B97F4A7C15ULL);
 }
 
 }  // namespace scda::runner

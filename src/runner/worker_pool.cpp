@@ -1,6 +1,9 @@
 #include "runner/worker_pool.h"
 
 #include <cstdlib>
+#include <limits>
+
+#include "util/args.h"
 
 namespace scda::runner {
 
@@ -109,11 +112,15 @@ void WorkerPool::work_through() {
   }
 }
 
+std::optional<unsigned> env_workers(const char* var) {
+  const char* env = std::getenv(var);
+  if (env == nullptr) return std::nullopt;
+  return static_cast<unsigned>(
+      util::parse_int(var, env, 1, std::numeric_limits<unsigned>::max()));
+}
+
 unsigned default_workers() {
-  if (const char* env = std::getenv("SCDA_WORKERS")) {
-    const long v = std::strtol(env, nullptr, 10);
-    if (v >= 1) return static_cast<unsigned>(v);
-  }
+  if (const auto n = env_workers("SCDA_WORKERS")) return *n;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;
 }

@@ -22,6 +22,7 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -70,6 +71,11 @@ class WorkerPool {
   std::size_t first_error_index_ = 0;    ///< lowest job index that threw
   std::exception_ptr first_error_;       ///< its exception (under mu_)
 };
+
+/// Worker count from environment variable `var`: nullopt when unset, else
+/// a whole number in [1, 4294967295], the rule of the --workers flags.
+/// Throws std::invalid_argument naming `var` for any other value.
+[[nodiscard]] std::optional<unsigned> env_workers(const char* var);
 
 /// Worker count from the environment (`SCDA_WORKERS`), falling back to
 /// std::thread::hardware_concurrency(), falling back to 1.

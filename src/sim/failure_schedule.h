@@ -131,14 +131,10 @@ struct ChurnShape {
   std::int32_t n_nns = 0;          ///< NNS instances (primaries + standbys)
 };
 
-/// splitmix64 — the repo's standard seed-mixing hash (same constants as
-/// the workload dispatch hash); good avalanche, so per-entity streams
-/// derived from (seed, tag, index) are effectively independent.
+/// The churn streams' seed mix, splitmix64: good avalanche, so per-entity
+/// streams derived from (seed, tag, index) are effectively independent.
 [[nodiscard]] constexpr std::uint64_t churn_mix(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
+  return splitmix64(x);
 }
 
 namespace detail {

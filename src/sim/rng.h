@@ -19,6 +19,16 @@
 
 namespace scda::sim {
 
+/// The splitmix64 finalizer (Steele, Lea & Flood; the mix java.util
+/// .SplittableRandom uses): bijective and well mixed. The repo's one hash
+/// for seeds, shard dispatch and ECMP picks.
+[[nodiscard]] constexpr std::uint64_t splitmix64(std::uint64_t x) noexcept {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
 /// The output sequence of std::mt19937_64(seed), computed only as far as it
 /// is read. The real engine seeds all 312 state words and twists all 312
 /// before its first output, which dominates a stream that is drawn a few

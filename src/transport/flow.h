@@ -39,8 +39,6 @@ struct FlowRecord {
   ContentClass content = ContentClass::kSemiInteractive;
   /// Priority weight (paper eq. 6); 1.0 = unweighted max-min share.
   double priority = 1.0;
-  /// Reserved minimum rate M_j (paper section IV-C); zero = none.
-  sim::BitRate reserved{};
   /// Advanced analytically by the fluid engine (no sender/receiver agents,
   /// no packets); see fluid.h for the mode decision.
   bool fluid = false;

@@ -14,6 +14,7 @@
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace scda::util {
@@ -29,6 +30,26 @@ namespace scda::util {
   }
   throw std::invalid_argument(what + ": expected a finite number, got '" +
                               text + "'");
+}
+
+/// `text` as a whole number in [lo, hi]; throws std::invalid_argument
+/// naming `what` (a flag or an environment variable).
+[[nodiscard]] inline std::int64_t parse_int(const std::string& what,
+                                            const std::string& text,
+                                            std::int64_t lo, std::int64_t hi) {
+  std::int64_t v = 0;
+  try {
+    std::size_t pos = 0;
+    v = std::stoll(text, &pos);
+    if (pos != text.size()) throw std::invalid_argument(text);
+  } catch (const std::exception&) {
+    throw std::invalid_argument(what + ": expected an integer, got '" + text +
+                                "'");
+  }
+  if (v < lo || v > hi)
+    throw std::invalid_argument(what + " must be in [" + std::to_string(lo) +
+                                ", " + std::to_string(hi) + "], got " + text);
+  return v;
 }
 
 class ArgParser {
@@ -70,30 +91,27 @@ class ArgParser {
 
   [[nodiscard]] std::int64_t get_int(const std::string& name,
                                      std::int64_t def) const {
+    return get_int_as<std::int64_t>(name, def);
+  }
+
+  /// An integer flag held in a `T` (a shape count, a pod arity), or `def`
+  /// when absent; refused, naming the flag, below `lo` or past T's range.
+  template <typename T>
+  [[nodiscard]] T get_int_as(const std::string& name, T def,
+                             T lo = std::numeric_limits<T>::min()) const {
+    static_assert(std::is_signed_v<T> || sizeof(T) < sizeof(std::int64_t));
     const auto it = flags_.find(name);
-    if (it == flags_.end()) return def;
-    try {
-      std::size_t pos = 0;
-      const std::int64_t v = std::stoll(it->second, &pos);
-      if (pos != it->second.size()) throw std::invalid_argument(it->second);
-      return v;
-    } catch (const std::exception&) {
-      throw std::invalid_argument("--" + name +
-                                  ": expected an integer, got '" +
-                                  it->second + "'");
-    }
+    return it == flags_.end()
+               ? def
+               : static_cast<T>(parse_int("--" + name, it->second, lo,
+                                          std::numeric_limits<T>::max()));
   }
 
   /// An integer flag that counts something (runs, samples, threads), or
   /// `def` when absent; refused unless it is in [1, max unsigned].
   [[nodiscard]] unsigned get_count(const std::string& name,
                                    unsigned def) const {
-    constexpr unsigned kMax = std::numeric_limits<unsigned>::max();
-    const std::int64_t v = get_int(name, def);
-    if (v < 1 || v > kMax)
-      throw std::invalid_argument("--" + name + " must be in [1, " +
-                                  std::to_string(kMax) + "], got " + get(name));
-    return static_cast<unsigned>(v);
+    return get_int_as<unsigned>(name, def, 1);
   }
 
   [[nodiscard]] bool get_bool(const std::string& name, bool def) const {

@@ -127,5 +127,27 @@ TEST(ArgParser, CountsBelowOneOrPastUnsignedThrow) {
   }
 }
 
+TEST(ArgParser, FixedWidthIntegersOutsideTheirTypeThrow) {
+  const auto a = parse({"--k=4294967300", "--agg=-2147483649",
+                        "--ok=-2147483648", "--x=4.5"});
+  EXPECT_EQ(a.get_int_as<std::int32_t>("ok", 1), -2147483647 - 1);
+  EXPECT_EQ(a.get_int_as<std::int32_t>("absent", 7), 7);
+  try {
+    (void)a.get_int_as<std::int32_t>("k", 4);
+    ADD_FAILURE() << "accepted --k=4294967300";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "--k must be in [-2147483648, 2147483647], got 4294967300");
+  }
+  EXPECT_THROW((void)a.get_int_as<std::int32_t>("agg", 4),
+               std::invalid_argument);
+  try {
+    (void)a.get_int_as<std::int32_t>("x", 1);
+    ADD_FAILURE() << "accepted --x=4.5";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(), "--x: expected an integer, got '4.5'");
+  }
+}
+
 }  // namespace
 }  // namespace scda::util

@@ -11,6 +11,8 @@
 #include <vector>
 
 #include "util/units.h"
+#include "workload/driver.h"
+#include "workload/generators.h"
 
 namespace scda::core {
 namespace {
@@ -411,6 +413,62 @@ TEST(ControlTrafficTest, OverheadIsTinyVersusLinkCapacity) {
   ASSERT_GT(cloud.control_messages(), 0u);
   const double bps = static_cast<double>(cloud.control_bytes()) * 8.0 / 10.0;
   EXPECT_LT(bps, 0.01 * cfg.topology.base_bps.bps());
+}
+
+// Census of the dormancy rule's input (section VII-C): whenever no flow is
+// in flight, every server counts as active copies exactly the blocks it
+// holds of content the name nodes list as non-passive. A migration moves
+// one copy of a content and turns the content passive, so the copies it
+// did not move must stop counting too, or their servers never scale down.
+TEST(CloudCensus, ActiveCopiesMatchTheNameNodesAfterMigrations) {
+  for (const double rebalance_s : {0.0, 2.0}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", rebalance_interval_s " +
+                   std::to_string(static_cast<int>(rebalance_s)));
+      sim::Simulator sim(seed);
+      CloudConfig cfg = small_config();
+      cfg.topology.base_bps = util::mbps(200);
+      cfg.params.replicas = 2;
+      cfg.params.rscale = util::mbps(50);
+      cfg.params.migration_interval_s = 2.0;
+      cfg.params.rebalance_interval_s = rebalance_s;
+      Cloud cloud(sim, cfg);
+      workload::ParetoPoissonConfig pc;
+      pc.arrival_rate = 5.0;
+      pc.cap_bytes = util::megabytes(20);
+      workload::DriverConfig dc;
+      dc.end_time_s = 40.0;
+      dc.interactive_fraction = 0.3;
+      workload::WorkloadDriver driver(
+          cloud, std::make_unique<workload::ParetoPoissonWorkload>(pc), dc);
+      driver.start();
+
+      std::size_t censuses = 0;
+      // Halfway between the 2 s scans: a move started by the last scan is
+      // either in flight or has landed.
+      for (double t = 41.0; t < 120.0; t += 2.0) {
+        sim.run_until(scda::sim::secs(t));
+        if (cloud.active_flows() != 0) continue;
+        ++censuses;
+        std::vector<std::int32_t> expected(cloud.servers().size(), 0);
+        for (std::size_t shard = 0; shard < cloud.metadata().shard_count();
+             ++shard) {
+          const NameNode& nns = cloud.metadata().authority(shard);
+          for (const ContentId id : nns.content_ids()) {
+            if (nns.find(id)->content_class == ContentClass::kPassive)
+              continue;
+            for (std::size_t s = 0; s < expected.size(); ++s)
+              if (cloud.servers()[s].has(id)) ++expected[s];
+          }
+        }
+        for (std::size_t s = 0; s < expected.size(); ++s)
+          EXPECT_EQ(cloud.servers()[s].active_copies(), expected[s])
+              << "server " << s << " at " << t << " s";
+      }
+      EXPECT_GT(censuses, 0u);
+      EXPECT_GT(cloud.migrations_completed(), 0u);
+    }
+  }
 }
 
 }  // namespace

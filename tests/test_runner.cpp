@@ -114,6 +114,34 @@ TEST(WorkerPool, DefaultWorkersRespectsEnv) {
   EXPECT_GE(runner::default_workers(), 1u);
 }
 
+// The worker variables follow the --workers rule. Only the values are
+// parsed here; no pool is built from them.
+TEST(WorkerPool, WorkerVariablesRefuseWhatWorkersRefuses) {
+  for (const char* var : {"SCDA_WORKERS", "SCDA_BENCH_WORKERS"}) {
+    SCOPED_TRACE(var);
+    ::unsetenv(var);
+    EXPECT_FALSE(runner::env_workers(var).has_value());
+    ::setenv(var, "4294967295", 1);
+    EXPECT_EQ(runner::env_workers(var), 4294967295u);
+    // 4294967297 used to wrap to 1 worker and 5000000000 to 705,032,704;
+    // 0, -2 and abc fell back to every core.
+    for (const char* bad : {"4294967297", "5000000000", "0", "-2", "abc",
+                            "3x", ""}) {
+      ::setenv(var, bad, 1);
+      try {
+        (void)runner::env_workers(var);
+        ADD_FAILURE() << "accepted " << bad;
+      } catch (const std::invalid_argument& e) {
+        EXPECT_EQ(std::string(e.what()).rfind(var, 0), 0u) << e.what();
+      }
+    }
+    ::unsetenv(var);
+  }
+  ::setenv("SCDA_WORKERS", "5000000000", 1);
+  EXPECT_THROW((void)runner::default_workers(), std::invalid_argument);
+  ::unsetenv("SCDA_WORKERS");
+}
+
 // ------------------------------------------------------------------ Log --
 
 TEST(Log, ConcurrentWritersProduceIntactLines) {

@@ -62,11 +62,10 @@ void paths_between(const net::Network& net, const char* what, net::NodeId a,
 int run_tree(const util::ArgParser& args) {
   sim::Simulator sim;
   net::TopologyConfig cfg;
-  cfg.n_agg = static_cast<std::int32_t>(args.get_int("agg", 4));
-  cfg.tors_per_agg = static_cast<std::int32_t>(args.get_int("tors", 5));
-  cfg.servers_per_tor =
-      static_cast<std::int32_t>(args.get_int("servers", 8));
-  cfg.n_clients = static_cast<std::int32_t>(args.get_int("clients", 64));
+  cfg.n_agg = args.get_int_as<std::int32_t>("agg", 4);
+  cfg.tors_per_agg = args.get_int_as<std::int32_t>("tors", 5);
+  cfg.servers_per_tor = args.get_int_as<std::int32_t>("servers", 8);
+  cfg.n_clients = args.get_int_as<std::int32_t>("clients", 64);
   cfg.base_bps = util::mbps(args.get_double("base-mbps", 500));
   cfg.k_factor = args.get_double("k", 3.0);
   net::ThreeTierTree t(sim, cfg);
@@ -92,11 +91,10 @@ int run_tree(const util::ArgParser& args) {
 int run_leafspine(const util::ArgParser& args) {
   sim::Simulator sim;
   net::LeafSpineConfig cfg;
-  cfg.n_spines = static_cast<std::int32_t>(args.get_int("spines", 4));
-  cfg.n_leaves = static_cast<std::int32_t>(args.get_int("leaves", 8));
-  cfg.servers_per_leaf =
-      static_cast<std::int32_t>(args.get_int("servers", 8));
-  cfg.n_clients = static_cast<std::int32_t>(args.get_int("clients", 32));
+  cfg.n_spines = args.get_int_as<std::int32_t>("spines", 4);
+  cfg.n_leaves = args.get_int_as<std::int32_t>("leaves", 8);
+  cfg.servers_per_leaf = args.get_int_as<std::int32_t>("servers", 8);
+  cfg.n_clients = args.get_int_as<std::int32_t>("clients", 32);
   cfg.server_bps = util::mbps(args.get_double("base-mbps", 500));
   cfg.fabric_bps = cfg.server_bps;
   net::LeafSpine t(sim, cfg);
@@ -117,8 +115,8 @@ int run_leafspine(const util::ArgParser& args) {
 int run_fattree(const util::ArgParser& args) {
   sim::Simulator sim;
   net::FatTreeConfig cfg;
-  cfg.k = static_cast<std::int32_t>(args.get_int("k", 4));
-  cfg.n_clients = static_cast<std::int32_t>(args.get_int("clients", 8));
+  cfg.k = args.get_int_as<std::int32_t>("k", 4);
+  cfg.n_clients = args.get_int_as<std::int32_t>("clients", 8);
   cfg.link_bps = util::mbps(args.get_double("base-mbps", 500));
   net::FatTree t(sim, cfg);
 

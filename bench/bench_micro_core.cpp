@@ -1,11 +1,13 @@
 // Micro-benchmarks (google-benchmark) for the hot paths of the simulator
 // and the SCDA control plane: event queue churn, rate-metric math, a full
-// allocator tick, the hierarchy max-min pass, FES dispatch, packet
-// forwarding, topology construction and the churn schedule build.
+// allocator tick, the hierarchy max-min pass with a server selection, FES
+// dispatch, packet forwarding, topology construction and the churn
+// schedule build.
 #include <benchmark/benchmark.h>
 
 #include "core/hierarchy.h"
 #include "core/path_selector.h"
+#include "core/selection.h"
 #include "core/water_filling.h"
 #include "net/fat_tree.h"
 #include "transport/transport_manager.h"
@@ -204,11 +206,17 @@ void BM_HierarchyUpdate(benchmark::State& state) {
   net::ThreeTierTree topo(sim, tc);
   core::ScdaParams params;
   core::RateAllocator alloc(topo.net(), params);
-  core::Hierarchy hier(topo, alloc);
+  std::vector<core::BlockServer> servers;
+  for (std::size_t s = 0; s < topo.servers().size(); ++s)
+    servers.emplace_back(s, topo.servers()[s]);
+  core::Hierarchy hier(topo, alloc, servers);
+  core::SlaManager sla(topo.net());
+  core::ServerSelector sel(hier, servers, params, sla, sim,
+                           core::PlacementPolicy::kScda);
   for (auto _ : state) {
     hier.update();
     benchmark::DoNotOptimize(
-        hier.best_server(core::SelectionMetric::kMinUpDown));
+        sel.select_write_target(transport::ContentClass::kInteractive));
   }
   state.SetItemsProcessed(state.iterations() * 160);
 }

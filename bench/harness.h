@@ -18,6 +18,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -27,6 +28,7 @@
 #include "stats/aggregate.h"
 #include "stats/emit.h"
 #include "stats/metrics_collect.h"
+#include "util/args.h"
 
 namespace scda::bench {
 
@@ -66,38 +68,47 @@ inline bool quick_mode() {
   return v != nullptr && v[0] == '1';
 }
 
-/// Replications per arm (SCDA_BENCH_SEEDS, default 1).
-inline std::uint64_t bench_seeds() {
-  if (const char* v = std::getenv("SCDA_BENCH_SEEDS")) {
-    const long n = std::strtol(v, nullptr, 10);
-    if (n >= 1) return static_cast<std::uint64_t>(n);
-  }
-  return 1;
-}
-
-/// Worker threads for the sweep (SCDA_BENCH_WORKERS, default SCDA_WORKERS
-/// or all cores). A malformed value ends the bench with exit code 1.
-inline unsigned bench_workers() {
+/// `parse()`'s value. A malformed environment variable ends the bench with
+/// exit code 1 and the parser's message, which names the variable.
+template <typename Parse>
+auto env_or_exit(Parse&& parse) {
   try {
-    if (const auto n = runner::env_workers("SCDA_BENCH_WORKERS")) return *n;
-    return runner::default_workers();
+    return parse();
   } catch (const std::invalid_argument& e) {
     std::fprintf(stderr, "%s\n", e.what());
     std::exit(1);
   }
 }
 
+/// Replications per arm: SCDA_BENCH_SEEDS under the --seeds rule (a whole
+/// number in [1, 4294967295]), or 1 when unset.
+inline std::uint64_t bench_seeds() {
+  return env_or_exit(
+      [] { return runner::env_count("SCDA_BENCH_SEEDS").value_or(1u); });
+}
+
+/// Worker threads for the sweep (SCDA_BENCH_WORKERS, default SCDA_WORKERS
+/// or all cores), each under the --workers rule.
+inline unsigned bench_workers() {
+  return env_or_exit([] {
+    if (const auto n = runner::env_count("SCDA_BENCH_WORKERS")) return *n;
+    return runner::default_workers();
+  });
+}
+
 /// Set SCDA_BENCH_FLUID=1 to run the SCDA arms in hybrid fluid/packet mode
 /// (docs/fluid_engine.md); SCDA_BENCH_FLUID_THRESHOLD overrides the
-/// elephant byte threshold.
+/// elephant byte threshold under the --fluid-threshold-bytes rule (a whole
+/// number of 0 or more).
 inline transport::FluidConfig bench_fluid() {
   transport::FluidConfig f;
   const char* v = std::getenv("SCDA_BENCH_FLUID");
   f.enabled = v != nullptr && v[0] == '1';
-  if (const char* t = std::getenv("SCDA_BENCH_FLUID_THRESHOLD")) {
-    const long long n = std::strtoll(t, nullptr, 10);
-    if (n > 0) f.threshold_bytes = n;
-  }
+  if (const char* t = std::getenv("SCDA_BENCH_FLUID_THRESHOLD"))
+    f.threshold_bytes = env_or_exit([t] {
+      return util::parse_int("SCDA_BENCH_FLUID_THRESHOLD", t, 0,
+                             std::numeric_limits<std::int64_t>::max());
+    });
   return f;
 }
 

@@ -44,10 +44,11 @@ class BlockServer {
   /// Store a new copy of content of class `cls`: a write's, a replica's or
   /// a move's target. A copy of active (non-passive) content keeps the
   /// server out of dormancy and wakes it; a passive copy lands without
-  /// waking it (section VII-C). False when the disk is full.
+  /// waking it (section VII-C). False when the disk is full, or when the
+  /// server already holds a copy of `id`: one server, one copy.
   [[nodiscard]] bool place(ContentId id, std::int64_t bytes,
                            transport::ContentClass cls) {
-    if (!store(id, bytes)) return false;
+    if (has(id) || !store(id, bytes)) return false;
     if (cls != transport::ContentClass::kPassive) {
       if (!std::exchange(blocks_[id].active, true)) ++active_copies_;
       set_dormant(false);
@@ -108,8 +109,9 @@ class BlockServer {
 
   // --- failure state (RM health monitoring, section I/III) -------------------
   /// A failed server serves nothing; its blocks are unavailable until
-  /// recovery. The RM/RA hierarchy sees its R_other as zero, so selection
-  /// never routes new work to it.
+  /// recovery. ServerSelector admits no failed server, and
+  /// Hierarchy::update() reads its R_other as zero, so a recovered server
+  /// takes new work only after the next update.
   void set_failed(bool f) noexcept { failed_ = f; }
   [[nodiscard]] bool failed() const noexcept { return failed_; }
 

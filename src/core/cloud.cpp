@@ -76,8 +76,9 @@ Cloud::Cloud(sim::Simulator& sim, CloudConfig cfg)
       topo_(sim, cfg_.topology),
       transports_(topo_.net()),
       allocator_(topo_.net(), cfg_.params),
-      hierarchy_(topo_, allocator_),
+      hierarchy_(topo_, allocator_, servers_),
       sla_(topo_.net()),
+      selector_(hierarchy_, servers_, cfg_.params, sla_, sim_, cfg_.placement),
       metadata_(sim_, cfg_.params, sim::nns_churn_configured(cfg_.churn),
                 servers_) {
   const auto n_servers = static_cast<std::size_t>(cfg_.topology.n_servers());
@@ -110,29 +111,9 @@ Cloud::Cloud(sim::Simulator& sim, CloudConfig cfg)
         bytes, cfg_.params.repair_priority, /*reserved=*/sim::BitRate{});
   });
 
-  selector_ = std::make_unique<ServerSelector>(
-      hierarchy_, servers_, cfg_.params, sim_.rng(), cfg_.placement);
-  // Admission: the server needs disk space, and for SCDA placements the NNS
-  // avoids servers behind links with recent SLA violations (section IV-A).
-  selector_->set_admit_filter([this](std::size_t s) {
-    if (servers_[s].failed()) return false;
-    if (servers_[s].resources().free_bytes() <= 0) return false;
-    if (cfg_.placement == PlacementPolicy::kScda) {
-      const sim::Time now = sim_.now();
-      if (sla_.recently_violated(topo_.server_uplink(s), now) ||
-          sla_.recently_violated(topo_.server_downlink(s), now))
-        return false;
-    }
-    return true;
-  });
-
-  hierarchy_.set_r_other_provider([this](std::size_t s) {
-    // A failed server offers no service rate at all (RM health signal).
-    return servers_[s].failed() ? sim::BitRate{}
-                                : servers_[s].resources().r_other();
-  });
   // A flow is capped at its server endpoints' R_other whether or not the
-  // server has failed since: only selection reads a failed server as 0.
+  // server has failed since: only the hierarchy's R-hat table, which
+  // selection ranks by, reads a failed server as 0.
   allocator_.set_r_other_hook(
       [](const void* ctx, net::NodeId node) {
         const Cloud& c = *static_cast<const Cloud*>(ctx);
@@ -301,8 +282,8 @@ void Cloud::migration_scan() {
 
       const std::int32_t source = meta->replicas.front();
       const std::int32_t target =
-          selector_->select_replica_target(ContentClass::kPassive, {source});
-      if (target < 0 || target == source) continue;
+          selector_.select_replica_target(ContentClass::kPassive, {source});
+      if (target < 0) continue;
       if (std::find(meta->replicas.begin(), meta->replicas.end(), target) !=
           meta->replicas.end())
         continue;  // already replicated there
@@ -398,7 +379,7 @@ void Cloud::rebalance_scan() {
       continue;
     }
     const std::int32_t target =
-        selector_->select_replica_target(meta->content_class, meta->replicas);
+        selector_.select_replica_target(meta->content_class, meta->replicas);
     if (target < 0 ||
         load[static_cast<std::size_t>(target)] > mean_load) {
       ++rebalance_stats_.skipped;  // no strictly cooler home available
@@ -472,7 +453,7 @@ bool Cloud::submit_write(CloudOp op, std::int64_t bytes, double priority,
     // Steps 3-4: NNS asks the RA for the best BS (here: level hmax).
     count_ctrl(2, 2 * kCtrlMsgBytes);
     CloudOp w = op;
-    w.server = selector_->select_write_target(op.content_class);
+    w.server = selector_.select_write_target(op.content_class);
     if (w.server < 0 || !servers_[static_cast<std::size_t>(w.server)].place(
                             op.content, bytes, op.content_class)) {
       fail_write(op.content);
@@ -515,7 +496,7 @@ bool Cloud::read(std::size_t client_idx, ContentId id, double priority) {
     }
     // Step 3 (Fig. 5): choose the replica with the best upload rate.
     count_ctrl(2, 2 * kCtrlMsgBytes);
-    const std::int32_t source = selector_->select_read_replica(meta->replicas);
+    const std::int32_t source = selector_.select_read_replica(meta->replicas);
     if (source < 0) {
       ++failed_reads_;
       return;
@@ -601,8 +582,8 @@ void Cloud::begin_replication(const CloudOp& write_op, std::int64_t bytes,
       exclude.push_back(write_op.server);
 
     const std::int32_t target =
-        selector_->select_replica_target(write_op.content_class, exclude);
-    if (target < 0 || target == write_op.server ||
+        selector_.select_replica_target(write_op.content_class, exclude);
+    if (target < 0 ||
         !servers_[static_cast<std::size_t>(target)].place(
             write_op.content, bytes, write_op.content_class)) {
       // A repair that cannot start (no admissible target, disk full) goes
@@ -690,7 +671,7 @@ net::FlowId Cloud::start_data_flow(const CloudOp& op, std::int64_t bytes,
   // A write's deadline arms the adaptive controller now that the upload
   // flow exists (section IV-A EDF emulation).
   if (op.deadline_s >= 0)
-    target_ctrl_.set_deadline(handles.id, bytes, op.deadline_s);
+    target_ctrl_.set_deadline(handles.id, op.deadline_s);
   // Fluid flows have no sender/receiver to re-window each interval; the
   // fluid epoch after each tick drives their rates instead.
   if (!handles.fluid) active_scda_.emplace(handles.id, handles);
@@ -978,7 +959,7 @@ void Cloud::drain_repair_queue() {
       repair_pending_.erase(id);  // lost, deleted, or already healthy
       continue;
     }
-    const std::int32_t source = selector_->select_read_replica(meta->replicas);
+    const std::int32_t source = selector_.select_read_replica(meta->replicas);
     if (source < 0) {
       retry.push_back(id);  // sources exist but are all down right now
       continue;

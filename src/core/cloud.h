@@ -150,7 +150,7 @@ class Cloud {
   [[nodiscard]] RateAllocator& allocator() noexcept { return allocator_; }
   [[nodiscard]] Hierarchy& hierarchy() noexcept { return hierarchy_; }
   [[nodiscard]] SlaManager& sla() noexcept { return sla_; }
-  [[nodiscard]] ServerSelector& selector() noexcept { return *selector_; }
+  [[nodiscard]] ServerSelector& selector() noexcept { return selector_; }
   [[nodiscard]] MetadataPlane& metadata() noexcept { return metadata_; }
   [[nodiscard]] FrontEnd& fes() noexcept { return metadata_.fes(); }
   [[nodiscard]] std::vector<BlockServer>& servers() noexcept {
@@ -347,11 +347,11 @@ class Cloud {
   net::ThreeTierTree topo_;
   transport::TransportManager transports_;
   RateAllocator allocator_;
+  std::vector<BlockServer> servers_;
   Hierarchy hierarchy_;
   SlaManager sla_;
   RebalanceStats rebalance_stats_;
-  std::unique_ptr<ServerSelector> selector_;
-  std::vector<BlockServer> servers_;
+  ServerSelector selector_;
   MetadataPlane metadata_;
   std::unique_ptr<sim::PeriodicProcess> control_loop_;
   std::unique_ptr<sim::PeriodicProcess> migration_loop_;

@@ -1,11 +1,11 @@
 #include "core/hierarchy.h"
 
-#include <limits>
-
 namespace scda::core {
 
-Hierarchy::Hierarchy(net::ThreeTierTree& topo, RateAllocator& alloc)
-    : topo_(topo), alloc_(alloc) {
+Hierarchy::Hierarchy(const net::ThreeTierTree& topo,
+                     const RateAllocator& alloc,
+                     const std::vector<BlockServer>& servers)
+    : topo_(topo), alloc_(alloc), servers_(servers) {
   const auto n = static_cast<std::size_t>(topo_.config().n_servers());
   rhat0_up_.assign(n, sim::BitRate{});
   up_.assign(n, sim::BitRate{});
@@ -32,33 +32,15 @@ void Hierarchy::update() {
 
   for (std::size_t s = 0; s < up_.size(); ++s) {
     const TorMin& tor = tor_min_[topo_.tor_of_server(s)];
+    // A failed server offers no service rate at all (RM health signal).
+    const BlockServer& bs = servers_.at(s);
     const sim::BitRate other =
-        r_other_ ? r_other_(s)
-                 : sim::BitRate{std::numeric_limits<double>::infinity()};
+        bs.failed() ? sim::BitRate{} : bs.resources().r_other();
     rhat0_up_[s] = sim::min(alloc_.link_rate(topo_.server_uplink(s)), other);
     up_[s] = sim::min(rhat0_up_[s], tor.up);
     down_[s] = sim::min(
         sim::min(alloc_.link_rate(topo_.server_downlink(s)), other), tor.down);
   }
-}
-
-BestServer Hierarchy::best_server(
-    SelectionMetric m, const std::function<bool(std::size_t)>& admit,
-    const std::function<sim::BitRate(std::size_t, sim::BitRate)>& reweight)
-    const {
-  BestServer best;
-  for (std::size_t s = 0; s < up_.size(); ++s) {
-    if (admit && !admit(s)) continue;
-    sim::BitRate v = m == SelectionMetric::kDown ? down_[s]
-                     : m == SelectionMetric::kUp ? up_[s]
-                                                 : sim::min(up_[s], down_[s]);
-    if (reweight) v = reweight(s, v);
-    if (v > best.value) {
-      best.value = v;
-      best.server = static_cast<std::int32_t>(s);
-    }
-  }
-  return best;
 }
 
 }  // namespace scda::core

@@ -6,6 +6,15 @@ namespace scda::core {
 
 using transport::ContentClass;
 
+bool ServerSelector::admit(std::size_t s) const {
+  const BlockServer& bs = servers_[s];
+  if (bs.failed() || bs.resources().free_bytes() <= 0) return false;
+  if (policy_ != PlacementPolicy::kScda) return true;
+  const sim::Time now = sim_.now();
+  return !sla_.recently_violated(hier_.tree().server_uplink(s), now) &&
+         !sla_.recently_violated(hier_.tree().server_downlink(s), now);
+}
+
 bool ServerSelector::admit_active(std::size_t s) const {
   if (!admit(s)) return false;
   if (servers_[s].dormant()) return false;
@@ -18,52 +27,51 @@ bool ServerSelector::admit_active(std::size_t s) const {
   return true;
 }
 
-BestServer ServerSelector::pick(
-    SelectionMetric m, const std::function<bool(std::size_t)>& ok) const {
-  if (params_.power_aware) {
-    // Rank by rate-to-power ratio (section VII-D); the reweight keeps the
-    // returned value in bps-per-watt space, which only affects ordering.
-    return hier_.best_server(m, ok, [this](std::size_t s, sim::BitRate v) {
-      return v / std::max(servers_[s].power().average_w(), 1.0);
-    });
+template <typename Ok>
+std::int32_t ServerSelector::pick(SelectionMetric m, const Ok& ok) const {
+  std::int32_t best = -1;
+  sim::BitRate best_v{};
+  for (std::size_t s = 0; s < servers_.size(); ++s) {
+    const sim::BitRate up = hier_.server_value_up(s);
+    const sim::BitRate down = hier_.server_value_down(s);
+    sim::BitRate v = m == SelectionMetric::kDown ? down
+                     : m == SelectionMetric::kUp ? up
+                                                 : sim::min(up, down);
+    // Rank by rate-to-power ratio (section VII-D): bps per watt, kept in
+    // rate space, of which only the ordering counts.
+    if (params_.power_aware)
+      v = v / std::max(servers_[s].power().average_w(), 1.0);
+    // Only a server that would beat the best so far needs `ok`, so the
+    // admission rule's SLA lookups run for few servers.
+    if (v > best_v && ok(s)) {
+      best_v = v;
+      best = static_cast<std::int32_t>(s);
+    }
   }
-  return hier_.best_server(m, ok);
+  return best;
 }
 
 std::int32_t ServerSelector::select_write_target(ContentClass content_class) {
   if (policy_ == PlacementPolicy::kRandom) return random_server({});
 
-  const auto active_ok = [this](std::size_t s) { return admit_active(s); };
-  const auto any_ok = [this](std::size_t s) { return admit(s); };
-
-  BestServer best;
-  switch (content_class) {
-    case ContentClass::kInteractive:
-      // Interaction rate is limited by min(uplink, downlink) (VII-A).
-      best = pick(SelectionMetric::kMinUpDown, active_ok);
-      break;
-    case ContentClass::kSemiInteractive:
-    case ContentClass::kPassive:
-      // First stage for both: the server data can be *written to* fastest
-      // (VII-B, VII-C). Passive content lands on an active server first and
-      // is replicated/moved to a dormant one afterwards.
-      best = pick(SelectionMetric::kDown, active_ok);
-      break;
-  }
-  if (best.server < 0) {
-    // Fallback 1: drop the R_scale restriction but still prefer awake
-    // servers (keeps dormant machines asleep whenever possible).
-    const auto awake_ok = [this](std::size_t s) {
+  // Interaction rate is limited by min(uplink, downlink) (VII-A). The
+  // other classes first go where data can be *written to* fastest (VII-B,
+  // VII-C): passive content lands on an active server first and is
+  // replicated/moved to a dormant one afterwards.
+  const SelectionMetric m = content_class == ContentClass::kInteractive
+                                ? SelectionMetric::kMinUpDown
+                                : SelectionMetric::kDown;
+  std::int32_t best =
+      pick(m, [this](std::size_t s) { return admit_active(s); });
+  // Fallback 1: drop the R_scale restriction but still prefer awake
+  // servers (keeps dormant machines asleep whenever possible).
+  if (best < 0)
+    best = pick(m, [this](std::size_t s) {
       return admit(s) && !servers_[s].dormant();
-    };
-    const SelectionMetric m = content_class == ContentClass::kInteractive
-                                  ? SelectionMetric::kMinUpDown
-                                  : SelectionMetric::kDown;
-    best = pick(m, awake_ok);
-    // Fallback 2: wake a dormant server rather than reject the write.
-    if (best.server < 0) best = pick(m, any_ok);
-  }
-  return best.server;
+    });
+  // Fallback 2: wake a dormant server rather than reject the write.
+  if (best < 0) best = pick(m, [this](std::size_t s) { return admit(s); });
+  return best;
 }
 
 std::int32_t ServerSelector::random_server(
@@ -71,7 +79,7 @@ std::int32_t ServerSelector::random_server(
   const auto n = static_cast<std::int64_t>(servers_.size());
   if (n == 0) return -1;
   for (int attempt = 0; attempt < 64; ++attempt) {
-    const auto s = static_cast<std::int32_t>(rng_.uniform_int(0, n - 1));
+    const auto s = static_cast<std::int32_t>(sim_.rng().uniform_int(0, n - 1));
     if (std::find(exclude.begin(), exclude.end(), s) == exclude.end() &&
         admit(static_cast<std::size_t>(s)))
       return s;
@@ -92,27 +100,21 @@ std::int32_t ServerSelector::select_replica_target(
       params_.rscale > sim::BitRate{}) {
     // Replicate passive data to a dormant-eligible server: uplink
     // allocation above R_scale, i.e. a nearly idle machine (VII-C).
-    const auto dormant_ok = [&](std::size_t s) {
+    const std::int32_t b = pick(SelectionMetric::kUp, [&](std::size_t s) {
       return not_excluded(s) && admit(s) &&
              hier_.rm_rhat_up(s) > params_.rscale;
-    };
-    const BestServer b = pick(SelectionMetric::kUp, dormant_ok);
-    if (b.server >= 0) return b.server;
+    });
+    if (b >= 0) return b;
     // else fall through to the generic best-uplink choice
   }
 
-  const auto active_ok = [&](std::size_t s) {
-    return not_excluded(s) && admit_active(s);
-  };
   // Replica server is where *reads* will come from: best uplink (VII-B).
-  BestServer b = pick(SelectionMetric::kUp, active_ok);
-  if (b.server < 0) {
-    const auto any_ok = [&](std::size_t s) {
-      return not_excluded(s) && admit(s);
-    };
-    b = pick(SelectionMetric::kUp, any_ok);
-  }
-  return b.server;
+  const std::int32_t b = pick(SelectionMetric::kUp, [&](std::size_t s) {
+    return not_excluded(s) && admit_active(s);
+  });
+  if (b >= 0) return b;
+  return pick(SelectionMetric::kUp,
+              [&](std::size_t s) { return not_excluded(s) && admit(s); });
 }
 
 std::int32_t ServerSelector::select_read_replica(
@@ -123,9 +125,11 @@ std::int32_t ServerSelector::select_read_replica(
     for (const std::int32_t s : replicas)
       if (!servers_[static_cast<std::size_t>(s)].failed()) alive.push_back(s);
     if (alive.empty()) return -1;
-    return alive[static_cast<std::size_t>(rng_.uniform_int(
+    return alive[static_cast<std::size_t>(sim_.rng().uniform_int(
         0, static_cast<std::int64_t>(alive.size()) - 1))];
   }
+  // Its own loop, not pick(): replicas are ranked in list order from
+  // below 0, so the first listed wins a tie, even at a rate of 0.
   std::int32_t best = -1;
   sim::BitRate best_v{-1};
   for (const std::int32_t s : replicas) {

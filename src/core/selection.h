@@ -1,4 +1,5 @@
-// Server selection strategies (paper section VII).
+// Server selection strategies (paper section VII): the one place that
+// decides which block server takes new work.
 //
 // Selection consumes the R-hat metrics maintained by the RM/RA hierarchy:
 //   interactive       -> argmax min(R-hat_d, R-hat_u)            (VII-A)
@@ -10,17 +11,21 @@
 // While passive content exists and the dormant policy is enabled, active
 // content avoids servers whose uplink allocation exceeds R_scale, keeping
 // the least-loaded (dormant) servers free for passive data.
+//
+// Every choice admits only servers that have not failed and have free
+// disk; under SCDA placement the NNS also avoids a server whose access
+// uplink or downlink violated its SLA within the SlaManager's cooldown
+// (section IV-A).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "core/block_server.h"
 #include "core/hierarchy.h"
 #include "core/params.h"
 #include "core/sla.h"
-#include "sim/rng.h"
+#include "sim/simulator.h"
 #include "transport/flow.h"
 
 namespace scda::core {
@@ -31,22 +36,28 @@ enum class PlacementPolicy : std::uint8_t {
   kRandom,  ///< uniform random (the RandTCP baseline / VL2 / Hedera)
 };
 
+/// Ranking metric for server selection (paper section VII).
+enum class SelectionMetric : std::uint8_t {
+  kDown,       ///< best downlink rate (fast writes)
+  kUp,         ///< best uplink rate (fast reads)
+  kMinUpDown,  ///< best min(up, down) (interactive content)
+};
+
 class ServerSelector {
  public:
-  ServerSelector(Hierarchy& hierarchy, std::vector<BlockServer>& servers,
-                 const ScdaParams& params, sim::Rng& rng,
-                 PlacementPolicy policy)
+  /// Reads the R-hat table `hierarchy` keeps and the access links of its
+  /// tree, `sla`'s violation record at `sim`'s clock, and draws random
+  /// placements from `sim`'s generator.
+  ServerSelector(const Hierarchy& hierarchy,
+                 const std::vector<BlockServer>& servers,
+                 const ScdaParams& params, const SlaManager& sla,
+                 sim::Simulator& sim, PlacementPolicy policy)
       : hier_(hierarchy),
         servers_(servers),
         params_(params),
-        rng_(rng),
+        sla_(sla),
+        sim_(sim),
         policy_(policy) {}
-
-  /// Optional admission filter (e.g. exclude servers behind links with
-  /// recent SLA violations, or without disk space).
-  void set_admit_filter(std::function<bool(std::size_t)> f) {
-    admit_ = std::move(f);
-  }
 
   /// Server for the initial write of `content_class` content (steps 3-4 of
   /// Fig. 3); -1 if no server qualifies.
@@ -69,26 +80,28 @@ class ServerSelector {
   [[nodiscard]] PlacementPolicy policy() const noexcept { return policy_; }
 
  private:
-  [[nodiscard]] bool admit(std::size_t s) const {
-    return !admit_ || admit_(s);
-  }
+  /// The admission rule (see the file comment).
+  [[nodiscard]] bool admit(std::size_t s) const;
   /// Active content must not use dormant-reserved servers while the dormant
   /// policy is on (R_scale > 0).
   [[nodiscard]] bool admit_active(std::size_t s) const;
-  /// Uniform pick among the servers outside `exclude` that pass the
-  /// admission filter; -1 after 64 draws miss.
+  /// Uniform pick among the admitted servers outside `exclude`; -1 after
+  /// 64 draws miss.
   [[nodiscard]] std::int32_t random_server(
       const std::vector<std::int32_t>& exclude);
-  [[nodiscard]] BestServer pick(SelectionMetric m,
-                                const std::function<bool(std::size_t)>& ok)
-      const;
+  /// The argmax: among the servers `ok` accepts, the one with the highest
+  /// R-hat^hmax by `m`, divided by its mean power when power-aware. The
+  /// lowest index wins a tie; -1 when no rate is above 0. `ok` must have
+  /// no side effects: it runs only for servers that would win.
+  template <typename Ok>
+  [[nodiscard]] std::int32_t pick(SelectionMetric m, const Ok& ok) const;
 
-  Hierarchy& hier_;
-  std::vector<BlockServer>& servers_;
+  const Hierarchy& hier_;
+  const std::vector<BlockServer>& servers_;
   const ScdaParams& params_;
-  sim::Rng& rng_;
+  const SlaManager& sla_;
+  sim::Simulator& sim_;
   PlacementPolicy policy_;
-  std::function<bool(std::size_t)> admit_;
 };
 
 }  // namespace scda::core

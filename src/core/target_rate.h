@@ -30,14 +30,13 @@ class TargetRateController {
 
   /// Drive the flow towards a fixed rate.
   void set_target_rate(net::FlowId id, sim::BitRate target) {
-    targets_[id] = Goal{target, -1.0, 0};
+    targets_[id] = Goal{target, -1.0};
   }
 
-  /// Drive the flow to finish `remaining_bytes` by absolute `deadline`
+  /// Drive the flow to finish its remaining bytes by absolute `deadline_s`
   /// (EDF-style: the target rate grows as the deadline nears).
-  void set_deadline(net::FlowId id, std::int64_t total_bytes,
-                    double deadline_s) {
-    targets_[id] = Goal{sim::BitRate{}, deadline_s, total_bytes};
+  void set_deadline(net::FlowId id, double deadline_s) {
+    targets_[id] = Goal{sim::BitRate{}, deadline_s};
   }
 
   void clear(net::FlowId id) { targets_.erase(id); }
@@ -102,7 +101,6 @@ class TargetRateController {
   struct Goal {
     sim::BitRate target{};   ///< fixed-rate goal (when deadline_s < 0)
     double deadline_s = -1;  ///< absolute deadline (EDF mode) or -1
-    std::int64_t total_bytes = 0;
   };
 
   RateAllocator& alloc_;

@@ -112,7 +112,7 @@ void WorkerPool::work_through() {
   }
 }
 
-std::optional<unsigned> env_workers(const char* var) {
+std::optional<unsigned> env_count(const char* var) {
   const char* env = std::getenv(var);
   if (env == nullptr) return std::nullopt;
   return static_cast<unsigned>(
@@ -120,7 +120,7 @@ std::optional<unsigned> env_workers(const char* var) {
 }
 
 unsigned default_workers() {
-  if (const auto n = env_workers("SCDA_WORKERS")) return *n;
+  if (const auto n = env_count("SCDA_WORKERS")) return *n;
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;
 }

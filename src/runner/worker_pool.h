@@ -72,10 +72,11 @@ class WorkerPool {
   std::exception_ptr first_error_;       ///< its exception (under mu_)
 };
 
-/// Worker count from environment variable `var`: nullopt when unset, else
-/// a whole number in [1, 4294967295], the rule of the --workers flags.
-/// Throws std::invalid_argument naming `var` for any other value.
-[[nodiscard]] std::optional<unsigned> env_workers(const char* var);
+/// A count (of workers, of seeds) from environment variable `var`: nullopt
+/// when unset, else a whole number in [1, 4294967295], the rule of the
+/// --workers and --seeds flags. Throws std::invalid_argument naming `var`
+/// for any other value.
+[[nodiscard]] std::optional<unsigned> env_count(const char* var);
 
 /// Worker count from the environment (`SCDA_WORKERS`), falling back to
 /// std::thread::hardware_concurrency(), falling back to 1.

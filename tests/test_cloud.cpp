@@ -420,6 +420,7 @@ TEST(ControlTrafficTest, OverheadIsTinyVersusLinkCapacity) {
 // holds of content the name nodes list as non-passive. A migration moves
 // one copy of a content and turns the content passive, so the copies it
 // did not move must stop counting too, or their servers never scale down.
+// Every completion also checks the replica list of its content.
 TEST(CloudCensus, ActiveCopiesMatchTheNameNodesAfterMigrations) {
   for (const double rebalance_s : {0.0, 2.0}) {
     for (const std::uint64_t seed : {1u, 2u, 3u}) {
@@ -442,6 +443,24 @@ TEST(CloudCensus, ActiveCopiesMatchTheNameNodesAfterMigrations) {
       workload::WorkloadDriver driver(
           cloud, std::make_unique<workload::ParetoPoissonWorkload>(pc), dc);
       driver.start();
+      // A server holds at most one copy of a content, so at no completion
+      // does a name node list a server twice. With rebalancing on, a move
+      // could target the server an in-flight copy is already writing to.
+      std::size_t listed_twice = 0;
+      if (rebalance_s > 0)
+        cloud.add_completion_callback([&](const transport::FlowRecord&,
+                                          const CloudOp& op) {
+          const ContentMeta* meta =
+              cloud.metadata().owner(op.content).find(op.content);
+          if (meta == nullptr) return;
+          std::vector<std::int32_t> r = meta->replicas;
+          std::sort(r.begin(), r.end());
+          if (std::adjacent_find(r.begin(), r.end()) != r.end() &&
+              listed_twice++ == 0)
+            ADD_FAILURE() << "content " << op.content
+                          << " lists a server twice at "
+                          << sim.now().seconds() << " s";
+        });
 
       std::size_t censuses = 0;
       // Halfway between the 2 s scans: a move started by the last scan is
@@ -467,6 +486,7 @@ TEST(CloudCensus, ActiveCopiesMatchTheNameNodesAfterMigrations) {
       }
       EXPECT_GT(censuses, 0u);
       EXPECT_GT(cloud.migrations_completed(), 0u);
+      EXPECT_EQ(listed_twice, 0u);
     }
   }
 }

@@ -2,15 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <vector>
 
+#include "core/selection.h"
 #include "net/topology.h"
 #include "sim/rng.h"
 #include "sim/simulator.h"
 
 namespace scda::core {
 namespace {
+
+using transport::ContentClass;
 
 /// Small 2x2x2 tree: 8 servers, X = 100 Mbps, K = 2.
 class HierarchyTest : public ::testing::Test {
@@ -25,7 +29,16 @@ class HierarchyTest : public ::testing::Test {
     topo_ = std::make_unique<net::ThreeTierTree>(sim_, cfg_);
     params_.alpha = 1.0;
     alloc_ = std::make_unique<RateAllocator>(topo_->net(), params_);
-    hier_ = std::make_unique<Hierarchy>(*topo_, *alloc_);
+    for (std::size_t s = 0; s < topo_->servers().size(); ++s)
+      servers_.emplace_back(s, topo_->servers()[s]);
+    hier_ = std::make_unique<Hierarchy>(*topo_, *alloc_, servers_);
+    sla_ = std::make_unique<SlaManager>(topo_->net());
+  }
+
+  /// The top RA's answer to the NNS: the argmax over this R-hat table.
+  ServerSelector selector() {
+    return ServerSelector(*hier_, servers_, params_, *sla_, sim_,
+                          PlacementPolicy::kScda);
   }
 
   sim::Simulator sim_;
@@ -33,7 +46,9 @@ class HierarchyTest : public ::testing::Test {
   ScdaParams params_;
   std::unique_ptr<net::ThreeTierTree> topo_;
   std::unique_ptr<RateAllocator> alloc_;
+  std::vector<BlockServer> servers_;
   std::unique_ptr<Hierarchy> hier_;
+  std::unique_ptr<SlaManager> sla_;
 };
 
 TEST_F(HierarchyTest, IdleNetworkValuesEqualLinkCapacityChainMin) {
@@ -47,15 +62,30 @@ TEST_F(HierarchyTest, IdleNetworkValuesEqualLinkCapacityChainMin) {
 }
 
 TEST_F(HierarchyTest, ROtherCapsServerValue) {
-  hier_->set_r_other_provider([](std::size_t s) {
-    // server 2 disk-limited to 30M
-    return sim::BitRate{s == 2 ? 30e6 : 1e9};
-  });
+  // Server 2 is disk-limited to 30M; the rest keep their default R_other,
+  // far above the 100M links.
+  servers_[2].resources().set_disk(sim::BitRate{30e6});
   hier_->update();
   EXPECT_DOUBLE_EQ(hier_->rm_rhat_up(2).bps(), 30e6);
   EXPECT_DOUBLE_EQ(hier_->server_value_up(2).bps(), 30e6);
   EXPECT_DOUBLE_EQ(hier_->server_value_down(2).bps(), 30e6);
   EXPECT_DOUBLE_EQ(hier_->rm_rhat_up(3).bps(), 100e6);
+}
+
+TEST_F(HierarchyTest, FailedServerReadsZeroUntilTheNextUpdate) {
+  servers_[4].set_failed(true);
+  hier_->update();
+  EXPECT_EQ(hier_->rm_rhat_up(4).bps(), 0.0);
+  EXPECT_EQ(hier_->server_value_up(4).bps(), 0.0);
+  EXPECT_EQ(hier_->server_value_down(4).bps(), 0.0);
+  EXPECT_DOUBLE_EQ(hier_->server_value_up(5).bps(), 100e6);
+  // A recovery shows in the table only once the control loop recomputes it.
+  servers_[4].set_failed(false);
+  EXPECT_EQ(hier_->server_value_up(4).bps(), 0.0);
+  hier_->update();
+  EXPECT_DOUBLE_EQ(hier_->rm_rhat_up(4).bps(), 100e6);
+  EXPECT_DOUBLE_EQ(hier_->server_value_up(4).bps(), 100e6);
+  EXPECT_DOUBLE_EQ(hier_->server_value_down(4).bps(), 100e6);
 }
 
 TEST_F(HierarchyTest, BestServerPrefersUnloaded) {
@@ -65,49 +95,60 @@ TEST_F(HierarchyTest, BestServerPrefersUnloaded) {
     alloc_->register_flow(f, topo_->servers()[0], topo_->clients()[0]);
   for (int i = 0; i < 50; ++i) alloc_->tick();
   hier_->update();
-  const BestServer b = hier_->best_server(SelectionMetric::kUp);
-  EXPECT_NE(b.server, 0);
-  EXPECT_GT(b.value.bps(), hier_->server_value_up(0).bps());
+  const std::int32_t b = selector().select_replica_target(
+      ContentClass::kSemiInteractive, {});
+  ASSERT_GE(b, 0);
+  EXPECT_NE(b, 0);
+  EXPECT_GT(hier_->server_value_up(static_cast<std::size_t>(b)).bps(),
+            hier_->server_value_up(0).bps());
 }
 
 TEST_F(HierarchyTest, BestServerMinUpDownUsesWorseDirection) {
-  hier_->set_r_other_provider(
-      [](std::size_t) { return sim::BitRate{1e9}; });
-  // Load server 1's downlink only.
+  // Load only server 0's access uplink (the flows end at its ToR). Every
+  // downlink stays idle, so a downlink ranking ties and takes index 0;
+  // min(up, down) sees the loaded uplink.
+  const net::NodeId tor = topo_->tors()[topo_->tor_of_server(0)];
   for (net::FlowId f{1}; f <= net::FlowId{4}; ++f)
-    alloc_->register_flow(f, topo_->clients()[0], topo_->servers()[1]);
+    alloc_->register_flow(f, topo_->servers()[0], tor);
   for (int i = 0; i < 50; ++i) alloc_->tick();
   hier_->update();
-  const double min_v = std::min(hier_->server_value_up(1).bps(),
-                                hier_->server_value_down(1).bps());
+  const double min_v = std::min(hier_->server_value_up(0).bps(),
+                                hier_->server_value_down(0).bps());
   EXPECT_LT(min_v, 100e6);
-  const BestServer b = hier_->best_server(SelectionMetric::kMinUpDown);
-  EXPECT_NE(b.server, 1);
+  ServerSelector sel = selector();
+  EXPECT_EQ(sel.select_write_target(ContentClass::kSemiInteractive), 0);
+  EXPECT_EQ(sel.select_write_target(ContentClass::kInteractive), 1);
 }
 
 TEST_F(HierarchyTest, FilteredSelectionHonoursPredicate) {
+  // The admission rule filters: servers 0-5 have failed since the table
+  // was computed, so their rates still read their links.
   hier_->update();
-  const BestServer b = hier_->best_server(
-      SelectionMetric::kUp, [](std::size_t s) { return s >= 6; });
-  EXPECT_GE(b.server, 6);
+  for (std::size_t s = 0; s < 6; ++s) servers_[s].set_failed(true);
+  EXPECT_EQ(selector().select_replica_target(ContentClass::kSemiInteractive,
+                                             {}),
+            6);
 }
 
 TEST_F(HierarchyTest, FilteredSelectionAllRejectedGivesInvalid) {
   hier_->update();
-  const BestServer b = hier_->best_server(
-      SelectionMetric::kUp, [](std::size_t) { return false; });
-  EXPECT_EQ(b.server, -1);
+  for (BlockServer& bs : servers_) bs.resources().set_capacity_bytes(0);
+  ServerSelector sel = selector();
+  EXPECT_EQ(sel.select_replica_target(ContentClass::kSemiInteractive, {}),
+            -1);
+  EXPECT_EQ(sel.select_write_target(ContentClass::kSemiInteractive), -1);
 }
 
 TEST_F(HierarchyTest, ReweightChangesWinner) {
+  // Power-aware ranking (section VII-D) divides each rate by the server's
+  // mean power: every server but 5 draws 1,000 times its power.
+  params_.power_aware = true;
+  for (std::size_t s = 0; s < servers_.size(); ++s)
+    servers_[s].power().record_sample(s == 5 ? 2.0 : 2000.0, 1.0);
   hier_->update();
-  // Heavily penalize every server except 5.
-  const BestServer b = hier_->best_server(
-      SelectionMetric::kUp, nullptr,
-      [](std::size_t s, sim::BitRate v) {
-        return s == 5 ? v : v / 1000.0;
-      });
-  EXPECT_EQ(b.server, 5);
+  EXPECT_EQ(selector().select_replica_target(ContentClass::kSemiInteractive,
+                                             {}),
+            5);
 }
 
 TEST_F(HierarchyTest, ServerCountMatchesTopology) {
@@ -115,19 +156,22 @@ TEST_F(HierarchyTest, ServerCountMatchesTopology) {
 }
 
 /// Loads seeded random flows onto a tree, gives every server its own
-/// R_other, and checks the three kept values of every server against the
-/// allocator's link rates along the route to the gateway. Two in five flows
-/// run between a server and a client; the rest run between two servers and
-/// load the ToR and aggregation links without the core, so every level
-/// binds somewhere.
+/// R_other (its CPU and disk rate), and checks the three kept values of
+/// every server against the allocator's link rates along the route to the
+/// gateway. Two in five flows run between a server and a client; the rest
+/// run between two servers and load the ToR and aggregation links without
+/// the core, so every level binds somewhere.
 void expect_values_equal_path_min(const net::TopologyConfig& cfg) {
   sim::Simulator sim(1);
   net::ThreeTierTree topo(sim, cfg);
   const net::Network& net = topo.net();
   ScdaParams params;
   RateAllocator alloc(topo.net(), params);
-  Hierarchy hier(topo, alloc);
   const std::size_t n = topo.servers().size();
+  std::vector<BlockServer> servers;
+  for (std::size_t s = 0; s < n; ++s)
+    servers.emplace_back(s, topo.servers()[s]);
+  Hierarchy hier(topo, alloc, servers);
   sim::Rng rng(7);
 
   const auto last_server = static_cast<std::int64_t>(n) - 1;
@@ -167,8 +211,8 @@ void expect_values_equal_path_min(const net::TopologyConfig& cfg) {
         topo.servers()[s], topo.gateway(),
         sim::BitRate{std::numeric_limits<double>::infinity()});
     other[s] = links * rng.uniform(0.5, 1.5);
+    servers[s].resources() = ServerResources(other[s], other[s]);
   }
-  hier.set_r_other_provider([&other](std::size_t s) { return other[s]; });
   hier.update();
 
   std::size_t other_binds = 0;

@@ -1,8 +1,11 @@
 // Assorted edge-case coverage across modules: units, hierarchy level
-// queries, cloud append failures, SJF-with-loss interaction, and priority
-// reads.
+// queries, cloud append failures, SJF-with-loss interaction, priority
+// reads, and the bench harness's environment variables.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+
+#include "../bench/harness.h"
 #include "core/cloud.h"
 #include "core/hierarchy.h"
 #include "net/link.h"
@@ -40,7 +43,10 @@ TEST(HierarchyLevels, LowerLevelIgnoresCoreCongestion) {
   core::ScdaParams params;
   params.alpha = 1.0;
   core::RateAllocator alloc(topo.net(), params);
-  core::Hierarchy hier(topo, alloc);
+  std::vector<core::BlockServer> servers;
+  for (std::size_t s = 0; s < topo.servers().size(); ++s)
+    servers.emplace_back(s, topo.servers()[s]);
+  core::Hierarchy hier(topo, alloc, servers);
 
   // Saturate the core->gw uplink with many flows.
   for (net::FlowId f{1}; f <= net::FlowId{8}; ++f)
@@ -147,6 +153,48 @@ TEST(SjfWithLoss, FlowsCompleteWithBothFeaturesActive) {
   tm.start_scda_flow(a, b, 500'000, sim::BitRate{5e6}, sim::BitRate{5e6});
   sim.run_until(scda::sim::secs(300.0));
   EXPECT_EQ(done, 3);
+}
+
+// --- bench harness environment variables -------------------------------------
+
+// SCDA_BENCH_SEEDS follows the --seeds rule and SCDA_BENCH_FLUID_THRESHOLD
+// the --fluid-threshold-bytes one. A refused value ends the bench with exit
+// code 1, naming the variable; only the values are parsed here, and no
+// sweep is run from them.
+TEST(BenchHarness, SeedsVariableFollowsTheSeedsRule) {
+  const char* var = "SCDA_BENCH_SEEDS";
+  ::unsetenv(var);
+  EXPECT_EQ(bench::bench_seeds(), 1u);
+  ::setenv(var, "3", 1);
+  EXPECT_EQ(bench::bench_seeds(), 3u);
+  ::setenv(var, "4294967295", 1);
+  EXPECT_EQ(bench::bench_seeds(), 4294967295u);
+  // Each is refused: none is a whole number in [1, 4294967295].
+  for (const char* bad : {"abc", "0", "-2", "", "3x", "1e3", "4294967296"}) {
+    ::setenv(var, bad, 1);
+    EXPECT_EXIT((void)bench::bench_seeds(), ::testing::ExitedWithCode(1),
+                "^SCDA_BENCH_SEEDS")
+        << "value '" << bad << "'";
+  }
+  ::unsetenv(var);
+}
+
+TEST(BenchHarness, FluidThresholdVariableFollowsTheFlagRule) {
+  const char* var = "SCDA_BENCH_FLUID_THRESHOLD";
+  ::unsetenv(var);
+  EXPECT_EQ(bench::bench_fluid().threshold_bytes, std::int64_t{1} << 20);
+  ::setenv(var, "65536", 1);
+  EXPECT_EQ(bench::bench_fluid().threshold_bytes, 65536);
+  ::setenv(var, "0", 1);
+  EXPECT_EQ(bench::bench_fluid().threshold_bytes, 0);
+  // Each is refused: none is a whole number of 0 or more.
+  for (const char* bad : {"1e6", "12x", "abc", "-5", ""}) {
+    ::setenv(var, bad, 1);
+    EXPECT_EXIT((void)bench::bench_fluid(), ::testing::ExitedWithCode(1),
+                "^SCDA_BENCH_FLUID_THRESHOLD")
+        << "value '" << bad << "'";
+  }
+  ::unsetenv(var);
 }
 
 }  // namespace

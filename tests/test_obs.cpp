@@ -399,7 +399,7 @@ TEST(Obs, DisabledHotPathDoesNotAllocate) {
 TEST(Footprint, CloudConstructionAllocationsDoNotGrowWithTheTree) {
   // The tree sizes its node, link and per-node place arrays once and
   // routes from its shape, with no route tables or BFS scratch, so a Cloud
-  // on 1,354 nodes allocates exactly as often as one on 18 (42 times on
+  // on 1,354 nodes allocates exactly as often as one on 18 (40 times on
   // each; 60 while the tree built route tables). Per-node or per-link
   // allocations (a heap Node or Link, an out-link vector per node) made
   // 214 / 1,422 / 6,996 here.

@@ -14,7 +14,7 @@ using transport::ContentClass;
 
 class SelectionTest : public ::testing::Test {
  protected:
-  SelectionTest() : rng_(99) {
+  SelectionTest() : sim_(99) {
     cfg_.n_agg = 2;
     cfg_.tors_per_agg = 2;
     cfg_.servers_per_tor = 2;  // 8 servers
@@ -23,14 +23,15 @@ class SelectionTest : public ::testing::Test {
     topo_ = std::make_unique<net::ThreeTierTree>(sim_, cfg_);
     params_.alpha = 1.0;
     alloc_ = std::make_unique<RateAllocator>(topo_->net(), params_);
-    hier_ = std::make_unique<Hierarchy>(*topo_, *alloc_);
     for (std::size_t s = 0; s < 8; ++s)
       servers_.emplace_back(s, topo_->servers()[s]);
+    hier_ = std::make_unique<Hierarchy>(*topo_, *alloc_, servers_);
+    sla_ = std::make_unique<SlaManager>(topo_->net());
     hier_->update();
   }
 
   ServerSelector make(PlacementPolicy pol) {
-    return ServerSelector(*hier_, servers_, params_, rng_, pol);
+    return ServerSelector(*hier_, servers_, params_, *sla_, sim_, pol);
   }
 
   /// Drive load onto server `s`'s access links so they become the
@@ -47,14 +48,20 @@ class SelectionTest : public ::testing::Test {
     hier_->update();
   }
 
+  /// Record an SLA violation on `link` now.
+  void violate(net::LinkId link) {
+    sla_->on_violation(link, sim::BitRate{2e8}, sim::BitRate{1e8},
+                       sim_.now());
+  }
+
   sim::Simulator sim_;
-  sim::Rng rng_;
   net::TopologyConfig cfg_;
   ScdaParams params_;
   std::unique_ptr<net::ThreeTierTree> topo_;
   std::unique_ptr<RateAllocator> alloc_;
-  std::unique_ptr<Hierarchy> hier_;
   std::vector<BlockServer> servers_;
+  std::unique_ptr<Hierarchy> hier_;
+  std::unique_ptr<SlaManager> sla_;
   net::FlowId next_flow_ = scda::net::FlowId{1};
 };
 
@@ -88,12 +95,72 @@ TEST_F(SelectionTest, ReplicaExcludesPrimary) {
 }
 
 TEST_F(SelectionTest, AdmitFilterRespected) {
+  // The admission rule under both policies: a failed server and one with
+  // a full disk are never chosen.
   auto sel = make(PlacementPolicy::kScda);
-  sel.set_admit_filter([](std::size_t s) { return s == 5; });
-  EXPECT_EQ(sel.select_write_target(ContentClass::kSemiInteractive), 5);
   auto rnd = make(PlacementPolicy::kRandom);
-  rnd.set_admit_filter([](std::size_t s) { return s == 6; });
+  for (std::size_t s = 0; s < 8; ++s) servers_[s].set_failed(s != 5);
+  EXPECT_EQ(sel.select_write_target(ContentClass::kSemiInteractive), 5);
+  EXPECT_EQ(sel.select_replica_target(ContentClass::kSemiInteractive, {}), 5);
+  EXPECT_EQ(rnd.select_write_target(ContentClass::kSemiInteractive), 5);
+  for (std::size_t s = 0; s < 8; ++s) {
+    servers_[s].set_failed(false);
+    if (s != 6) servers_[s].resources().set_capacity_bytes(0);
+  }
+  EXPECT_EQ(sel.select_write_target(ContentClass::kInteractive), 6);
+  EXPECT_EQ(sel.select_replica_target(ContentClass::kPassive, {}), 6);
   EXPECT_EQ(rnd.select_write_target(ContentClass::kSemiInteractive), 6);
+  EXPECT_EQ(rnd.select_replica_target(ContentClass::kSemiInteractive, {}), 6);
+}
+
+TEST_F(SelectionTest, SlaCooledAccessLinkExcludesOnlyUnderScdaPlacement) {
+  auto sel = make(PlacementPolicy::kScda);
+  auto rnd = make(PlacementPolicy::kRandom);
+  // Idle links tie, so SCDA placement takes the lowest admitted index.
+  ASSERT_EQ(sel.select_write_target(ContentClass::kSemiInteractive), 0);
+  violate(topo_->server_uplink(0));
+  violate(topo_->server_downlink(1));
+  EXPECT_EQ(sel.select_write_target(ContentClass::kSemiInteractive), 2);
+  EXPECT_EQ(sel.select_replica_target(ContentClass::kSemiInteractive, {}), 2);
+  // Random placement does not read the SLA record: with server 0 the only
+  // one up, it still gets the write that SCDA placement refuses.
+  for (std::size_t s = 1; s < 8; ++s) servers_[s].set_failed(true);
+  EXPECT_EQ(rnd.select_write_target(ContentClass::kSemiInteractive), 0);
+  EXPECT_EQ(sel.select_write_target(ContentClass::kSemiInteractive), -1);
+  // The cooldown (1 s) over, the server is admitted again.
+  sim_.run_until(sim::secs(1.0));
+  EXPECT_EQ(sel.select_write_target(ContentClass::kSemiInteractive), 0);
+}
+
+TEST_F(SelectionTest, RecoveredServerWaitsForTheNextUpdate) {
+  auto sel = make(PlacementPolicy::kScda);
+  ASSERT_EQ(sel.select_write_target(ContentClass::kSemiInteractive), 0);
+  servers_[0].set_failed(true);
+  hier_->update();
+  EXPECT_EQ(sel.select_write_target(ContentClass::kSemiInteractive), 1);
+  // Recovered, server 0 is admitted again, but its R-hat reads 0 until the
+  // control loop recomputes the table.
+  servers_[0].set_failed(false);
+  EXPECT_EQ(sel.select_write_target(ContentClass::kSemiInteractive), 1);
+  EXPECT_EQ(sel.select_replica_target(ContentClass::kSemiInteractive, {}), 1);
+  hier_->update();
+  EXPECT_EQ(sel.select_write_target(ContentClass::kSemiInteractive), 0);
+}
+
+TEST_F(SelectionTest, LowestIndexWinsATieAndNoRateOfZeroWins) {
+  auto sel = make(PlacementPolicy::kScda);
+  // Idle: every server quotes the same rates.
+  EXPECT_EQ(sel.select_write_target(ContentClass::kInteractive), 0);
+  EXPECT_EQ(sel.select_write_target(ContentClass::kSemiInteractive), 0);
+  EXPECT_EQ(sel.select_replica_target(ContentClass::kSemiInteractive, {0, 1}),
+            2);
+  // Every R_other at 0: all servers are admitted, yet none is picked.
+  for (BlockServer& bs : servers_) bs.resources().set_disk(sim::BitRate{});
+  hier_->update();
+  EXPECT_EQ(sel.select_write_target(ContentClass::kInteractive), -1);
+  EXPECT_EQ(sel.select_write_target(ContentClass::kPassive), -1);
+  EXPECT_EQ(sel.select_replica_target(ContentClass::kSemiInteractive, {}),
+            -1);
 }
 
 TEST_F(SelectionTest, ReadReplicaPicksBestUplink) {
@@ -143,6 +210,8 @@ TEST_F(SelectionTest, PowerAwareSelectionPrefersEfficientServer) {
     servers_[s].power().record_sample(s == 2 ? 100.0 : 200.0, 1.0);
   auto sel = make(PlacementPolicy::kScda);
   EXPECT_EQ(sel.select_write_target(ContentClass::kSemiInteractive), 2);
+  EXPECT_EQ(sel.select_write_target(ContentClass::kInteractive), 2);
+  EXPECT_EQ(sel.select_replica_target(ContentClass::kSemiInteractive, {}), 2);
 }
 
 TEST_F(SelectionTest, InteractiveUsesMinUpDown) {
@@ -158,9 +227,9 @@ TEST_F(SelectionTest, InteractiveUsesMinUpDown) {
 }
 
 TEST(SelectionOneServer, RandomPickHonoursTheAdmitFilter) {
-  // A lone server that fails the admission filter (failed, or its disk
+  // A lone server that fails the admission rule (failed, or its disk
   // full) must not receive a randomly placed write.
-  sim::Simulator sim;
+  sim::Simulator sim(7);
   net::TopologyConfig cfg;
   cfg.n_agg = 1;
   cfg.tors_per_agg = 1;
@@ -169,13 +238,17 @@ TEST(SelectionOneServer, RandomPickHonoursTheAdmitFilter) {
   net::ThreeTierTree topo(sim, cfg);
   ScdaParams params;
   RateAllocator alloc(topo.net(), params);
-  Hierarchy hier(topo, alloc);
   std::vector<BlockServer> servers;
   servers.emplace_back(0, topo.servers()[0]);
-  sim::Rng rng(7);
-  ServerSelector sel(hier, servers, params, rng, PlacementPolicy::kRandom);
+  Hierarchy hier(topo, alloc, servers);
+  SlaManager sla(topo.net());
+  ServerSelector sel(hier, servers, params, sla, sim,
+                     PlacementPolicy::kRandom);
   EXPECT_EQ(sel.select_write_target(ContentClass::kSemiInteractive), 0);
-  sel.set_admit_filter([](std::size_t) { return false; });
+  servers[0].set_failed(true);
+  EXPECT_EQ(sel.select_write_target(ContentClass::kSemiInteractive), -1);
+  servers[0].set_failed(false);
+  servers[0].resources().set_capacity_bytes(0);
   EXPECT_EQ(sel.select_write_target(ContentClass::kSemiInteractive), -1);
 }
 

@@ -72,6 +72,22 @@ TEST(BlockServer, GrowingExistingBlockAccumulates) {
   EXPECT_EQ(bs.stored_bytes(1), 300);
 }
 
+TEST(BlockServer, PlaceRefusesASecondCopyOfHeldContent) {
+  // One server, one copy: a second placement of a held id is refused
+  // like a full disk, and the held copy keeps its bytes and its count.
+  BlockServer bs(0, net::NodeId{100});
+  ASSERT_TRUE(bs.place(1, 100, transport::ContentClass::kInteractive));
+  EXPECT_FALSE(bs.place(1, 200, transport::ContentClass::kInteractive));
+  EXPECT_EQ(bs.stored_bytes(1), 100);
+  EXPECT_EQ(bs.resources().used_bytes(), 100);
+  EXPECT_EQ(bs.active_copies(), 1);
+  // An append still grows the held copy.
+  EXPECT_TRUE(bs.store(1, 50));
+  EXPECT_EQ(bs.stored_bytes(1), 150);
+  bs.remove(1);
+  EXPECT_TRUE(bs.place(1, 200, transport::ContentClass::kPassive));
+}
+
 TEST(BlockServer, FlowActivityTracking) {
   BlockServer bs(0, net::NodeId{100});
   EXPECT_EQ(bs.active_flows(), 0);

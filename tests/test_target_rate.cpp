@@ -99,7 +99,7 @@ TEST_F(TargetRateTest, DeadlineTargetGrowsAsTimeShrinks) {
   }
   // 100 Mbit to move in 2 seconds -> needs ~50 Mbps on average.
   const std::int64_t total = util::bytes_of_bits(100e6);
-  ctrl_->set_deadline(scda::net::FlowId{1}, total, 2.0);
+  ctrl_->set_deadline(scda::net::FlowId{1}, 2.0);
   // Remaining bytes stay fixed in this unit test (flow never drains), so
   // the implied target rate must rise as the deadline approaches.
   alloc_->tick();
